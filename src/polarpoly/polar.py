@@ -107,28 +107,52 @@ def apply_tr(R: Polynomial, Q: Polynomial) -> Polynomial:
     return derivative_k(poly_mul(R, Q), R.degree)
 
 
+def _operator_band(R: Polynomial, n: int) -> list[list[complex]]:
+    # Row i holds the entries (i, i), .., (i, min(i+k, n)) of the
+    # operator matrix, the only ones that can be nonzero: the image of
+    # z^j has degree j and lowest term z^(j-k).  Entry (i, i+d) is the
+    # coefficient of z^i in d^k/dz^k(R * z^(i+d)), R_(k-d) * (i+1)_k.
+    k = R.degree
+    band = []
+    for i in range(n + 1):
+        scale = float(rising_factorial(i + 1, k))
+        band.append(
+            [R.coeffs[k - d] * scale for d in range(min(k, n - i) + 1)]
+        )
+    return band
+
+
 def operator_matrix(R: Polynomial, n: int) -> list[list[complex]]:
     """Matrix of Q -> d^k/dz^k(R*Q) on the monomial basis 1, z, .., z^n.
 
-    Column j holds the image of z^j; entries above the diagonal vanish
-    and the diagonal entry at j is (j+1)_k.
+    Column j holds the image of z^j.  The matrix is upper triangular
+    with bandwidth k: entries below the diagonal and more than k above
+    it vanish, entry (i, i+d) is R_(k-d) * (i+1)_k, and the diagonal
+    entry at j is (j+1)_k.
     """
     m = [[0j] * (n + 1) for _ in range(n + 1)]
-    for j in range(n + 1):
-        image = apply_tr(R, Polynomial([0j] * j + [1.0]))
-        for i, c in enumerate(image.coeffs):
-            m[i][j] = c
+    for i, row in enumerate(_operator_band(R, n)):
+        m[i][i : i + len(row)] = row
     return m
 
 
-def _back_substitute(m: list[list[complex]], rhs: list[complex]) -> list[complex]:
+def _band_back_substitute(
+    band: list[list[complex]], rhs: list[complex], top: float | None = None
+) -> list[complex]:
+    # Solves the banded triangular system from the top degree down,
+    # O(n*k).  With ``top`` set, the top unknown is fixed to it instead
+    # of being solved for.
     n = len(rhs) - 1
     out = [0j] * (n + 1)
-    for i in range(n, -1, -1):
+    start = n
+    if top is not None:
+        out[n], start = top, n - 1
+    for i in range(start, -1, -1):
+        row = band[i]
         acc = rhs[i]
-        for j in range(i + 1, n + 1):
-            acc -= m[i][j] * out[j]
-        out[i] = acc / m[i][i]
+        for d in range(1, len(row)):
+            acc -= row[d] * out[i + d]
+        out[i] = acc / row[0]
     return out
 
 
@@ -147,24 +171,22 @@ def _operator_residual(
 def solve_polar(problem: PolarProblem) -> Polynomial:
     """Unique monic Q with apply_tr(R, Q) = (n+1)_k * P.
 
-    Builds the triangular operator matrix column by column and
-    substitutes from the top degree down; the top coefficient is forced
-    to 1, which is what comparing leading coefficients dictates.  One
-    residual-refinement pass keeps the backward error at the rounding
-    level even when the shifted coefficients grow large.
+    The operator is upper triangular with bandwidth k, so one banded
+    back substitution from the top degree down solves it in O(n*k)
+    without forming the matrix; the top coefficient is forced to 1,
+    which is what comparing leading coefficients dictates.  One
+    residual-refinement pass, with the residual computed through
+    apply_tr rather than the band, keeps the backward error at the
+    rounding level even when the shifted coefficients grow large.
     """
     P, R = problem.P, problem.R
     n, k = problem.n, problem.k
-    m = operator_matrix(R, n)
+    band = _operator_band(R, n)
     rhs_scale = float(rising_factorial(n + 1, k))
-    b = [0j] * (n + 1)
-    b[n] = 1.0
-    for i in range(n - 1, -1, -1):
-        acc = rhs_scale * P.coeffs[i]
-        for j in range(i + 1, n + 1):
-            acc -= m[i][j] * b[j]
-        b[i] = acc / m[i][i]
-    correction = _back_substitute(m, _operator_residual(R, b, P, rhs_scale))
+    b = _band_back_substitute(band, [rhs_scale * c for c in P.coeffs], top=1.0)
+    correction = _band_back_substitute(
+        band, _operator_residual(R, b, P, rhs_scale)
+    )
     b = [bi + ci for bi, ci in zip(b, correction)]
     b[n] = 1.0
     return Polynomial._from_trusted(b)

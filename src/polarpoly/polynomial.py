@@ -110,7 +110,12 @@ def make_monic(p: Polynomial) -> Polynomial:
 
 
 def poly_mul(p: Polynomial, q: Polynomial) -> Polynomial:
-    """Coefficient convolution; the zero polynomial propagates."""
+    """Coefficient convolution; the zero polynomial propagates.
+
+    The product of two nonzero factors has degree deg p + deg q: its
+    leading coefficient is the product of theirs, so it is never
+    trimmed, however large the lower coefficients are.
+    """
     if p.is_zero() or q.is_zero():
         return Polynomial([0])
     out = [0j] * (p.degree + q.degree + 1)
@@ -119,7 +124,7 @@ def poly_mul(p: Polynomial, q: Polynomial) -> Polynomial:
             continue
         for j, b in enumerate(q.coeffs):
             out[i + j] += a * b
-    return Polynomial(out)
+    return Polynomial._from_trusted(out)
 
 
 def poly_scale(p: Polynomial, s: complex) -> Polynomial:

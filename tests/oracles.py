@@ -108,3 +108,32 @@ def s_radius_k1(n):
         abs(cmath.exp(2j * math.pi * m / (n + 1)) - 1.0)
         for m in range(1, n + 1)
     )
+
+
+def polar_backward_error(p, r, q):
+    """Normwise backward error of q as a solution of (R Q)^(k) = (n+1)_k P.
+
+    ``|(R Q)^(k) - (n+1)_k P|_inf / ((n+1)_k (|R|_1 |Q|_inf + |P|_inf))``
+    with k = deg R and n = deg P, from ascending coefficient lists.  The
+    product is a direct convolution and the k-th derivative multiplies
+    coefficient m by the falling factorial m (m-1) .. (m-k+1), taken in
+    exact integers.
+    """
+    p, r, q = ([complex(c) for c in seq] for seq in (p, r, q))
+    n, k = len(p) - 1, len(r) - 1
+    prod = [0j] * (len(r) + len(q) - 1)
+    for i, a in enumerate(r):
+        for j, b in enumerate(q):
+            prod[i + j] += a * b
+    lhs = [prod[m] * float(math.perm(m, k)) for m in range(k, len(prod))]
+    scale = float(math.perm(n + k, k))
+    size = max(len(lhs), len(p))
+    diff = [
+        (lhs[i] if i < len(lhs) else 0j) - (scale * p[i] if i < len(p) else 0j)
+        for i in range(size)
+    ]
+    denom = scale * (
+        sum(abs(c) for c in r) * max(abs(c) for c in q)
+        + max(abs(c) for c in p)
+    )
+    return max(abs(d) for d in diff) / denom

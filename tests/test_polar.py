@@ -31,7 +31,7 @@ from polarpoly.polynomial import (
     taylor_shift,
 )
 
-from oracles import eval_poly
+from oracles import eval_poly, polar_backward_error
 
 
 def rel_diff(p, q):
@@ -145,6 +145,24 @@ class TestSolvePolar:
             p = sample_monic(rng, int(rng.integers(1, 10)))
             r = sample_monic(rng, int(rng.integers(1, 5)))
             assert solve_polar(PolarProblem(p, r)).coeffs[-1] == 1.0
+
+    @pytest.mark.parametrize("n", [128, 256, 512])
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    def test_high_degree_backward_error(self, n, k):
+        rng = np.random.default_rng(1000 * n + k)
+
+        def disk(count, radius):
+            return [
+                radius * math.sqrt(rng.random())
+                * cmath.exp(2j * math.pi * rng.random())
+                for _ in range(count)
+            ]
+
+        p = poly_from_roots(disk(n, 1.0))
+        r = poly_from_roots(disk(k, 2.0))
+        q = solve_polar(PolarProblem(p, r))
+        assert q.degree == n and q.coeffs[-1] == 1.0
+        assert polar_backward_error(p.coeffs, r.coeffs, q.coeffs) <= 1e-14
 
 
 class TestSolveShifted:
@@ -296,14 +314,19 @@ class TestGraceFactorize:
 
 class TestOperatorMatrix:
     def test_triangular_structure(self):
+        # Upper triangular with bandwidth k; entry (i, j) in the band is
+        # r_(k-(j-i)) * (i+1)_k, the z^i coefficient of (r z^j)^(k).
         rng = np.random.default_rng(41)
         r = sample_monic(rng, 3)
-        n = 6
+        n, k = 6, 3
         m = operator_matrix(r, n)
         for i in range(n + 1):
             for j in range(n + 1):
-                if i > j:
+                if i > j or j > i + k:
                     assert m[i][j] == 0
+                else:
+                    scale = rising_factorial(i + 1, k)
+                    assert m[i][j] == r.coeffs[k - (j - i)] * scale
 
     def test_determinant_in_exact_integers(self):
         # The diagonal entries are integer rising factorials even for

@@ -91,6 +91,14 @@ class TestMul:
             q = Polynomial(list(rng.normal(size=dq)) + [1.0])
             assert poly_mul(p, q).degree == dp + dq
 
+    def test_large_lower_coefficients_keep_the_top(self):
+        # (1e11 + z)^2 = 1e22 + 2e11 z + z^2: each factor keeps its
+        # degree, but the product's leading 1 sits below 1e-12 of its
+        # constant term and must still not be trimmed.
+        out = poly_mul(Polynomial([1e11, 1]), Polynomial([1e11, 1]))
+        assert out.degree == 2
+        assert out.coeffs == (1e22 + 0j, 2e11 + 0j, 1 + 0j)
+
     def test_matches_pointwise_on_unit_circle(self):
         rng = np.random.default_rng(5)
         for _ in range(25):
