@@ -25,7 +25,6 @@ from .polar import (
     apply_tr,
     grace_convolve,
     grace_factorize,
-    operator_matrix,
     s_poly,
     solve_polar,
     solve_polar_shifted,
@@ -41,7 +40,6 @@ from .polynomial import (
     poly_from_pairs,
     poly_from_roots,
     poly_mul,
-    poly_scale,
     poly_to_pairs,
     rising_factorial,
     sup_norm,
@@ -100,12 +98,10 @@ __all__ = [
     "make_monic",
     "max_coeff_diff",
     "max_modulus",
-    "operator_matrix",
     "polar_zero_bound",
     "poly_from_pairs",
     "poly_from_roots",
     "poly_mul",
-    "poly_scale",
     "poly_to_pairs",
     "region_contains",
     "replay_case",

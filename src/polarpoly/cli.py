@@ -9,6 +9,7 @@ codes: 0 success, 1 domain errors (reported as structured JSON with an
 from __future__ import annotations
 
 import argparse
+import cmath
 import csv
 import json
 import sys
@@ -23,10 +24,12 @@ from .polar import (
 )
 from .polynomial import (
     Polynomial,
+    from_pairs,
     poly_from_pairs,
     poly_from_roots,
     poly_to_pairs,
     taylor_shift,
+    to_pairs,
 )
 from .regions import Region, enclosing_disk, localization_check, polar_zero_bound
 from .roots import find_roots, max_modulus
@@ -35,7 +38,18 @@ from .verify import SuiteConfig, reproduce_paper_examples, run_property_suite
 
 
 def parse_complex(text: str) -> complex:
-    """Parse ``a``, ``a+bi``, ``a-bi``, ``bi`` or ``i`` (no whitespace)."""
+    """Parse ``a``, ``a+bi``, ``a-bi``, ``bi`` or ``i`` (no whitespace).
+
+    Both parts must be finite: ``nan``, ``inf`` and overflowing
+    literals such as ``1e400`` are rejected.
+    """
+    value = _parse_complex(text)
+    if not cmath.isfinite(value):
+        raise ValueError(f"complex number {text!r} is not finite")
+    return value
+
+
+def _parse_complex(text: str) -> complex:
     s = text.strip()
     try:
         return complex(float(s), 0.0)
@@ -73,37 +87,22 @@ def _complex_arg(text: str) -> complex:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def _poly_arg(text: str) -> Polynomial:
-    try:
-        return poly_from_pairs(json.loads(text))
-    except (json.JSONDecodeError, ValueError) as exc:
-        raise argparse.ArgumentTypeError(f"bad polynomial JSON: {exc}") from None
+def _json_arg(parse, what: str):
+    # argparse type for a JSON flag: json.loads, then ``parse``; a
+    # JSONDecodeError is a ValueError, so both become a usage error.
+    def convert(text: str):
+        try:
+            return parse(json.loads(text))
+        except ValueError as exc:
+            msg = f"bad {what} JSON: {exc}"
+            raise argparse.ArgumentTypeError(msg) from None
+
+    return convert
 
 
-def _roots_arg(text: str) -> Polynomial:
-    try:
-        data = json.loads(text)
-        if not isinstance(data, list) or not data:
-            raise ValueError("root list must be a non-empty array")
-        roots = []
-        for item in data:
-            if (
-                not isinstance(item, (list, tuple))
-                or len(item) != 2
-                or not all(isinstance(v, (int, float)) for v in item)
-            ):
-                raise ValueError("each root must be a [re, im] pair")
-            roots.append(complex(item[0], item[1]))
-        return poly_from_roots(roots)
-    except (json.JSONDecodeError, ValueError) as exc:
-        raise argparse.ArgumentTypeError(f"bad root list JSON: {exc}") from None
-
-
-def _region_arg(text: str) -> Region:
-    try:
-        return Region.from_dict(json.loads(text))
-    except (json.JSONDecodeError, ValueError) as exc:
-        raise argparse.ArgumentTypeError(f"bad region JSON: {exc}") from None
+_poly_arg = _json_arg(poly_from_pairs, "polynomial")
+_roots_arg = _json_arg(lambda data: from_pairs(data, "root"), "root list")
+_region_arg = _json_arg(Region.from_dict, "region")
 
 
 def _positive_int(text: str) -> int:
@@ -113,15 +112,16 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _pairs(values) -> list[list[float]]:
-    return [[v.real, v.imag] for v in values]
+def _index_rows(values) -> list[list]:
+    return [[i, v.real, v.imag] for i, v in enumerate(values)]
 
 
 def _require_poly(args, parser: argparse.ArgumentParser) -> Polynomial:
-    given = [p for p in (args.P, args.P_roots) if p is not None]
-    if len(given) != 1:
+    if (args.P is None) == (args.P_roots is None):
         parser.error("exactly one of --P or --P-roots is required")
-    return given[0]
+    if args.P is not None:
+        return args.P
+    return poly_from_roots(args.P_roots)
 
 
 def _add_poly_flags(sub: argparse.ArgumentParser):
@@ -246,35 +246,24 @@ def _cmd_solve(args, parser):
         Q = solve_polar_shifted(P, args.xi, args.k)
         k, path = args.k, "centered"
     payload = {"Q": poly_to_pairs(Q), "n": P.degree, "k": k, "path": path}
-    rows = (
-        ["index", "re", "im"],
-        [[i, c.real, c.imag] for i, c in enumerate(Q.coeffs)],
-    )
-    return payload, rows, None, 0
+    return payload, (["index", "re", "im"], _index_rows(Q.coeffs)), None, 0
 
 
 def _cmd_spoly(args, parser):
     S = s_poly(args.n, args.k)
     payload = {"S": poly_to_pairs(S), "n": args.n, "k": args.k}
-    rows = (
-        ["index", "re", "im"],
-        [[i, c.real, c.imag] for i, c in enumerate(S.coeffs)],
-    )
-    return payload, rows, None, 0
+    return payload, (["index", "re", "im"], _index_rows(S.coeffs)), None, 0
 
 
 def _cmd_roots(args, parser):
     P = _require_poly(args, parser)
     rs = find_roots(P, tol=args.tol)
     payload = {
-        "roots": _pairs(rs.roots),
+        "roots": to_pairs(rs.roots),
         "max_residual": rs.max_residual,
         "converged": rs.converged,
     }
-    rows = (
-        ["index", "re", "im"],
-        [[i, r.real, r.imag] for i, r in enumerate(rs.roots)],
-    )
+    rows = (["index", "re", "im"], _index_rows(rs.roots))
     scene = render_scene([("zero", rs.roots)])
     return payload, rows, scene, 0
 
@@ -288,9 +277,10 @@ def _cmd_localize(args, parser):
     s_roots = find_roots(S)
     if args.K is not None:
         region = args.K
+    elif args.P_roots is not None:
+        region = enclosing_disk([z - xi for z in args.P_roots])
     else:
-        shifted_zeros = find_roots(taylor_shift(P, xi)).roots
-        region = enclosing_disk(shifted_zeros)
+        region = enclosing_disk(find_roots(taylor_shift(P, xi)).roots)
     report = localization_check(q_roots, xi, region, s_roots, tol=args.tol)
     payload = {
         "n": n,
@@ -299,8 +289,8 @@ def _cmd_localize(args, parser):
         "Q": poly_to_pairs(Q),
         "S": poly_to_pairs(S),
         "K": region.to_dict(),
-        "Q_roots": _pairs(q_roots.roots),
-        "S_roots": _pairs(s_roots.roots),
+        "Q_roots": to_pairs(q_roots.roots),
+        "S_roots": to_pairs(s_roots.roots),
         "contained": report.contained,
         "max_violation": report.max_violation,
         "tol": report.tol,
@@ -336,13 +326,10 @@ def _cmd_factorize(args, parser):
     fact = grace_factorize(args.P, args.Q, args.xi)
     payload = {
         "S_R": poly_to_pairs(fact.s_r),
-        "c": [[g.real, g.imag] for g in fact.c.gamma],
+        "c": to_pairs(fact.c.gamma),
         "exact_match_error": fact.exact_match_error,
     }
-    rows = (
-        ["index", "c_re", "c_im"],
-        [[i, g.real, g.imag] for i, g in enumerate(fact.c.gamma)],
-    )
+    rows = (["index", "c_re", "c_im"], _index_rows(fact.c.gamma))
     return payload, rows, None, 0
 
 

@@ -215,22 +215,13 @@ def solve_polar_shifted(P: Polynomial, xi: complex, k: int) -> Polynomial:
     One residual-refinement pass keeps the backward error at the
     rounding level even when the shifted coefficients grow large.
     """
-    if k < 1:
-        raise ValueError("k must be a positive integer")
-    if P.degree < 1:
-        raise DegreeZeroError("P must be non-constant")
-    if not P.is_monic():
-        raise NotMonicError(
-            "P must be monic", leading=[P.leading.real, P.leading.imag]
-        )
-    xi = complex(xi)
-    n = P.degree
+    problem = PolarProblem.centered(P, xi, k)
+    xi, n = problem.xi, problem.n
     rhs_scale = float(rising_factorial(n + 1, k))
     b = _centered_inverse([rhs_scale * c for c in P.coeffs], xi, k)
     b[n] = 1.0
     if xi != 0:
-        R = poly_from_roots([xi] * k)
-        residual = _operator_residual(R, b, P, rhs_scale)
+        residual = _operator_residual(problem.R, b, P, rhs_scale)
         correction = _centered_inverse(residual, xi, k)
         b = [bi + ci for bi, ci in zip(b, correction)]
         b[n] = 1.0
@@ -246,8 +237,11 @@ def s_poly(n: int, k: int) -> Polynomial:
     """
     if n < 1 or k < 1:
         raise ValueError("n and k must be positive integers")
-    return Polynomial(
-        float(math.comb(n + k, j + k)) for j in range(n + 1)
+    # The leading coefficient C(n+k, n+k) = 1 is exact, so no trim: a
+    # relative one would drop the top of S, which is tiny against its
+    # middle coefficients from n of about 40 on.
+    return Polynomial._from_trusted(
+        [float(math.comb(n + k, j + k)) for j in range(n + 1)]
     )
 
 

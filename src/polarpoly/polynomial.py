@@ -9,6 +9,11 @@ Combinatorial scalars (binomial coefficients, rising factorials) are
 computed in exact integer arithmetic and converted to floating point at
 the point of use, which keeps them cancellation-free for sizes up to
 n + k of about 60.
+
+In JSON a complex number is an ``[re, im]`` pair of finite numbers.
+Every reader of that form goes through the codec at the end of this
+module (``from_pair``, ``from_pairs``); ``to_pairs`` writes lists of
+them.
 """
 
 from __future__ import annotations
@@ -127,10 +132,6 @@ def poly_mul(p: Polynomial, q: Polynomial) -> Polynomial:
     return Polynomial._from_trusted(out)
 
 
-def poly_scale(p: Polynomial, s: complex) -> Polynomial:
-    return Polynomial(s * c for c in p.coeffs)
-
-
 def derivative_k(p: Polynomial, k: int) -> Polynomial:
     """k-fold formal derivative; zero polynomial once k exceeds the degree."""
     if k < 0:
@@ -228,24 +229,42 @@ def max_coeff_diff(p: Polynomial, q: Polynomial) -> float:
     )
 
 
+def from_number(value, what: str) -> float:
+    """One JSON real: a finite number that is not a boolean."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            x = float(value)
+        except OverflowError:  # an integer beyond the float range
+            x = math.inf
+        if math.isfinite(x):
+            return x
+    raise ValueError(f"{what} must be a finite number")
+
+
+def from_pair(item, what: str) -> complex:
+    """One JSON complex: a 2-element list of finite, non-bool numbers."""
+    if not isinstance(item, (list, tuple)) or len(item) != 2:
+        raise ValueError(f"{what} must be a [re, im] pair")
+    return complex(from_number(item[0], what), from_number(item[1], what))
+
+
+def from_pairs(data, what: str) -> list[complex]:
+    """A non-empty JSON array of complex numbers, ``what`` naming one."""
+    if not isinstance(data, (list, tuple)) or not data:
+        raise ValueError(f"a {what} list must be a non-empty array")
+    return [from_pair(item, f"each {what}") for item in data]
+
+
+def to_pairs(values: Iterable[complex]) -> list[list[float]]:
+    """JSON form of complex numbers: ``[re, im]`` pairs."""
+    return [[v.real, v.imag] for v in values]
+
+
 def poly_to_pairs(p: Polynomial) -> list[list[float]]:
     """JSON form: ascending ``[re, im]`` pairs."""
-    return [[c.real, c.imag] for c in p.coeffs]
+    return to_pairs(p.coeffs)
 
 
 def poly_from_pairs(data) -> Polynomial:
     """Parse the JSON form; raises ValueError on malformed input."""
-    if not isinstance(data, (list, tuple)) or not data:
-        raise ValueError("polynomial JSON must be a non-empty array")
-    coeffs = []
-    for item in data:
-        if (
-            not isinstance(item, (list, tuple))
-            or len(item) != 2
-            or not all(isinstance(v, (int, float)) for v in item)
-        ):
-            raise ValueError(
-                "each coefficient must be a [re, im] pair of numbers"
-            )
-        coeffs.append(complex(item[0], item[1]))
-    return Polynomial(coeffs)
+    return Polynomial(from_pairs(data, "coefficient"))

@@ -18,6 +18,7 @@ from .errors import (
     EmptyRootSetError,
     SZeroAtOriginError,
 )
+from .polynomial import from_number, from_pair
 from .roots import RootSet
 
 _WELZL_EPS = 1.0 + 1e-14
@@ -76,14 +77,7 @@ class Region:
         closed = bool(data.get("closed", True))
 
         def pair(name, default=None):
-            v = data.get(name, default)
-            if (
-                not isinstance(v, (list, tuple))
-                or len(v) != 2
-                or not all(isinstance(x, (int, float)) for x in v)
-            ):
-                raise ValueError(f"region field {name!r} must be [re, im]")
-            return complex(v[0], v[1])
+            return from_pair(data.get(name, default), f"region field {name!r}")
 
         if kind == "half_plane":
             return cls(
@@ -93,13 +87,11 @@ class Region:
                 closed=closed,
             )
         if kind in ("disk", "exterior_disk"):
-            radius = data.get("radius")
-            if not isinstance(radius, (int, float)):
-                raise ValueError("region field 'radius' must be a number")
+            radius = from_number(data.get("radius"), "region field 'radius'")
             return cls(
                 kind=kind,
                 center=pair("center", [0, 0]),
-                radius=float(radius),
+                radius=radius,
                 closed=closed,
             )
         raise ValueError(f"unknown region kind {kind!r}")

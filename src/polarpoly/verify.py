@@ -32,6 +32,8 @@ from .polar import (
 from .polynomial import (
     Polynomial,
     derivative_k,
+    from_pair,
+    from_pairs,
     max_coeff_diff,
     poly_from_roots,
     poly_mul,
@@ -39,6 +41,7 @@ from .polynomial import (
     rising_factorial,
     sup_norm,
     taylor_shift,
+    to_pairs,
 )
 from .regions import enclosing_disk, localization_check, polar_zero_bound
 from .roots import RootSet, find_roots, max_modulus
@@ -97,7 +100,7 @@ class SuiteConfig:
             "cases": self.cases,
             "seed": self.seed,
             "zero_sampler": self.zero_sampler,
-            "grid_points": [[p.real, p.imag] for p in self.grid_points],
+            "grid_points": to_pairs(self.grid_points),
             "residual_tol": self.residual_tol,
             "equivalence_tol": self.equivalence_tol,
             "containment_tol": self.containment_tol,
@@ -121,7 +124,7 @@ class CaseInstance:
         return {
             "n": self.n,
             "k": self.k,
-            "zeros": [[z.real, z.imag] for z in self.zeros],
+            "zeros": to_pairs(self.zeros),
             "xi": [self.xi.real, self.xi.imag],
         }
 
@@ -130,8 +133,8 @@ class CaseInstance:
         return cls(
             n=int(data["n"]),
             k=int(data["k"]),
-            zeros=tuple(complex(a, b) for a, b in data["zeros"]),
-            xi=complex(data["xi"][0], data["xi"][1]),
+            zeros=tuple(from_pairs(data["zeros"], "zero")),
+            xi=from_pair(data["xi"], "xi"),
         )
 
 
@@ -139,7 +142,7 @@ class CaseInstance:
 class PropertyResult:
     name: str
     tolerance: float
-    sense: str  # "max": observed must stay below tolerance; "min": above
+    sense: str  # "max": observed <= tolerance; "min": observed >= -tolerance
     cases: int = 0
     passes: int = 0
     failures: int = 0
@@ -312,7 +315,7 @@ def case_metrics(
         "artifacts": {
             "P": poly_to_pairs(P),
             "Q": poly_to_pairs(q_shifted_path),
-            "Q_roots": [[r.real, r.imag] for r in q_roots.roots],
+            "Q_roots": to_pairs(q_roots.roots),
         },
     }
 
@@ -334,22 +337,19 @@ def run_property_suite(cfg: SuiteConfig | None = None) -> SuiteReport:
     if cfg is None:
         cfg = SuiteConfig()
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
+    # (property, case_metrics key, tolerance, sense), in report order.
+    table = (
+        ("residual", "residual_rel", cfg.residual_tol, "max"),
+        ("path_equivalence", "path_equivalence_rel", cfg.equivalence_tol,
+         "max"),
+        ("convolution_identity", "convolution_rel", cfg.residual_tol, "max"),
+        ("localization", "containment_margin", cfg.containment_tol, "min"),
+        ("remark_bound", "remark_excess", REMARK_SLACK, "max"),
+        ("s_radius", "s_radius_excess", S_RADIUS_SLACK, "max"),
+        ("factorize_roundtrip", "factorize_error", FACTORIZE_TOL, "max"),
+    )
     props = {
-        "residual": PropertyResult("residual", cfg.residual_tol, "max"),
-        "path_equivalence": PropertyResult(
-            "path_equivalence", cfg.equivalence_tol, "max"
-        ),
-        "convolution_identity": PropertyResult(
-            "convolution_identity", cfg.residual_tol, "max"
-        ),
-        "localization": PropertyResult(
-            "localization", cfg.containment_tol, "min"
-        ),
-        "remark_bound": PropertyResult("remark_bound", REMARK_SLACK, "max"),
-        "s_radius": PropertyResult("s_radius", S_RADIUS_SLACK, "max"),
-        "factorize_roundtrip": PropertyResult(
-            "factorize_roundtrip", FACTORIZE_TOL, "max"
-        ),
+        name: PropertyResult(name, tol, sense) for name, _, tol, sense in table
     }
     s_cache: dict[tuple[int, int], RootSet] = {}
     equality_pairs: set[tuple[int, int]] = set()
@@ -360,43 +360,15 @@ def run_property_suite(cfg: SuiteConfig | None = None) -> SuiteReport:
         m = case_metrics(inst, s_cache, cfg.containment_tol)
         dump = {**inst.to_dict(), **m["artifacts"]}
 
-        props["residual"].record(
-            m["residual_rel"] <= cfg.residual_tol, m["residual_rel"], dump
-        )
-        props["path_equivalence"].record(
-            m["path_equivalence_rel"] <= cfg.equivalence_tol,
-            m["path_equivalence_rel"],
-            dump,
-        )
-        props["convolution_identity"].record(
-            m["convolution_rel"] <= cfg.residual_tol,
-            m["convolution_rel"],
-            dump,
-        )
-        props["localization"].record(
-            m["containment_margin"] >= -cfg.containment_tol,
-            m["containment_margin"],
-            dump,
-        )
-        props["remark_bound"].record(
-            m["remark_excess"] <= REMARK_SLACK, m["remark_excess"], dump
-        )
-        props["s_radius"].record(
-            m["s_radius_excess"] <= S_RADIUS_SLACK,
-            m["s_radius_excess"],
-            dump,
-        )
+        for name, key, tol, sense in table:
+            # A FactorizationImpossible case has no factorize_error and
+            # counts as a pass with value 0.0.
+            value = 0.0 if m[key] is None else m[key]
+            ok = value <= tol if sense == "max" else value >= -tol
+            props[name].record(ok, value, dump)
         if abs(m["s_radius_excess"]) <= S_RADIUS_SLACK:
             equality_pairs.add((inst.n, inst.k))
-        if m["factorize_impossible"]:
-            impossible_count += 1
-            props["factorize_roundtrip"].record(True, 0.0, dump)
-        else:
-            props["factorize_roundtrip"].record(
-                m["factorize_error"] <= FACTORIZE_TOL,
-                m["factorize_error"],
-                dump,
-            )
+        impossible_count += m["factorize_impossible"]
 
     for n, k in sorted(equality_pairs):
         props["s_radius"].notes.append(

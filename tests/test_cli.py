@@ -4,10 +4,14 @@ import json
 import math
 import os
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 
-from polarpoly.cli import parse_complex
+from polarpoly.cli import main, parse_complex
+from polarpoly.regions import enclosing_disk
+
+DATA = Path(__file__).resolve().parent / "data"
 
 
 class TestComplexFlagSyntax:
@@ -29,10 +33,56 @@ class TestComplexFlagSyntax:
     def test_accepted(self, text, want):
         assert parse_complex(text) == want
 
-    @pytest.mark.parametrize("text", ["", "z", "1+2j5", "1 + 2i", "2x+1i"])
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "", "z", "1+2j5", "1 + 2i", "2x+1i",
+            "nan", "inf", "-Infinity", "1e400", "1+nani", "1e400i",
+        ],
+    )
     def test_rejected(self, text):
         with pytest.raises(ValueError):
             parse_complex(text)
+
+
+class TestNonFiniteInput:
+    """Booleans and non-finite numbers are usage errors on every flag."""
+
+    P = "[[-0.25,0],[0,0],[1,0]]"
+
+    @pytest.mark.parametrize(
+        ("flag", "argv"),
+        [
+            ("--P", ["roots", "--P", "[[NaN,0],[1,0]]"]),
+            ("--P", ["roots", "--P", "[[true,false],[1,0]]"]),
+            (
+                "--P-roots",
+                [
+                    "localize", "--P-roots", "[[Infinity,0],[0.5,0]]",
+                    "--xi", "0", "--k", "1",
+                ],
+            ),
+            ("--R", ["solve", "--P", P, "--R", "[[1e400,0],[1,0]]"]),
+            (
+                "--Q",
+                ["factorize", "--P", P, "--Q", "[[0,NaN],[0,0],[1,0]]",
+                 "--xi", "0"],
+            ),
+            (
+                "--K",
+                [
+                    "localize", "--P", P, "--xi", "0", "--k", "1", "--K",
+                    '{"kind": "disk", "center": [0, 0], "radius": NaN}',
+                ],
+            ),
+            ("--xi", ["localize", "--P", P, "--xi", "nan", "--k", "1"]),
+        ],
+    )
+    def test_usage_error(self, run_cli, flag, argv):
+        out = run_cli(*argv)
+        assert out.returncode == 2
+        assert out.stdout == ""
+        assert f"argument {flag}:" in out.stderr
 
 
 class TestSolve:
@@ -184,6 +234,20 @@ class TestLocalize:
         for w in payload["witnesses"]:
             assert abs(w["margin"]) <= 1e-8
 
+    def test_default_region_is_disk_of_given_zeros(self, run_cli):
+        zeros = [0.5, -0.25 + 0.25j, 0.1 - 0.3j, 0.7j]
+        xi = 0.5 - 0.5j
+        payload = json.loads(
+            run_cli(
+                "localize", "--P-roots",
+                json.dumps([[z.real, z.imag] for z in zeros]),
+                "--xi", "0.5-0.5i", "--k", "2",
+            ).stdout
+        )
+        want = enclosing_disk([z - xi for z in zeros]).to_dict()
+        assert payload["K"] == want
+        assert payload["contained"] is True
+
     def test_user_supplied_region(self, run_cli):
         region = json.dumps(
             {"kind": "disk", "center": [0, 0], "radius": 3.0, "closed": True}
@@ -279,3 +343,17 @@ class TestSuiteCommands:
 
     def test_unknown_subcommand(self, run_cli):
         assert run_cli("frobnicate").returncode == 2
+
+
+@pytest.mark.parametrize(
+    ("argv", "golden"),
+    [
+        (["verify", "--seed", "42"], "verify_seed42.json"),
+        (["paper-examples"], "paper_examples.json"),
+    ],
+)
+def test_report_bytes_unchanged(capsys, argv, golden):
+    # The checked-in stdout of these two commands; an output change
+    # must regenerate the file on purpose.
+    assert main(argv) == 0
+    assert capsys.readouterr().out.encode() == (DATA / golden).read_bytes()

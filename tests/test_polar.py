@@ -216,6 +216,16 @@ class TestSPoly:
                 for j, c in enumerate(s.coeffs):
                     assert c == math.comb(n + k, j + k)
 
+    @pytest.mark.parametrize("n", [8, 40, 64, 128, 256])
+    @pytest.mark.parametrize("k", [1, 5])
+    def test_high_degree_keeps_every_coefficient(self, n, k):
+        # The top coefficients are tiny against the middle ones (about
+        # 1e-76 relative at n = 256), yet exact: no trim may drop them.
+        s = s_poly(n, k)
+        assert s.degree == n
+        for j, c in enumerate(s.coeffs):
+            assert c == float(math.comb(n + k, j + k))
+
     def test_validation(self):
         with pytest.raises(ValueError):
             s_poly(0, 1)

@@ -10,16 +10,18 @@ from polarpoly.polynomial import (
     binomial_coeffs,
     derivative_k,
     from_binomial,
+    from_pair,
+    from_pairs,
     make_monic,
     max_coeff_diff,
     poly_from_pairs,
     poly_from_roots,
     poly_mul,
-    poly_scale,
     poly_to_pairs,
     rising_factorial,
     sup_norm,
     taylor_shift,
+    to_pairs,
 )
 
 from oracles import eval_poly
@@ -264,11 +266,32 @@ class TestJsonForm:
         assert poly_from_pairs(poly_to_pairs(p)).coeffs == p.coeffs
 
     @pytest.mark.parametrize(
-        "bad", [[], "nope", [[1]], [[1, "x"]], [1, 2], [[1, 2, 3]]]
+        "bad",
+        [
+            [],
+            "nope",
+            [[1]],
+            [[1, "x"]],
+            [1, 2],
+            [[1, 2, 3]],
+            [[True, False], [1, 0]],
+            [[1, None]],
+            [[math.nan, 0], [1, 0]],
+            [[0, -math.inf], [1, 0]],
+            [[10**400, 0], [1, 0]],
+        ],
     )
     def test_malformed_rejected(self, bad):
         with pytest.raises(ValueError):
             poly_from_pairs(bad)
+
+    def test_codec(self):
+        values = [0.5 - 0j, -0.0 + 2j, 1e300 + 1e-300j]
+        assert from_pairs(to_pairs(values), "zero") == values
+        assert from_pair([3, -1], "xi") == 3 - 1j
+        assert str(from_pair([-0.0, -0.0], "xi")) == "(-0-0j)"
+        with pytest.raises(ValueError, match="each zero"):
+            from_pairs([[0, 0], [math.inf, 0]], "zero")
 
 
 def test_poly_from_roots_expands_exactly():
@@ -281,8 +304,3 @@ def test_poly_from_roots_expands_exactly():
         assert p.is_monic()
         for r in roots:
             assert abs(eval_poly(p.coeffs, complex(r))) <= 1e-10 * sup_norm(p)
-
-
-def test_poly_scale():
-    assert poly_scale(Polynomial([1, 2]), 2j).coeffs == (2j, 4j)
-    assert poly_scale(Polynomial([1, 2]), 0).is_zero()

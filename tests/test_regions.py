@@ -78,6 +78,12 @@ class TestRegion:
             {"kind": "disk", "center": [0, 0]},
             {"kind": "disk", "center": [0], "radius": 1},
             {"kind": "half_plane", "center": [0, 0]},
+            {"kind": "disk", "center": [0, 0], "radius": math.nan},
+            {"kind": "disk", "center": [0, 0], "radius": math.inf},
+            {"kind": "disk", "center": [0, 0], "radius": True},
+            {"kind": "disk", "center": [True, 0], "radius": 1},
+            {"kind": "exterior_disk", "center": [math.nan, 0], "radius": 1},
+            {"kind": "half_plane", "center": [0, 0], "normal": [math.inf, 0]},
         ],
     )
     def test_from_dict_rejects_malformed(self, bad):
