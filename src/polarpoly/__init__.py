@@ -11,6 +11,7 @@ statements of the form Z(Q) within xi - K * Z(S).
 """
 
 from .errors import (
+    DegreeTooLargeError,
     DegreeZeroError,
     DomainError,
     EmptyInputError,
@@ -26,6 +27,7 @@ from .polar import (
     grace_convolve,
     grace_factorize,
     s_poly,
+    s_zeros,
     solve_polar,
     solve_polar_shifted,
 )
@@ -70,6 +72,7 @@ __version__ = "0.1.0"
 __all__ = [
     "BinomialForm",
     "CaseInstance",
+    "DegreeTooLargeError",
     "DegreeZeroError",
     "DomainError",
     "EmptyInputError",
@@ -110,6 +113,7 @@ __all__ = [
     "rising_factorial",
     "run_property_suite",
     "s_poly",
+    "s_zeros",
     "solve_polar",
     "solve_polar_shifted",
     "sup_norm",

@@ -12,6 +12,7 @@ import argparse
 import cmath
 import csv
 import json
+import math
 import sys
 
 from .errors import DomainError
@@ -19,6 +20,7 @@ from .polar import (
     PolarProblem,
     grace_factorize,
     s_poly,
+    s_zeros,
     solve_polar,
     solve_polar_shifted,
 )
@@ -105,6 +107,15 @@ _roots_arg = _json_arg(lambda data: from_pairs(data, "root"), "root list")
 _region_arg = _json_arg(Region.from_dict, "region")
 
 
+def _tolerance(text: str) -> float:
+    value = float(text)
+    if not (math.isfinite(value) and value >= 0.0):
+        raise argparse.ArgumentTypeError(
+            "must be a finite non-negative number"
+        )
+    return value
+
+
 def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
@@ -179,7 +190,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     roots = subs.add_parser("roots", help="all zeros of a polynomial")
     _add_poly_flags(roots)
-    roots.add_argument("--tol", type=float, default=1e-12)
+    roots.add_argument("--tol", type=_tolerance, default=1e-12)
     _add_output_flags(roots, svg=True)
     roots.set_defaults(func=_cmd_roots)
 
@@ -195,7 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="region JSON; default is the minimum enclosing disk of "
         "the shifted zeros of P",
     )
-    localize.add_argument("--tol", type=float, default=1e-6)
+    localize.add_argument("--tol", type=_tolerance, default=1e-6)
     _add_output_flags(localize, svg=True)
     localize.set_defaults(func=_cmd_localize)
 
@@ -271,10 +282,11 @@ def _cmd_roots(args, parser):
 def _cmd_localize(args, parser):
     P = _require_poly(args, parser)
     n, k, xi = P.degree, args.k, args.xi
+    # S first: it refuses a degree it cannot represent before any work.
+    S = s_poly(n, k)
+    s_roots = s_zeros(n, k)
     Q = solve_polar_shifted(P, xi, k)
     q_roots = find_roots(Q)
-    S = s_poly(n, k)
-    s_roots = find_roots(S)
     if args.K is not None:
         region = args.K
     elif args.P_roots is not None:

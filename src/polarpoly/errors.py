@@ -26,6 +26,12 @@ class DegreeZeroError(DomainError):
     code = "DegreeZero"
 
 
+class DegreeTooLargeError(DomainError):
+    """A coefficient the requested degree needs does not fit a double."""
+
+    code = "DegreeTooLarge"
+
+
 class EmptyRootSetError(DomainError):
     code = "EmptyRootSet"
 

@@ -21,7 +21,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DegreeZeroError, FactorizationImpossible, NotMonicError
+import numpy as np
+
+from .errors import (
+    DegreeTooLargeError,
+    DegreeZeroError,
+    FactorizationImpossible,
+    NotMonicError,
+)
 from .polynomial import (
     BinomialForm,
     Polynomial,
@@ -36,6 +43,15 @@ from .polynomial import (
     sup_norm,
     taylor_shift,
 )
+from .roots import (
+    _EPS,
+    _DEFAULT_MAX_ITER,
+    _DEFAULT_TOL,
+    RootSet,
+    _aberth,
+    _newton_polish,
+    _ordered,
+)
 
 # Relative threshold below which a binomial coefficient counts as zero
 # when extracting a convolution factor.
@@ -43,6 +59,10 @@ VANISHING_RTOL = 1e-10
 
 # A recovered factor must reproduce its target to this relative error.
 RECONSTRUCTION_RTOL = 1e-10
+
+# Fixed-point steps that move the start points of s_zeros onto the
+# curve |1+w|^(n+k) = |t(w)|.
+_START_STEPS = 4
 
 
 @dataclass(frozen=True)
@@ -228,20 +248,141 @@ def solve_polar_shifted(P: Polynomial, xi: complex, k: int) -> Polynomial:
     return Polynomial._from_trusted(b)
 
 
+def _s_sup(n: int, k: int) -> float:
+    # The largest coefficient of S(n, k), C(n+k, max(k, (n+k)//2)).  S
+    # is the part of (1+w)^(n+k) of degree >= k, divided by w^k, and
+    # s_zeros evaluates it through the whole binomial row of n+k, so
+    # both accept n+k as long as that row fits a double: up to 1029,
+    # where its middle C(1029, 514) is 1.4e308.
+    if n < 1 or k < 1:
+        raise ValueError("n and k must be positive integers")
+    big_n = n + k
+    try:
+        float(math.comb(big_n, big_n // 2))
+    except OverflowError:
+        raise DegreeTooLargeError(
+            f"S({n}, {k}) needs binomial coefficients of n + k = {big_n}, "
+            "which exceed the double range from n + k = 1030 on",
+            n=n,
+            k=k,
+        ) from None
+    return float(math.comb(big_n, max(k, big_n // 2)))
+
+
 def s_poly(n: int, k: int) -> Polynomial:
     """The degree-n polynomial with coefficients C(n+k, j+k).
 
     Its constant term C(n+k, k) never vanishes, and its zeros control
     the zeros of every centered polar polynomial via the convolution
-    identity.
+    identity.  Raises DegreeTooLargeError from n + k = 1030 on, where
+    the binomial coefficients of n + k exceed the double range (for
+    k <= n, the middle coefficients of S itself).
     """
-    if n < 1 or k < 1:
-        raise ValueError("n and k must be positive integers")
+    _s_sup(n, k)
     # The leading coefficient C(n+k, n+k) = 1 is exact, so no trim: a
     # relative one would drop the top of S, which is tiny against its
     # middle coefficients from n of about 40 on.
     return Polynomial._from_trusted(
         [float(math.comb(n + k, j + k)) for j in range(n + 1)]
+    )
+
+
+def _s_form(n: int, k: int):
+    # Evaluator of S(n, k) through w^k S(w) = F(w) = u^N - t(w), with
+    # u = 1 + w, N = n + k and t(w) = sum_{j<k} C(N, j) w^j: O(k) per
+    # point, and its zeros are well conditioned in this form, unlike in
+    # the monomial basis.  F is returned divided by s = max(|u|^N, |t|)
+    # in modulus, which keeps every quantity within the double range.
+    big_n = n + k
+    # The coefficients of t, divided by the largest of them, top.
+    top = math.comb(big_n, min(k - 1, big_n // 2))
+    log_top = math.log(top)
+    fwd = np.array([math.comb(big_n, j) / top for j in range(k)])
+    rows = np.stack([fwd, fwd[::-1]])
+
+    def log_t(w):
+        # log t(w), t'(w)/t(w) and sum_j |t_j w^j| / |t(w)|, by Horner
+        # in w for |w| <= 1 and in 1/w beyond, where
+        # t(w) = top * w^(k-1) * T(1/w) with T the reversed polynomial.
+        far = np.abs(w) > 1.0
+        x = np.where(far, 1.0 / w, w)
+        ax = np.abs(x)
+        # Column i: the coefficients of t, reversed where w_i is far.
+        coeffs = rows[far.astype(int)].T
+        p = coeffs[-1].astype(np.complex128)
+        d = np.zeros_like(p)
+        size = coeffs[-1].copy()
+        for c in coeffs[-2::-1]:
+            d = d * x + p
+            p = p * x + c
+            size = size * ax + c
+        ratio = d / p
+        log_w = np.log(np.where(far, w, 1.0))
+        log_t = log_top + np.log(p) + (k - 1) * log_w
+        dlog_t = np.where(far, x * ((k - 1) - x * ratio), ratio)
+        return log_t, dlog_t, size / np.abs(p)
+
+    def evaluate(w):
+        # F/s, (F' - k F/w)/s and the noise floor of F/s, so that their
+        # ratio is S/S'; then log(|S| / |F/s|) for the residual.
+        u = 1.0 + w
+        log_u = np.log(u)
+        lt, dlt, cancel = log_t(w)
+        lr = lt - big_n * log_u
+        inside = lr.real <= 0.0
+        r = np.exp(np.where(inside, lr, -lr))
+        # s = |u|^N inside, where r = t/u^N; s = |t| outside, r = u^N/t.
+        f = np.where(inside, 1.0 - r, r - 1.0)
+        fd = np.where(inside, big_n / u - dlt * r, big_n * r / u - dlt)
+        ar = np.abs(r)
+        noise = 4.0 * _EPS * np.where(
+            inside, big_n + cancel * ar, big_n * ar + cancel
+        )
+        log_scale = big_n * log_u.real + np.maximum(lr.real, 0.0)
+        log_scale -= k * np.log(np.abs(w))
+        return f, fd - k * f / w, noise, log_scale
+
+    return log_t, evaluate
+
+
+def s_zeros(n: int, k: int) -> RootSet:
+    """The zeros of S(n, k), as ``find_roots(s_poly(n, k))`` would give
+    them, but computed from the form w^k S(w) = (1+w)^(n+k) - t(w), with
+    t(w) = sum_{j<k} C(n+k, j) w^j.
+
+    Runs the Aberth-Ehrlich iteration of ``find_roots`` (same settle rule
+    and defaults, same ordering and ``RootSet`` contract) with Newton
+    ratios from S'/S = F'/F - k/w at O(k) cost per point, and a final
+    plain Newton polish in the same form.  In the monomial basis S is
+    ill conditioned from n of about 40 on (the dense finder reports
+    converged zeros of S(41, 1) that are off by 0.3); in this form the
+    zeros come out to a few units of rounding at every accepted degree.
+    The iteration starts on the curve |1+w|^(n+k) = |t(w)|, which passes
+    through every zero, at the angles about -1 of the zeros for k = 1.
+    ``max_residual`` is max |S(zero)| / max |coefficient of S|.
+    Raises DegreeTooLargeError where ``s_poly`` does.
+    """
+    sup = _s_sup(n, k)
+    log_t, evaluate = _s_form(n, k)
+    ray = np.exp(2j * math.pi * np.arange(1, n + 1) / (n + 1))
+    # Every zero has |w| <= k+1 (the S-radius bound); stepping down
+    # from |1+w| = k+2 reaches the part of the curve that holds them,
+    # also for k far above n, where the curve has a second part near
+    # |1+w| = 1 on which t(w) cancels.
+    radius = np.full(n, k + 2.0)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for _ in range(_START_STEPS):
+            radius = np.exp(log_t(radius * ray - 1.0)[0].real / (n + k))
+        z, converged = _aberth(
+            radius * ray - 1.0, evaluate, _DEFAULT_TOL, _DEFAULT_MAX_ITER
+        )
+        z, _ = _newton_polish(evaluate, z)
+        f, _, _, log_scale = evaluate(z)
+        residual = float(
+            np.exp(np.log(np.abs(f)) + log_scale - math.log(sup)).max()
+        )
+    return RootSet(
+        roots=_ordered(z), max_residual=residual, converged=converged
     )
 
 

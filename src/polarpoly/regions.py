@@ -74,7 +74,9 @@ class Region:
         if not isinstance(data, dict) or "kind" not in data:
             raise ValueError("region JSON must be an object with a 'kind'")
         kind = data["kind"]
-        closed = bool(data.get("closed", True))
+        closed = data.get("closed", True)
+        if not isinstance(closed, bool):
+            raise ValueError("region field 'closed' must be true or false")
 
         def pair(name, default=None):
             return from_pair(data.get(name, default), f"region field {name!r}")

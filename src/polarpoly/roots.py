@@ -8,11 +8,16 @@ Vieta diagnostics are the arbiters of quality in that case.
 
 A root counts as settled when its correction drops below ``tol`` or
 when the polynomial value at the iterate is already below the floating
-point noise floor of plain Horner evaluation, in which case no further
+point noise floor of its evaluation, in which case no further
 double-precision progress is possible.  Roots whose attainable plain
 accuracy is poor (heavy coefficient cancellation) get a final Newton
 polish driven by exact rational evaluation of the residual, which costs
 little at desk scale and recovers full double accuracy.
+
+The iteration itself (``_aberth``) and the plain Newton polish
+(``_newton_polish``) take the evaluator as an argument, so a polynomial
+with a better form than its dense coefficients (see
+``polar.s_zeros``) runs the same update with its own evaluator.
 """
 
 from __future__ import annotations
@@ -31,6 +36,10 @@ _ANGLE_TWIST = 0.4241438680420134
 
 _NEWTON_POLISH_STEPS = 3
 _EXACT_POLISH_STEPS = 3
+
+# Defaults of find_roots, shared by every caller of _aberth.
+_DEFAULT_TOL = 1e-12
+_DEFAULT_MAX_ITER = 200
 
 _EPS = float(np.finfo(np.float64).eps)
 
@@ -70,6 +79,13 @@ def _initial_radius(monic: np.ndarray) -> float:
     return cauchy
 
 
+def _horner(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
+    p = np.full_like(z, coeffs[-1])
+    for c in coeffs[-2::-1]:
+        p = p * z + c
+    return p
+
+
 def _horner_pair(coeffs: np.ndarray, z: np.ndarray):
     # Value and first derivative in one sweep.
     p = np.full_like(z, coeffs[-1])
@@ -83,11 +99,7 @@ def _horner_pair(coeffs: np.ndarray, z: np.ndarray):
 def _noise_floor(abs_coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
     # Size of the terms met during Horner evaluation; |p| values below
     # a few eps of this are indistinguishable from zero in doubles.
-    s = np.full(z.shape, abs_coeffs[-1])
-    az = np.abs(z)
-    for c in abs_coeffs[-2::-1]:
-        s = s * az + c
-    return 4.0 * _EPS * s
+    return 4.0 * _EPS * _horner(abs_coeffs, np.abs(z))
 
 
 def _float_scaled(m: int, e: int) -> float:
@@ -158,16 +170,16 @@ def _exact_newton(coeffs: tuple[complex, ...], z: complex) -> complex:
     return best
 
 
-def _polish(monic: np.ndarray, z: np.ndarray) -> np.ndarray:
-    # Plain Newton steps accepted only while they reduce |p|, then an
-    # exact-residual polish for roots whose plain evaluation noise
-    # limits the attainable accuracy.
-    pv, dv = _horner_pair(monic, z)
+def _newton_polish(evaluate, z: np.ndarray):
+    # Plain Newton steps, each accepted only where it reduces |p|.
+    # ``evaluate(z)`` returns p(z) and p'(z) first, in any per-point
+    # scale that varies smoothly with z.  Returns z and p'(z).
+    pv, dv = evaluate(z)[:2]
     best = np.abs(pv)
     for _ in range(_NEWTON_POLISH_STEPS):
         dv_safe = np.where(dv == 0, 1.0, dv)
         cand = np.where(dv == 0, z, z - pv / dv_safe)
-        pc, dc = _horner_pair(monic, cand)
+        pc, dc = evaluate(cand)[:2]
         improved = np.abs(pc) < best
         if not improved.any():
             break
@@ -175,7 +187,13 @@ def _polish(monic: np.ndarray, z: np.ndarray) -> np.ndarray:
         pv = np.where(improved, pc, pv)
         dv = np.where(improved, dc, dv)
         best = np.where(improved, np.abs(pc), best)
+    return z, dv
 
+
+def _polish(monic: np.ndarray, z: np.ndarray) -> np.ndarray:
+    # Plain Newton steps, then an exact-residual polish for roots whose
+    # plain evaluation noise limits the attainable accuracy.
+    z, dv = _newton_polish(lambda v: _horner_pair(monic, v), z)
     noise = _noise_floor(np.abs(monic), z)
     dmag = np.maximum(np.abs(dv), 1e-300)
     attainable = noise / dmag
@@ -187,6 +205,57 @@ def _polish(monic: np.ndarray, z: np.ndarray) -> np.ndarray:
     return z
 
 
+def _aberth(z: np.ndarray, evaluate, tol: float, max_iter: int):
+    """Simultaneous Aberth-Ehrlich sweeps from the start vector ``z``.
+
+    ``evaluate(v)`` returns p(v), p'(v) and the noise floor of p at v
+    first, all three in one per-point scale of the caller's choice: only
+    the Newton ratio p/p' and the comparison of |p| with the noise floor
+    are used.  Each sweep evaluates and moves the active roots only;
+    settled roots freeze but keep repelling the others.  Returns the
+    final iterates and whether every root settled within ``max_iter``
+    sweeps.
+    """
+    z = np.array(z, dtype=np.complex128)
+    active = np.arange(len(z))
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for _ in range(max_iter):
+            za = z[active]
+            pv, dv, noise = evaluate(za)[:3]
+
+            at_root = pv == 0
+            dv_safe = np.where(dv == 0, 1.0, dv)
+            w = pv / dv_safe
+            # Deterministic nudge out of a stationary point of p.
+            stuck = (dv == 0) & ~at_root
+            if stuck.any():
+                w = np.where(stuck, 0.1 * (1.0 + np.abs(za)), w)
+
+            diff = za[:, None] - z[None, :]
+            diff[np.arange(len(active)), active] = np.inf
+            # Coincident approximations exert no repulsion on each
+            # other; they then merge into a cluster, which the
+            # diagnostics accept.
+            diff = np.where(diff == 0, np.inf, diff)
+            s = (1.0 / diff).sum(axis=1)
+            denom = 1.0 - w * s
+            denom = np.where(denom == 0, 1.0, denom)
+            delta = np.where(at_root, 0.0, w / denom)
+
+            # A root settles on a small correction or on reaching the
+            # evaluation noise floor.
+            settled = (np.abs(delta) <= tol) | (np.abs(pv) <= noise)
+            z[active] = za - np.where(settled, 0.0, delta)
+            active = active[~settled]
+            if not active.size:
+                break
+    return z, not active.size
+
+
+def _ordered(z: np.ndarray) -> tuple[complex, ...]:
+    return tuple(sorted((complex(v) for v in z), key=_sort_key))
+
+
 def _sort_key(z: complex):
     phase = cmath.phase(z)
     if phase <= -math.pi:
@@ -195,7 +264,7 @@ def _sort_key(z: complex):
 
 
 def find_roots(
-    p: Polynomial, tol: float = 1e-12, max_iter: int = 200
+    p: Polynomial, tol: float = _DEFAULT_TOL, max_iter: int = _DEFAULT_MAX_ITER
 ) -> RootSet:
     """Compute all zeros of ``p``.
 
@@ -224,52 +293,16 @@ def find_roots(
     deriv = monic[1:] * np.arange(1, n + 1)
     abs_coeffs = np.abs(monic)
 
+    def evaluate(v):
+        noise = _noise_floor(abs_coeffs, v)
+        return _horner(monic, v), _horner(deriv, v), noise
+
     radius = _initial_radius(monic)
     angles = 2.0 * math.pi * (np.arange(n) + 0.25) / n + _ANGLE_TWIST
     z = radius * np.exp(1j * angles)
+    z, converged = _aberth(z, evaluate, tol, max_iter)
 
-    active = np.ones(n, dtype=bool)
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for _ in range(max_iter):
-            pv = np.full_like(z, monic[-1])
-            for c in monic[-2::-1]:
-                pv = pv * z + c
-            dv = np.full_like(z, deriv[-1])
-            for c in deriv[-2::-1]:
-                dv = dv * z + c
-
-            at_root = pv == 0
-            dv_safe = np.where(dv == 0, 1.0, dv)
-            w = pv / dv_safe
-            # Deterministic nudge out of a stationary point of p.
-            stuck = (dv == 0) & ~at_root
-            if stuck.any():
-                w = np.where(stuck, 0.1 * (1.0 + np.abs(z)), w)
-
-            diff = z[:, None] - z[None, :]
-            np.fill_diagonal(diff, np.inf)
-            # Coincident approximations exert no repulsion on each
-            # other; they then merge into a cluster, which the
-            # diagnostics accept.
-            diff = np.where(diff == 0, np.inf, diff)
-            s = (1.0 / diff).sum(axis=1)
-            denom = 1.0 - w * s
-            denom = np.where(denom == 0, 1.0, denom)
-            delta = np.where(at_root, 0.0, w / denom)
-
-            # Settled roots freeze: they stop moving but keep repelling
-            # the others.  A root settles on a small correction or on
-            # reaching the evaluation noise floor.
-            noise = _noise_floor(abs_coeffs, z)
-            settled = (np.abs(delta) <= tol) | (np.abs(pv) <= noise)
-            z = np.where(active, z - np.where(settled, 0.0, delta), z)
-            active = active & ~settled
-            if not active.any():
-                break
-    converged = not bool(active.any())
-
-    z = _polish(monic, z)
-    ordered = tuple(sorted((complex(v) for v in z), key=_sort_key))
+    ordered = _ordered(_polish(monic, z))
     scale = sup_norm(p)
     residual = max(abs(p(r)) for r in ordered) / scale
     return RootSet(roots=ordered, max_residual=residual, converged=converged)

@@ -26,6 +26,7 @@ from .polar import (
     grace_convolve,
     grace_factorize,
     s_poly,
+    s_zeros,
     solve_polar,
     solve_polar_shifted,
 )
@@ -278,10 +279,10 @@ def case_metrics(
     if s_cache is not None:
         s_roots = s_cache.get((n, k))
         if s_roots is None:
-            s_roots = find_roots(s)
+            s_roots = s_zeros(n, k)
             s_cache[(n, k)] = s_roots
     else:
-        s_roots = find_roots(s)
+        s_roots = s_zeros(n, k)
 
     region = enclosing_disk([z - xi for z in inst.zeros])
     report = localization_check(
@@ -416,7 +417,7 @@ def reproduce_paper_examples() -> SuiteReport:
             q_roots = find_roots(q)
             region = enclosing_disk([0j])
             report = localization_check(
-                q_roots, 0.0, region, find_roots(s_poly(n, k))
+                q_roots, 0.0, region, s_zeros(n, k)
             )
             ok = off <= FREE_CASE_TOL and report.contained
             free.record(

@@ -137,3 +137,32 @@ def polar_backward_error(p, r, q):
         + max(abs(c) for c in p)
     )
     return max(abs(d) for d in diff) / denom
+
+
+def s_zeros_k1(n):
+    """The zeros of S for k = 1, exp(2*pi*i*m/(n+1)) - 1 for m = 1..n."""
+    return [
+        cmath.exp(2j * math.pi * m / (n + 1)) - 1.0 for m in range(1, n + 1)
+    ]
+
+
+def newton_s_zero(n, k, z):
+    """Newton's method in mpmath from ``z`` on the exact integer
+    coefficients C(n+k, j+k) of S, run to 40 digits with enough working
+    precision that no term of the evaluation cancels away (about
+    3^(n+k) at |w| = 2).  Returns the limit as a complex."""
+    import mpmath
+
+    with mpmath.workdps(60 + (n + k) // 2):
+        coeffs = [mpmath.mpf(math.comb(n + k, j + k)) for j in range(n + 1)]
+        w = mpmath.mpc(z)
+        for _ in range(100):
+            p = dp = mpmath.mpf(0)
+            for c in reversed(coeffs):
+                dp = dp * w + p
+                p = p * w + c
+            step = p / dp
+            w -= step
+            if abs(step) <= abs(w) * mpmath.mpf(10) ** -40:
+                return complex(w)
+    raise ArithmeticError(f"Newton did not converge from {z} for S({n}, {k})")

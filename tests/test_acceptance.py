@@ -23,6 +23,7 @@ from polarpoly.polar import (
     grace_convolve,
     grace_factorize,
     s_poly,
+    s_zeros,
     solve_polar,
     solve_polar_shifted,
 )
@@ -174,7 +175,7 @@ def test_criterion_04_convolution_identity(batch_500):
 @pytest.fixture(scope="module")
 def s_radius_grid():
     return {
-        (n, k): max_modulus(find_roots(s_poly(n, k)))
+        (n, k): max_modulus(s_zeros(n, k))
         for n in range(1, 31)
         for k in range(1, 9)
     }

@@ -1,3 +1,4 @@
+import cmath
 import csv
 import io
 import json
@@ -10,6 +11,8 @@ import pytest
 
 from polarpoly.cli import main, parse_complex
 from polarpoly.regions import enclosing_disk
+
+from oracles import s_zeros_k1, sort_roots
 
 DATA = Path(__file__).resolve().parent / "data"
 
@@ -76,6 +79,22 @@ class TestNonFiniteInput:
                 ],
             ),
             ("--xi", ["localize", "--P", P, "--xi", "nan", "--k", "1"]),
+            (
+                "--tol",
+                [
+                    "localize", "--P", P, "--xi", "0", "--k", "1",
+                    "--tol", "nan",
+                ],
+            ),
+            ("--tol", ["roots", "--P", P, "--tol", "-1e-12"]),
+            (
+                "--K",
+                [
+                    "localize", "--P", P, "--xi", "0", "--k", "1", "--K",
+                    '{"kind": "disk", "center": [0, 0], "radius": 1, '
+                    '"closed": "false"}',
+                ],
+            ),
         ],
     )
     def test_usage_error(self, run_cli, flag, argv):
@@ -174,6 +193,28 @@ class TestSPolyRootsBound:
     def test_spoly_validation(self, run_cli):
         assert run_cli("spoly", "--n", "0", "--k", "1").returncode == 2
 
+    def test_spoly_degree_too_large(self, run_cli):
+        out = run_cli("spoly", "--n", "1100", "--k", "1")
+        assert out.returncode == 1
+        assert json.loads(out.stdout) == {
+            "error": "DegreeTooLarge",
+            "message": "S(1100, 1) needs binomial coefficients of n + k = "
+            "1101, which exceed the double range from n + k = 1030 on",
+            "n": 1100,
+            "k": 1,
+        }
+        assert "Traceback" not in out.stderr
+
+    def test_localize_degree_too_large(self, run_cli):
+        zeros = json.dumps([[0.5, 0.0]] * 1029)
+        out = run_cli(
+            "localize", "--P-roots", zeros, "--xi", "0", "--k", "1"
+        )
+        assert out.returncode == 1
+        payload = json.loads(out.stdout)
+        assert payload["error"] == "DegreeTooLarge"
+        assert (payload["n"], payload["k"]) == (1029, 1)
+
     def test_roots_linear(self, run_cli):
         out = run_cli("roots", "--P", "[[2,0],[1,0]]")
         payload = json.loads(out.stdout)
@@ -247,6 +288,25 @@ class TestLocalize:
         want = enclosing_disk([z - xi for z in zeros]).to_dict()
         assert payload["K"] == want
         assert payload["contained"] is True
+
+    def test_s_roots_at_degree_64(self, run_cli):
+        # S(64, 1) = ((1+w)^65 - 1)/w: its zeros are exp(2 pi i m/65) - 1.
+        zeros = [
+            0.5 * cmath.exp(2j * math.pi * (j + 0.5) / 64) for j in range(64)
+        ]
+        payload = json.loads(
+            run_cli(
+                "localize", "--P-roots",
+                json.dumps([[z.real, z.imag] for z in zeros]),
+                "--xi", "0", "--k", "1",
+            ).stdout
+        )
+        got = [complex(re, im) for re, im in payload["S_roots"]]
+        assert got == sort_roots(got)
+        want = s_zeros_k1(64)
+        for w in want:
+            assert min(abs(g - w) for g in got) <= 1e-14
+        assert len(got) == len(want)
 
     def test_user_supplied_region(self, run_cli):
         region = json.dumps(
@@ -354,6 +414,10 @@ class TestSuiteCommands:
 )
 def test_report_bytes_unchanged(capsys, argv, golden):
     # The checked-in stdout of these two commands; an output change
-    # must regenerate the file on purpose.
+    # must regenerate the file on purpose, from the root of the repo:
+    #   PYTHONPATH=src python -m polarpoly verify --seed 42 \
+    #       > tests/data/verify_seed42.json
+    #   PYTHONPATH=src python -m polarpoly paper-examples \
+    #       > tests/data/paper_examples.json
     assert main(argv) == 0
     assert capsys.readouterr().out.encode() == (DATA / golden).read_bytes()

@@ -1,10 +1,12 @@
 import cmath
 import math
+import sys
 
 import numpy as np
 import pytest
 
 from polarpoly.errors import (
+    DegreeTooLargeError,
     DegreeZeroError,
     FactorizationImpossible,
     NotMonicError,
@@ -16,6 +18,7 @@ from polarpoly.polar import (
     grace_factorize,
     operator_matrix,
     s_poly,
+    s_zeros,
     solve_polar,
     solve_polar_shifted,
 )
@@ -30,8 +33,19 @@ from polarpoly.polynomial import (
     sup_norm,
     taylor_shift,
 )
+from polarpoly.roots import find_roots
 
-from oracles import eval_poly, polar_backward_error
+from oracles import (
+    eval_poly,
+    newton_s_zero,
+    polar_backward_error,
+    s_zeros_k1,
+    sort_roots,
+)
+
+# The largest n + k that s_poly and s_zeros accept: C(1029, 514) is
+# 1.4e308, C(1030, 515) is beyond the double range.
+N_MAX = 1029
 
 
 def rel_diff(p, q):
@@ -231,6 +245,88 @@ class TestSPoly:
             s_poly(0, 1)
         with pytest.raises(ValueError):
             s_poly(1, 0)
+
+    @pytest.mark.parametrize("k", [1, 2, 5, 20, 514, N_MAX - 1])
+    def test_degree_boundary(self, k):
+        assert math.comb(N_MAX, N_MAX // 2) < sys.float_info.max
+        assert math.comb(N_MAX + 1, (N_MAX + 1) // 2) > 1 << 1024
+        s = s_poly(N_MAX - k, k)
+        assert s.degree == N_MAX - k
+        assert all(math.isfinite(abs(c)) for c in s.coeffs)
+        for build in (s_poly, s_zeros):
+            with pytest.raises(DegreeTooLargeError) as err:
+                build(N_MAX - k + 1, k)
+            assert err.value.code == "DegreeTooLarge"
+            assert err.value.details == {"n": N_MAX - k + 1, "k": k}
+
+
+def match_zeros(got, want, tol):
+    """Largest distance from a wanted zero to the nearest computed one,
+    after checking that the nearest ones are distinct."""
+    got = np.array(got)
+    assert len(got) == len(want)
+    dist = np.abs(np.array(want)[:, None] - got[None, :])
+    nearest = dist.argmin(axis=1)
+    assert len(set(nearest.tolist())) == len(want)
+    return dist.min(axis=1).max()
+
+
+class TestSZeros:
+    @pytest.mark.parametrize(
+        "n", [*range(1, 31), 41, 64, 128, 256, 512, N_MAX - 1]
+    )
+    def test_k1_closed_form(self, n):
+        rs = s_zeros(n, 1)
+        assert rs.converged
+        assert match_zeros(rs.roots, s_zeros_k1(n), 1e-14) <= 1e-14
+
+    @staticmethod
+    def assert_exact(n, k, rtol=1e-13):
+        # Each zero is within ``rtol`` relative of the limit of Newton's
+        # method from it on the exact coefficients, and the n limits
+        # are distinct, so they are all the zeros of S.
+        rs = s_zeros(n, k)
+        assert rs.converged
+        limits = [newton_s_zero(n, k, z) for z in rs.roots]
+        gaps = np.abs(np.subtract.outer(limits, limits))
+        np.fill_diagonal(gaps, np.inf)
+        assert gaps.min() > 1e-6, "two zeros refine to the same limit"
+        for z, limit in zip(rs.roots, limits):
+            assert abs(z - limit) <= rtol * abs(limit)
+
+    @pytest.mark.parametrize("n", [12, 41, 64, 128])
+    @pytest.mark.parametrize("k", [2, 3, 5])
+    def test_against_exact_newton(self, n, k):
+        self.assert_exact(n, k)
+
+    @pytest.mark.parametrize(("n", "k"), [(15, 50), (5, 100), (3, 1000)])
+    def test_order_far_above_degree(self, n, k):
+        # The zeros lie far out, |w| of the order of k/n; t(w) cancels on
+        # the part of the curve |1+w|^(n+k) = |t(w)| near |1+w| = 1.
+        # Their condition number in the sparse form grows with k/n, to
+        # about 1e2 at (5, 1000) against 5 to 8 for k <= n.
+        self.assert_exact(n, k, rtol=1e-12)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 5, 8, 13, 20])
+    def test_every_degree_finite_and_bounded(self, k):
+        for n in (1, 2, 5, 16, 41, 128, 512, N_MAX - k):
+            rs = s_zeros(n, k)
+            assert len(rs) == n
+            assert rs.converged, (n, k)
+            assert all(cmath.isfinite(z) for z in rs.roots), (n, k)
+            assert max(abs(z) for z in rs.roots) <= k + 1 + 1e-12, (n, k)
+            assert math.isfinite(rs.max_residual), (n, k)
+
+    def test_ordering(self):
+        for n, k in ((12, 3), (41, 1), (64, 5)):
+            roots = s_zeros(n, k).roots
+            assert list(roots) == sort_roots(roots)
+
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_agrees_with_dense_finder_at_low_degree(self, k):
+        for n in range(1, 13):
+            dense = find_roots(s_poly(n, k)).roots
+            assert match_zeros(s_zeros(n, k).roots, dense, 1e-12) <= 1e-12
 
 
 class TestGraceConvolve:

@@ -84,6 +84,8 @@ class TestRegion:
             {"kind": "disk", "center": [True, 0], "radius": 1},
             {"kind": "exterior_disk", "center": [math.nan, 0], "radius": 1},
             {"kind": "half_plane", "center": [0, 0], "normal": [math.inf, 0]},
+            {"kind": "disk", "center": [0, 0], "radius": 1, "closed": "false"},
+            {"kind": "half_plane", "normal": [1, 0], "closed": 0},
         ],
     )
     def test_from_dict_rejects_malformed(self, bad):
