@@ -248,12 +248,11 @@ def solve_polar_shifted(P: Polynomial, xi: complex, k: int) -> Polynomial:
     return Polynomial._from_trusted(b)
 
 
-def _s_sup(n: int, k: int) -> float:
-    # The largest coefficient of S(n, k), C(n+k, max(k, (n+k)//2)).  S
-    # is the part of (1+w)^(n+k) of degree >= k, divided by w^k, and
+def _check_s_degree(n: int, k: int) -> None:
+    # S is the part of (1+w)^(n+k) of degree >= k, divided by w^k, and
     # s_zeros evaluates it through the whole binomial row of n+k, so
-    # both accept n+k as long as that row fits a double: up to 1029,
-    # where its middle C(1029, 514) is 1.4e308.
+    # s_poly and s_zeros accept n+k as long as that row fits a double:
+    # up to 1029, where its middle C(1029, 514) is 1.4e308.
     if n < 1 or k < 1:
         raise ValueError("n and k must be positive integers")
     big_n = n + k
@@ -266,7 +265,6 @@ def _s_sup(n: int, k: int) -> float:
             n=n,
             k=k,
         ) from None
-    return float(math.comb(big_n, max(k, big_n // 2)))
 
 
 def s_poly(n: int, k: int) -> Polynomial:
@@ -278,7 +276,7 @@ def s_poly(n: int, k: int) -> Polynomial:
     the binomial coefficients of n + k exceed the double range (for
     k <= n, the middle coefficients of S itself).
     """
-    _s_sup(n, k)
+    _check_s_degree(n, k)
     # The leading coefficient C(n+k, n+k) = 1 is exact, so no trim: a
     # relative one would drop the top of S, which is tiny against its
     # middle coefficients from n of about 40 on.
@@ -324,7 +322,7 @@ def _s_form(n: int, k: int):
 
     def evaluate(w):
         # F/s, (F' - k F/w)/s and the noise floor of F/s, so that their
-        # ratio is S/S'; then log(|S| / |F/s|) for the residual.
+        # ratio is S/S'.
         u = 1.0 + w
         log_u = np.log(u)
         lt, dlt, cancel = log_t(w)
@@ -338,9 +336,7 @@ def _s_form(n: int, k: int):
         noise = 4.0 * _EPS * np.where(
             inside, big_n + cancel * ar, big_n * ar + cancel
         )
-        log_scale = big_n * log_u.real + np.maximum(lr.real, 0.0)
-        log_scale -= k * np.log(np.abs(w))
-        return f, fd - k * f / w, noise, log_scale
+        return f, fd - k * f / w, noise
 
     return log_t, evaluate
 
@@ -359,10 +355,11 @@ def s_zeros(n: int, k: int) -> RootSet:
     zeros come out to a few units of rounding at every accepted degree.
     The iteration starts on the curve |1+w|^(n+k) = |t(w)|, which passes
     through every zero, at the angles about -1 of the zeros for k = 1.
-    ``max_residual`` is max |S(zero)| / max |coefficient of S|.
-    Raises DegreeTooLargeError where ``s_poly`` does.
+    ``max_residual`` is max |F(zero)| / (4 eps) over the noise floor of
+    this form, (n+k) |1+w|^(n+k) + sum_j |t_j w^j|, which never
+    overflows.  Raises DegreeTooLargeError where ``s_poly`` does.
     """
-    sup = _s_sup(n, k)
+    _check_s_degree(n, k)
     log_t, evaluate = _s_form(n, k)
     ray = np.exp(2j * math.pi * np.arange(1, n + 1) / (n + 1))
     # Every zero has |w| <= k+1 (the S-radius bound); stepping down
@@ -376,11 +373,8 @@ def s_zeros(n: int, k: int) -> RootSet:
         z, converged = _aberth(
             radius * ray - 1.0, evaluate, _DEFAULT_TOL, _DEFAULT_MAX_ITER
         )
-        z, _ = _newton_polish(evaluate, z)
-        f, _, _, log_scale = evaluate(z)
-        residual = float(
-            np.exp(np.log(np.abs(f)) + log_scale - math.log(sup)).max()
-        )
+        z, f, _, noise = _newton_polish(evaluate, z)
+        residual = float((4.0 * _EPS * np.abs(f) / noise).max())
     return RootSet(
         roots=_ordered(z), max_residual=residual, converged=converged
     )

@@ -6,13 +6,19 @@ function of the coefficients, so identical inputs give bit-identical
 outputs.  Multiple roots are returned as clusters; the residual and
 Vieta diagnostics are the arbiters of quality in that case.
 
+Vanishing low coefficients give exact zeros at 0.  The starts come
+from the Newton polygon of the coefficients (Bini 1996; MPSolve), and
+Horner's rule runs on the reversed coefficients at 1/z where |z| > 1,
+so no power of a large z is formed at any degree.
+
 A root counts as settled when its correction drops below ``tol`` or
 when the polynomial value at the iterate is already below the floating
 point noise floor of its evaluation, in which case no further
 double-precision progress is possible.  Roots whose attainable plain
-accuracy is poor (heavy coefficient cancellation) get a final Newton
-polish driven by exact rational evaluation of the residual, which costs
-little at desk scale and recovers full double accuracy.
+accuracy is poor (heavy coefficient cancellation) get one more Newton
+step with the value from compensated Horner (Graillat, Langlois and
+Louvet), which is as accurate as evaluation in twice the working
+precision.
 
 The iteration itself (``_aberth``) and the plain Newton polish
 (``_newton_polish``) take the evaluator as an argument, so a polynomial
@@ -29,19 +35,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegreeZeroError, EmptyRootSetError
-from .polynomial import Polynomial, make_monic, sup_norm
+from .polynomial import Polynomial
 
 # Fixed angular twist keeping initial guesses off symmetry axes.
 _ANGLE_TWIST = 0.4241438680420134
 
 _NEWTON_POLISH_STEPS = 3
-_EXACT_POLISH_STEPS = 3
 
 # Defaults of find_roots, shared by every caller of _aberth.
 _DEFAULT_TOL = 1e-12
 _DEFAULT_MAX_ITER = 200
 
 _EPS = float(np.finfo(np.float64).eps)
+_SPLITTER = 134217729.0  # 2^27 + 1, Veltkamp-Dekker's for doubles
 
 
 @dataclass(frozen=True)
@@ -50,7 +56,8 @@ class RootSet:
 
     ``roots`` has length equal to the degree (multiplicity included) and
     is ordered by nondecreasing modulus, ties by ascending argument in
-    (-pi, pi].  ``max_residual`` is max_j |p(root_j)| / max_i |coeff_i|.
+    (-pi, pi].  ``max_residual`` is the normwise residual
+    max_j |p(root_j)| / sum_i |coeff_i| |root_j|^i, a few eps at best.
     """
 
     roots: tuple[complex, ...]
@@ -61,148 +68,135 @@ class RootSet:
         return len(self.roots)
 
 
-def _initial_radius(monic: np.ndarray) -> float:
-    # Cauchy-style bound 1 + max|a_j|, capped by the Lagrange/Fujiwara
-    # bound 2 * max_j |a_{n-j}|^(1/j).  The cap matters when the
-    # coefficients span many orders of magnitude, where the plain
-    # Cauchy radius would start the iteration hopelessly far out.
-    n = len(monic) - 1
-    tail = np.abs(monic[:-1])
-    cauchy = 1.0 + float(tail.max())
-    fuji = 0.0
-    for j in range(1, n + 1):
-        a = float(tail[n - j])
-        if a > 0.0:
-            fuji = max(fuji, a ** (1.0 / j))
-    if fuji > 0.0:
-        return min(cauchy, 1.0 + 2.0 * fuji)
-    return cauchy
+def _hull_starts(a: np.ndarray) -> np.ndarray:
+    # Bini's starts from the Newton polygon, the upper convex hull of
+    # (j, log|a_j|) over a_j != 0: an edge i -> j gets j - i starts
+    # evenly on the circle of radius (|a_i| / |a_j|)^(1/(j - i)).
+    n = len(a) - 1
+    logs = np.log(np.abs(a))
+    hull: list[int] = []
+    for j in np.flatnonzero(a):
+        while len(hull) >= 2:
+            h0, h1 = hull[-2], hull[-1]
+            rise = (logs[h1] - logs[h0]) * (j - h0)
+            if rise > (logs[j] - logs[h0]) * (h1 - h0):
+                break
+            hull.pop()
+        hull.append(int(j))
+    starts = []
+    for i, j in zip(hull, hull[1:]):
+        radius = math.exp((logs[i] - logs[j]) / (j - i))
+        angles = 2.0 * math.pi * (np.arange(j - i) / (j - i) + i / n)
+        starts.append(radius * np.exp(1j * (angles + _ANGLE_TWIST)))
+    return np.concatenate(starts)
 
 
-def _horner(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
-    p = np.full_like(z, coeffs[-1])
-    for c in coeffs[-2::-1]:
-        p = p * z + c
-    return p
+def _oriented(a: np.ndarray, z: np.ndarray):
+    # Coefficients (one column per point if the sides mix) and points
+    # to evaluate at: a at z where |z| <= 1, the reversed a at x = 1/z
+    # beyond, where rev(x) = z^-n p(z); and which points are far (False
+    # or True for none or all).
+    far = np.abs(z) > 1.0
+    if not far.any():
+        return a, z, False
+    if far.all():
+        return a[::-1], 1.0 / z, True
+    x = np.where(far, 1.0 / z, z)
+    return np.where(far, a[::-1, None], a[:, None]), x, far
 
 
-def _horner_pair(coeffs: np.ndarray, z: np.ndarray):
-    # Value and first derivative in one sweep.
-    p = np.full_like(z, coeffs[-1])
-    d = np.zeros_like(z)
-    for c in coeffs[-2::-1]:
-        d = d * z + p
-        p = p * z + c
-    return p, d
+def _horner(coeffs: np.ndarray, x: np.ndarray):
+    # Value, derivative and the noise floor 4 eps sum_i |c_i| |x|^i of
+    # the ascending coefficients at x, in one sweep; |p| values below
+    # the noise floor are indistinguishable from zero in doubles.
+    ax = np.abs(x)
+    sizes = np.abs(coeffs)
+    p = np.zeros_like(x) + coeffs[-1]
+    d = np.zeros_like(x)
+    size = np.zeros_like(ax) + sizes[-1]
+    for c, s in zip(coeffs[-2::-1], sizes[-2::-1]):
+        d = d * x + p
+        p = p * x + c
+        size = size * ax + s
+    return p, d, 4.0 * _EPS * size
 
 
-def _noise_floor(abs_coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
-    # Size of the terms met during Horner evaluation; |p| values below
-    # a few eps of this are indistinguishable from zero in doubles.
-    return 4.0 * _EPS * _horner(abs_coeffs, np.abs(z))
+def _split(v: np.ndarray):
+    # Veltkamp-Dekker: v = hi + lo exactly, each half with 26 bits.
+    t = _SPLITTER * v
+    hi = t - (t - v)
+    return hi, v - hi
 
 
-def _float_scaled(m: int, e: int) -> float:
-    # m * 2**e as a double; m may have far more bits than a double holds.
-    if m == 0:
-        return 0.0
-    bits = m.bit_length()
-    if bits > 64:
-        shift = bits - 64
-        m >>= shift
-        e += shift
-    return math.ldexp(float(m), e)
+def _two_sum(a: np.ndarray, b: np.ndarray):
+    # Knuth: a + b = s + e exactly.
+    s = a + b
+    bb = s - a
+    return s, (a - (s - bb)) + (b - bb)
 
 
-def _eval_exact(coeffs: tuple[complex, ...], z: complex) -> complex:
-    # Horner in exact dyadic-integer arithmetic (every finite double is
-    # m * 2**e), rounded once at the end.  Immune to cancellation.
-    parts: list[tuple[int, int, int, int]] = []
-    for c in coeffs:
-        nr, dr = c.real.as_integer_ratio()
-        ni, di = c.imag.as_integer_ratio()
-        parts.append((nr, dr.bit_length() - 1, ni, di.bit_length() - 1))
-    t = max(max(er, ei) for _, er, _, ei in parts)
-    ints = [(nr << (t - er), ni << (t - ei)) for nr, er, ni, ei in parts]
-
-    nr, dr = z.real.as_integer_ratio()
-    ni, di = z.imag.as_integer_ratio()
-    d = max(dr.bit_length() - 1, di.bit_length() - 1)
-    zr = nr << (d - (dr.bit_length() - 1))
-    zi = ni << (d - (di.bit_length() - 1))
-
-    n = len(coeffs) - 1
-    br, bi = ints[-1]
-    for j in range(n - 1, -1, -1):
-        cr, ci = ints[j]
-        shift = d * (n - j)
-        br, bi = (
-            br * zr - bi * zi + (cr << shift),
-            br * zi + bi * zr + (ci << shift),
+def _horner_comp(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
+    # Compensated Horner (Graillat, Langlois and Louvet) on coefficients
+    # as _oriented gives them: the exact errors of each product and sum
+    # (TwoProduct, TwoSum) run through a second Horner, so the error is
+    # about eps |p| + n^2 eps^2 sum_i |c_i| |x|^i, as in twice the
+    # working precision.
+    rows = coeffs.reshape(len(coeffs), -1)
+    # Real and imaginary parts stacked: row j is [re c_j, im c_j].
+    c = np.stack([rows.real, rows.imag], axis=1)
+    # p x as the four real products [pr xr, pi (-xi), pr xi, pi xr].
+    xs = np.stack([x.real, -x.imag, x.imag, x.real])
+    xs_hi, xs_lo = _split(xs)
+    p = np.zeros((2,) + x.shape) + c[-1]
+    err = np.zeros_like(x)
+    for cj in c[-2::-1]:
+        a = p[[0, 1, 0, 1]]
+        h = a * xs
+        a_hi, a_lo = _split(a)
+        lo = a_lo * xs_lo - (
+            ((h - a_hi * xs_hi) - a_lo * xs_hi) - a_hi * xs_lo
         )
-    e = -(t + d * n)
-    return complex(_float_scaled(br, e), _float_scaled(bi, e))
-
-
-def _eval_deriv(coeffs: tuple[complex, ...], z: complex) -> complex:
-    d = 0j
-    p = coeffs[-1]
-    for c in coeffs[-2::-1]:
-        d = d * z + p
-        p = p * z + c
-    return d
-
-
-def _exact_newton(coeffs: tuple[complex, ...], z: complex) -> complex:
-    best_val = abs(_eval_exact(coeffs, z))
-    best = z
-    for _ in range(_EXACT_POLISH_STEPS):
-        pv = _eval_exact(coeffs, z)
-        if pv == 0:
-            return z
-        dv = _eval_deriv(coeffs, z)
-        if dv == 0:
-            break
-        z = z - pv / dv
-        val = abs(_eval_exact(coeffs, z))
-        if val < best_val:
-            best_val, best = val, z
-    return best
+        s, e = _two_sum(h[0::2], h[1::2])
+        p, e2 = _two_sum(s, cj)
+        e = (lo[0::2] + lo[1::2]) + (e + e2)
+        err = err * x + (e[0] + 1j * e[1])
+    return (p[0] + 1j * p[1]) + err
 
 
 def _newton_polish(evaluate, z: np.ndarray):
     # Plain Newton steps, each accepted only where it reduces |p|.
-    # ``evaluate(z)`` returns p(z) and p'(z) first, in any per-point
-    # scale that varies smoothly with z.  Returns z and p'(z).
-    pv, dv = evaluate(z)[:2]
-    best = np.abs(pv)
+    # ``evaluate`` gives p, p' and the noise floor in any per-point
+    # scale that varies smoothly with z; returns z and those three at z.
+    pv, dv, noise = evaluate(z)
     for _ in range(_NEWTON_POLISH_STEPS):
         dv_safe = np.where(dv == 0, 1.0, dv)
         cand = np.where(dv == 0, z, z - pv / dv_safe)
-        pc, dc = evaluate(cand)[:2]
-        improved = np.abs(pc) < best
+        pc, dc, nc = evaluate(cand)
+        improved = np.abs(pc) < np.abs(pv)
         if not improved.any():
             break
         z = np.where(improved, cand, z)
         pv = np.where(improved, pc, pv)
         dv = np.where(improved, dc, dv)
-        best = np.where(improved, np.abs(pc), best)
-    return z, dv
+        noise = np.where(improved, nc, noise)
+    return z, pv, dv, noise
 
 
-def _polish(monic: np.ndarray, z: np.ndarray) -> np.ndarray:
-    # Plain Newton steps, then an exact-residual polish for roots whose
-    # plain evaluation noise limits the attainable accuracy.
-    z, dv = _newton_polish(lambda v: _horner_pair(monic, v), z)
-    noise = _noise_floor(np.abs(monic), z)
-    dmag = np.maximum(np.abs(dv), 1e-300)
-    attainable = noise / dmag
-    needs_exact = attainable > 2e-11 * (1.0 + np.abs(z))
-    if needs_exact.any():
-        coeffs = tuple(complex(c) for c in monic)
-        for i in np.nonzero(needs_exact)[0]:
-            z[i] = _exact_newton(coeffs, complex(z[i]))
-    return z
+def _compensated_step(a: np.ndarray, z, pv, dv, noise):
+    # One Newton step, in place in z and pv, with p from compensated
+    # Horner, for the roots whose attainable plain accuracy noise/|p'|
+    # is poor (heavy cancellation); kept only where |p| drops, so never
+    # from p' = 0.
+    poor = np.flatnonzero(noise > 2e-11 * (1.0 + np.abs(z)) * np.abs(dv))
+    if not poor.size:
+        return
+    zp, dp = z[poor], dv[poor]
+    p0 = _horner_comp(*_oriented(a, zp)[:2])
+    cand = zp - p0 / dp
+    p1 = _horner_comp(*_oriented(a, cand)[:2])
+    better = np.abs(p1) < np.abs(p0)
+    z[poor] = np.where(better, cand, zp)
+    pv[poor] = np.where(better, p1, p0)
 
 
 def _aberth(z: np.ndarray, evaluate, tol: float, max_iter: int):
@@ -221,7 +215,7 @@ def _aberth(z: np.ndarray, evaluate, tol: float, max_iter: int):
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for _ in range(max_iter):
             za = z[active]
-            pv, dv, noise = evaluate(za)[:3]
+            pv, dv, noise = evaluate(za)
 
             at_root = pv == 0
             dv_safe = np.where(dv == 0, 1.0, dv)
@@ -282,29 +276,35 @@ def find_roots(
     -------
     RootSet
         Zeros with multiplicity, ordered by (modulus, argument), with
-        the scaled residual and an honest ``converged`` flag; a result
+        the normwise residual and an honest ``converged`` flag; a result
         that ran out of iterations is returned with converged=False
         rather than silently.
     """
     n = p.degree
     if n < 1:
         raise DegreeZeroError("cannot find roots of a constant polynomial")
-    monic = np.array(make_monic(p).coeffs, dtype=np.complex128)
-    deriv = monic[1:] * np.arange(1, n + 1)
-    abs_coeffs = np.abs(monic)
+    coeffs = np.array(p.coeffs, dtype=np.complex128)
+    # a_0 = ... = a_(m-1) = 0: z = 0 is an exact zero of multiplicity m.
+    m = int(np.flatnonzero(coeffs)[0])
+    a = coeffs[m:]
+    if m == n:
+        return RootSet(roots=(0j,) * n, max_residual=0.0, converged=True)
 
     def evaluate(v):
-        noise = _noise_floor(abs_coeffs, v)
-        return _horner(monic, v), _horner(deriv, v), noise
+        # p, p' and the noise floor, all in the scale of _oriented:
+        # beyond |v| = 1, p'(v) v^-n = (n rev(x) - x rev'(x)) x.
+        coeffs, x, far = _oriented(a, v)
+        pv, dv, noise = _horner(coeffs, x)
+        if far is not False:
+            dv = np.where(far, ((n - m) * pv - x * dv) * x, dv)
+        return pv, dv, noise
 
-    radius = _initial_radius(monic)
-    angles = 2.0 * math.pi * (np.arange(n) + 0.25) / n + _ANGLE_TWIST
-    z = radius * np.exp(1j * angles)
-    z, converged = _aberth(z, evaluate, tol, max_iter)
-
-    ordered = _ordered(_polish(monic, z))
-    scale = sup_norm(p)
-    residual = max(abs(p(r)) for r in ordered) / scale
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        z, converged = _aberth(_hull_starts(a), evaluate, tol, max_iter)
+        z, pv, dv, noise = _newton_polish(evaluate, z)
+        _compensated_step(a, z, pv, dv, noise)
+        residual = float((4.0 * _EPS * np.abs(pv) / noise).max())
+    ordered = _ordered(np.concatenate([np.zeros(m, dtype=complex), z]))
     return RootSet(roots=ordered, max_residual=residual, converged=converged)
 
 

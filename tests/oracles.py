@@ -146,23 +146,53 @@ def s_zeros_k1(n):
     ]
 
 
-def newton_s_zero(n, k, z):
-    """Newton's method in mpmath from ``z`` on the exact integer
-    coefficients C(n+k, j+k) of S, run to 40 digits with enough working
-    precision that no term of the evaluation cancels away (about
-    3^(n+k) at |w| = 2).  Returns the limit as a complex."""
+def normwise_residual(coeffs, zeros):
+    """max_j |p(z_j)| / sum_i |a_i| |z_j|^i for ascending coefficients,
+    in 40-digit mpmath, so the value is exact to far more digits than
+    the rounding level it is compared with, and nothing overflows."""
     import mpmath
 
-    with mpmath.workdps(60 + (n + k) // 2):
-        coeffs = [mpmath.mpf(math.comb(n + k, j + k)) for j in range(n + 1)]
+    with mpmath.workdps(40):
+        a = [mpmath.mpc(c) for c in reversed(coeffs)]
+        sizes = [abs(c) for c in a]
+        worst = mpmath.mpf(0)
+        for z in zeros:
+            z = mpmath.mpc(z)
+            az = abs(z)
+            p, size = mpmath.mpc(0), mpmath.mpf(0)
+            for c in a:
+                p = p * z + c
+            for s in sizes:
+                size = size * az + s
+            worst = max(worst, abs(p) / size)
+        return float(worst)
+
+
+def newton_zero(coeffs, z, dps, digits=40):
+    """Newton's method in mpmath from ``z`` on the ascending coefficients
+    (doubles or integers, read exactly at ``dps`` digits of working
+    precision), run until a step is below ``digits`` digits of the
+    iterate.  Returns the limit as a complex."""
+    import mpmath
+
+    with mpmath.workdps(dps):
+        a = [mpmath.mpc(c) for c in reversed(coeffs)]
         w = mpmath.mpc(z)
         for _ in range(100):
             p = dp = mpmath.mpf(0)
-            for c in reversed(coeffs):
+            for c in a:
                 dp = dp * w + p
                 p = p * w + c
             step = p / dp
             w -= step
-            if abs(step) <= abs(w) * mpmath.mpf(10) ** -40:
+            if abs(step) <= abs(w) * mpmath.mpf(10) ** -digits:
                 return complex(w)
-    raise ArithmeticError(f"Newton did not converge from {z} for S({n}, {k})")
+    raise ArithmeticError(f"Newton did not converge from {z}")
+
+
+def newton_s_zero(n, k, z):
+    """The limit of ``newton_zero`` from ``z`` on the exact integer
+    coefficients C(n+k, j+k) of S, with enough working precision that no
+    term of the evaluation cancels away (about 3^(n+k) at |w| = 2)."""
+    coeffs = [math.comb(n + k, j + k) for j in range(n + 1)]
+    return newton_zero(coeffs, z, 60 + (n + k) // 2)

@@ -1,11 +1,12 @@
 import cmath
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from polarpoly.errors import DegreeZeroError, EmptyRootSetError
-from polarpoly.polar import s_poly
+from polarpoly.polar import PolarProblem, s_poly, s_zeros, solve_polar
 from polarpoly.polynomial import (
     Polynomial,
     make_monic,
@@ -13,9 +14,23 @@ from polarpoly.polynomial import (
     poly_from_roots,
     sup_norm,
 )
-from polarpoly.roots import RootSet, find_roots, max_modulus, vieta_residuals
+from polarpoly.roots import (
+    RootSet,
+    _horner_comp,
+    _oriented,
+    find_roots,
+    max_modulus,
+    vieta_residuals,
+)
 
-from oracles import closed_form_roots, sort_roots
+from oracles import (
+    closed_form_roots,
+    newton_zero,
+    normwise_residual,
+    sort_roots,
+)
+
+EPS = 2.0**-52
 
 
 def sample_separated_roots(rng, count, min_dist=0.1, radius=1.5):
@@ -49,9 +64,16 @@ class TestBasics:
     def test_monomial_cluster(self):
         for n in (2, 5, 9, 15):
             rs = find_roots(Polynomial([0] * n + [1]))
-            assert len(rs) == n
-            assert all(abs(r) <= 1e-6 for r in rs.roots)
-            assert rs.max_residual <= 1e-12
+            assert rs.roots == (0j,) * n
+            assert rs.max_residual == 0.0
+            assert rs.converged
+
+    def test_vanishing_low_coefficients_are_exact_zeros(self):
+        # z^3 (z^2 + 1): three zeros exactly at 0, then -i and i.
+        rs = find_roots(Polynomial([0, 0, 0, 1, 0, 1]))
+        assert rs.roots[:3] == (0j,) * 3
+        assert abs(rs.roots[3] + 1j) <= 1e-15
+        assert abs(rs.roots[4] - 1j) <= 1e-15
 
     def test_constant_rejected(self):
         with pytest.raises(DegreeZeroError):
@@ -167,3 +189,89 @@ class TestMaxModulus:
     def test_empty_rejected(self):
         with pytest.raises(EmptyRootSetError):
             max_modulus(RootSet(roots=(), max_residual=0.0, converged=True))
+
+
+def polar_q(n, seed):
+    """Q = solve_polar(P, (z - xi)^k, xi) for P with n zeros uniform in
+    the unit disk, |xi| <= 2 and k in 1..5, all drawn from ``seed``."""
+    rng = np.random.default_rng(10 * n + seed)
+    k = int(rng.integers(1, 6))
+    xi = 2.0 * math.sqrt(rng.random())
+    xi *= cmath.exp(2j * math.pi * rng.random())
+    p = poly_from_roots(
+        [
+            math.sqrt(rng.random()) * cmath.exp(2j * math.pi * rng.random())
+            for _ in range(n)
+        ]
+    )
+    return solve_polar(PolarProblem(p, poly_from_roots([xi] * k), xi=xi))
+
+
+class TestHighDegree:
+    @pytest.mark.parametrize("n", [128, 256, 512])
+    def test_polar_q_converges(self, n):
+        q = polar_q(n, 0)
+        rs = find_roots(q)
+        assert rs.converged
+        assert len(rs) == n
+        assert all(cmath.isfinite(z) for z in rs.roots)
+        assert normwise_residual(q.coeffs, rs.roots) <= 1e-13
+        assert rs.max_residual <= 1e-13
+
+    @pytest.mark.parametrize(("n", "seed"), [(60, 1), (128, 0)])
+    def test_zeros_are_newton_limits(self, n, seed):
+        # Each zero is within 1e-10 relative of the limit of Newton's
+        # method from it, run to 80 digits on the coefficients of Q, and
+        # the n limits are distinct, so they are all the zeros of Q.
+        q = polar_q(n, seed)
+        rs = find_roots(q)
+        limits = [
+            newton_zero(q.coeffs, z, 100 + n, digits=80) for z in rs.roots
+        ]
+        gaps = np.abs(np.subtract.outer(limits, limits))
+        np.fill_diagonal(gaps, np.inf)
+        assert gaps.min() > 1e-6, "two zeros refine to the same limit"
+        for z, limit in zip(rs.roots, limits):
+            assert abs(z - limit) <= 1e-10 * abs(limit)
+
+
+class TestCompensatedHorner:
+    @staticmethod
+    def assert_accurate(coeffs, points):
+        # Against exact rational Horner (every double is dyadic), in the
+        # form (forward or reversed, per point) that find_roots uses.
+        a = np.array(coeffs, dtype=np.complex128)
+        n = len(a) - 1
+        cols, xs = _oriented(a, np.array(points, dtype=np.complex128))[:2]
+        got = _horner_comp(cols, xs)
+        cols = np.broadcast_to(cols.reshape(n + 1, -1), (n + 1, len(xs)))
+        for g, col, x in zip(got, cols.T, xs):
+            xr, xi = Fraction(x.real), Fraction(x.imag)
+            pr = pi = Fraction(0)
+            for c in col[::-1]:
+                pr, pi = (
+                    pr * xr - pi * xi + Fraction(c.real),
+                    pr * xi + pi * xr + Fraction(c.imag),
+                )
+            exact = abs(complex(float(pr), float(pi)))
+            err = abs(
+                complex(
+                    float(Fraction(g.real) - pr), float(Fraction(g.imag) - pi)
+                )
+            )
+            size = sum(abs(c) * abs(x) ** i for i, c in enumerate(col))
+            assert err <= EPS * exact + n**2 * EPS**2 * size
+
+    def test_at_zeros_of_s(self):
+        # Near the zeros the terms cancel to about 1e-16 of their size;
+        # |w| runs from 0.5 to 2, so both forms are taken.
+        self.assert_accurate(s_poly(12, 1).coeffs, s_zeros(12, 1).roots)
+
+    @pytest.mark.parametrize("radius", [(0.0, 1.0), (0.2, 3.0), (1.5, 4.0)])
+    def test_random_points(self, radius):
+        rng = np.random.default_rng(17)
+        for degree in (1, 5, 20):
+            coeffs = [1.0, 1j] @ rng.normal(size=(2, degree + 1))
+            mods = rng.uniform(*radius, size=12)
+            points = mods * np.exp(2j * math.pi * rng.random(12))
+            self.assert_accurate(coeffs, points)
