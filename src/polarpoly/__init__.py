@@ -29,7 +29,6 @@ from .polar import (
     s_poly,
     s_zeros,
     solve_polar,
-    solve_polar_shifted,
 )
 from .polynomial import (
     BinomialForm,
@@ -115,7 +114,6 @@ __all__ = [
     "s_poly",
     "s_zeros",
     "solve_polar",
-    "solve_polar_shifted",
     "sup_norm",
     "taylor_shift",
     "vieta_residuals",

@@ -22,7 +22,6 @@ from .polar import (
     s_poly,
     s_zeros,
     solve_polar,
-    solve_polar_shifted,
 )
 from .polynomial import (
     Polynomial,
@@ -254,7 +253,7 @@ def _cmd_solve(args, parser):
     else:
         if args.xi is None or args.k is None:
             parser.error("solve needs either --R or both --xi and --k")
-        Q = solve_polar_shifted(P, args.xi, args.k)
+        Q = solve_polar(PolarProblem.centered(P, args.xi, args.k))
         k, path = args.k, "centered"
     payload = {"Q": poly_to_pairs(Q), "n": P.degree, "k": k, "path": path}
     return payload, (["index", "re", "im"], _index_rows(Q.coeffs)), None, 0
@@ -285,7 +284,7 @@ def _cmd_localize(args, parser):
     # S first: it refuses a degree it cannot represent before any work.
     S = s_poly(n, k)
     s_roots = s_zeros(n, k)
-    Q = solve_polar_shifted(P, xi, k)
+    Q = solve_polar(PolarProblem.centered(P, xi, k))
     q_roots = find_roots(Q)
     if args.K is not None:
         region = args.K

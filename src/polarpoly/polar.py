@@ -8,12 +8,14 @@ there is a unique monic Q of degree n with
 
     d^k/dz^k (R(z) * Q(z)) = (n+1)_k * P(z).
 
-For the centered choice R = (z - xi)^k the solution has a closed form
-in the shifted binomial basis, beta_j = (n+1)_k / (j+1)_k * alpha_j,
-which is the same thing as the Grace convolution (Schur-Szego
-composition) of the shifted P with the fixed polynomial
-S(w) = sum_j C(n+k, j+k) w^j.  That identity is what turns zero
-localization of Q into zero localization of S.
+One solver, ``solve_polar``, finds it for every R, the centered
+R = (z - xi)^k (``PolarProblem.centered``) included.  For that choice
+the solution also has a closed form in the shifted binomial basis,
+beta_j = (n+1)_k / (j+1)_k * alpha_j, which is the same thing as the
+Grace convolution (Schur-Szego composition) of the shifted P with the
+fixed polynomial S(w) = sum_j C(n+k, j+k) w^j.  That identity is what
+turns zero localization of Q into zero localization of S; the solver
+does not use it, so it stays an independent check of the solver.
 """
 
 from __future__ import annotations
@@ -32,7 +34,6 @@ from .errors import (
 from .polynomial import (
     BinomialForm,
     Polynomial,
-    _shift_coeffs,
     binomial_coeffs,
     derivative_k,
     from_binomial,
@@ -49,8 +50,10 @@ from .roots import (
     _DEFAULT_TOL,
     RootSet,
     _aberth,
+    _horner,
     _newton_polish,
     _ordered,
+    _oriented,
 )
 
 # Relative threshold below which a binomial coefficient counts as zero
@@ -67,14 +70,10 @@ _START_STEPS = 4
 
 @dataclass(frozen=True)
 class PolarProblem:
-    """The data (P, R) of the equation d^k/dz^k(R*Q) = (n+1)_k * P.
-
-    ``xi`` is set exactly when R was requested as (z - xi)^k.
-    """
+    """The data (P, R) of the equation d^k/dz^k(R*Q) = (n+1)_k * P."""
 
     P: Polynomial
     R: Polynomial
-    xi: complex | None = None
 
     def __post_init__(self):
         if self.P.degree < 1:
@@ -97,8 +96,7 @@ class PolarProblem:
         """Problem with R = (z - xi)^k."""
         if k < 1:
             raise ValueError("k must be a positive integer")
-        xi = complex(xi)
-        return cls(P, poly_from_roots([xi] * k), xi=xi)
+        return cls(P, poly_from_roots([complex(xi)] * k))
 
     @property
     def n(self) -> int:
@@ -180,7 +178,7 @@ def _operator_residual(
     R: Polynomial, q: list[complex], P: Polynomial, rhs_scale: float
 ) -> list[complex]:
     # rhs_scale * P - T_R(q), padded to length deg P + 1.
-    image = apply_tr(R, Polynomial._from_trusted(q))
+    image = apply_tr(R, Polynomial(q))
     out = [rhs_scale * c for c in P.coeffs]
     for i, c in enumerate(image.coeffs):
         if i < len(out):
@@ -191,13 +189,15 @@ def _operator_residual(
 def solve_polar(problem: PolarProblem) -> Polynomial:
     """Unique monic Q with apply_tr(R, Q) = (n+1)_k * P.
 
-    The operator is upper triangular with bandwidth k, so one banded
-    back substitution from the top degree down solves it in O(n*k)
-    without forming the matrix; the top coefficient is forced to 1,
-    which is what comparing leading coefficients dictates.  One
+    The one solver for every R; the centered R = (z - xi)^k comes from
+    ``PolarProblem.centered(P, xi, k)``.  The operator is upper
+    triangular with bandwidth k, so one banded back substitution from
+    the top degree down solves it in O(n*k) without forming the matrix;
+    the top coefficient is forced to 1, which is what comparing leading
+    coefficients dictates.  One
     residual-refinement pass, with the residual computed through
     apply_tr rather than the band, keeps the backward error at the
-    rounding level even when the shifted coefficients grow large.
+    rounding level even when the coefficients of Q grow large.
     """
     P, R = problem.P, problem.R
     n, k = problem.n, problem.k
@@ -209,43 +209,12 @@ def solve_polar(problem: PolarProblem) -> Polynomial:
     )
     b = [bi + ci for bi, ci in zip(b, correction)]
     b[n] = 1.0
-    return Polynomial._from_trusted(b)
+    return Polynomial(b)
 
 
-def _centered_inverse(
-    coeffs: list[complex], xi: complex, k: int
-) -> list[complex]:
-    # Applies the inverse of Q -> d^k/dz^k((z-xi)^k Q): in the shifted
-    # variable the operator is diagonal with entries (j+1)_k.
-    work = _shift_coeffs(coeffs, xi) if xi != 0 else list(coeffs)
-    work = [
-        c / float(rising_factorial(j + 1, k)) for j, c in enumerate(work)
-    ]
-    if xi != 0:
-        work = _shift_coeffs(work, -xi)
-    return work
-
-
-def solve_polar_shifted(P: Polynomial, xi: complex, k: int) -> Polynomial:
-    """Fast path of :func:`solve_polar` for R = (z - xi)^k.
-
-    Shifts P to the w = z - xi variable, rescales coefficient j by the
-    exact rational (n+1)_k / (j+1)_k and shifts back.  The binomial
-    weights C(n, j) cancel, so the scaling acts on raw coefficients.
-    One residual-refinement pass keeps the backward error at the
-    rounding level even when the shifted coefficients grow large.
-    """
-    problem = PolarProblem.centered(P, xi, k)
-    xi, n = problem.xi, problem.n
-    rhs_scale = float(rising_factorial(n + 1, k))
-    b = _centered_inverse([rhs_scale * c for c in P.coeffs], xi, k)
-    b[n] = 1.0
-    if xi != 0:
-        residual = _operator_residual(problem.R, b, P, rhs_scale)
-        correction = _centered_inverse(residual, xi, k)
-        b = [bi + ci for bi, ci in zip(b, correction)]
-        b[n] = 1.0
-    return Polynomial._from_trusted(b)
+# Kept for bench/spans.py and bench/ledger.py, which look the name up.
+def solve_polar_shifted(P, xi, k):
+    return solve_polar(PolarProblem.centered(P, xi, k))
 
 
 def _check_s_degree(n: int, k: int) -> None:
@@ -277,12 +246,7 @@ def s_poly(n: int, k: int) -> Polynomial:
     k <= n, the middle coefficients of S itself).
     """
     _check_s_degree(n, k)
-    # The leading coefficient C(n+k, n+k) = 1 is exact, so no trim: a
-    # relative one would drop the top of S, which is tiny against its
-    # middle coefficients from n of about 40 on.
-    return Polynomial._from_trusted(
-        [float(math.comb(n + k, j + k)) for j in range(n + 1)]
-    )
+    return Polynomial([float(math.comb(n + k, j + k)) for j in range(n + 1)])
 
 
 def _s_form(n: int, k: int):
@@ -296,29 +260,20 @@ def _s_form(n: int, k: int):
     top = math.comb(big_n, min(k - 1, big_n // 2))
     log_top = math.log(top)
     fwd = np.array([math.comb(big_n, j) / top for j in range(k)])
-    rows = np.stack([fwd, fwd[::-1]])
 
     def log_t(w):
-        # log t(w), t'(w)/t(w) and sum_j |t_j w^j| / |t(w)|, by Horner
-        # in w for |w| <= 1 and in 1/w beyond, where
-        # t(w) = top * w^(k-1) * T(1/w) with T the reversed polynomial.
-        far = np.abs(w) > 1.0
-        x = np.where(far, 1.0 / w, w)
-        ax = np.abs(x)
-        # Column i: the coefficients of t, reversed where w_i is far.
-        coeffs = rows[far.astype(int)].T
-        p = coeffs[-1].astype(np.complex128)
-        d = np.zeros_like(p)
-        size = coeffs[-1].copy()
-        for c in coeffs[-2::-1]:
-            d = d * x + p
-            p = p * x + c
-            size = size * ax + c
+        # log t(w), t'(w)/t(w) and sum_j |t_j w^j| / |t(w)|, by the
+        # Horner of find_roots: in w for |w| <= 1 and in 1/w beyond,
+        # where t(w) = top * w^(k-1) * T(1/w) with T the reversed
+        # polynomial.  4 eps is a power of two, so dividing the noise
+        # floor by it gives the sum exactly.
+        coeffs, x, far = _oriented(fwd, w)
+        p, d, noise = _horner(coeffs, x)
         ratio = d / p
         log_w = np.log(np.where(far, w, 1.0))
         log_t = log_top + np.log(p) + (k - 1) * log_w
         dlog_t = np.where(far, x * ((k - 1) - x * ratio), ratio)
-        return log_t, dlog_t, size / np.abs(p)
+        return log_t, dlog_t, noise / (4.0 * _EPS) / np.abs(p)
 
     def evaluate(w):
         # F/s, (F' - k F/w)/s and the noise floor of F/s, so that their

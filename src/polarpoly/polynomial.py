@@ -1,9 +1,11 @@
 """Dense complex polynomial arithmetic.
 
 Coefficients live in ascending powers: ``Polynomial([a0, a1, a2])`` is
-``a0 + a1*z + a2*z**2``.  Construction trims trailing entries whose
-modulus is at most ``1e-12 * max|coeff|``, so the degree of a value is
-always well defined; the zero polynomial is the single entry ``0``.
+``a0 + a1*z + a2*z**2``.  Construction trims trailing entries that are
+exactly zero and nothing else, so a leading coefficient is kept however
+small it is against the others; the zero polynomial is the single entry
+``0``.  Callers that judge a coefficient as vanishing do so with their
+own tolerance (``polar.grace_factorize``).
 
 Combinatorial scalars (binomial coefficients, rising factorials) are
 computed in exact integer arithmetic and converted to floating point at
@@ -23,7 +25,6 @@ from dataclasses import dataclass
 from itertools import zip_longest
 from typing import Iterable, Sequence
 
-TRIM_RTOL = 1e-12
 MONIC_TOL = 1e-12
 
 
@@ -36,25 +37,11 @@ class Polynomial:
         entries = [complex(c) for c in coeffs]
         if not entries:
             raise ValueError("a polynomial needs at least one coefficient")
-        scale = max(abs(c) for c in entries)
-        if scale == 0.0:
-            self.coeffs: tuple[complex, ...] = (0j,)
-            return
-        cut = TRIM_RTOL * scale
-        last = 0
-        for i, c in enumerate(entries):
-            if abs(c) > cut:
-                last = i
-        self.coeffs = tuple(entries[: last + 1])
-
-    @classmethod
-    def _from_trusted(cls, coeffs: Sequence[complex]) -> "Polynomial":
-        # Bypasses trailing-coefficient trimming.  Only for callers that
-        # guarantee the leading coefficient is meaningful (the solvers,
-        # whose output is monic by construction).
-        out = object.__new__(cls)
-        out.coeffs = tuple(complex(c) for c in coeffs)
-        return out
+        while len(entries) > 1 and entries[-1] == 0:
+            entries.pop()
+        self.coeffs: tuple[complex, ...] = (
+            (0j,) if entries == [0] else tuple(entries)
+        )
 
     @property
     def degree(self) -> int:
@@ -118,8 +105,7 @@ def poly_mul(p: Polynomial, q: Polynomial) -> Polynomial:
     """Coefficient convolution; the zero polynomial propagates.
 
     The product of two nonzero factors has degree deg p + deg q: its
-    leading coefficient is the product of theirs, so it is never
-    trimmed, however large the lower coefficients are.
+    leading coefficient is the product of theirs.
     """
     if p.is_zero() or q.is_zero():
         return Polynomial([0])
@@ -129,7 +115,7 @@ def poly_mul(p: Polynomial, q: Polynomial) -> Polynomial:
             continue
         for j, b in enumerate(q.coeffs):
             out[i + j] += a * b
-    return Polynomial._from_trusted(out)
+    return Polynomial(out)
 
 
 def derivative_k(p: Polynomial, k: int) -> Polynomial:
@@ -214,7 +200,7 @@ def poly_from_roots(roots: Iterable[complex]) -> Polynomial:
             nxt[i] -= r * c
             nxt[i + 1] += c
         acc = nxt
-    return Polynomial._from_trusted(acc)
+    return Polynomial(acc)
 
 
 def sup_norm(p: Polynomial) -> float:

@@ -11,14 +11,17 @@ from the Newton polygon of the coefficients (Bini 1996; MPSolve), and
 Horner's rule runs on the reversed coefficients at 1/z where |z| > 1,
 so no power of a large z is formed at any degree.
 
-A root counts as settled when its correction drops below ``tol`` or
-when the polynomial value at the iterate is already below the floating
-point noise floor of its evaluation, in which case no further
-double-precision progress is possible.  Roots whose attainable plain
-accuracy is poor (heavy coefficient cancellation) get one more Newton
-step with the value from compensated Horner (Graillat, Langlois and
-Louvet), which is as accurate as evaluation in twice the working
-precision.
+A root counts as settled when its Newton correction |p/p'| drops below
+``tol`` or when the polynomial value at the iterate is already below
+the floating point noise floor of its evaluation, in which case no
+further double-precision progress is possible.  The Aberth correction
+is not a settle test: it is tiny whenever two iterates sit close
+together, also when both approach the same zero and another is missed.
+Roots whose attainable plain accuracy is poor (heavy coefficient
+cancellation) get one more Newton step with the value from compensated
+Horner (Graillat, Langlois and Louvet), which is as accurate as
+evaluation in twice the working precision; the step is kept only where
+the normwise residual drops.
 
 The iteration itself (``_aberth``) and the plain Newton polish
 (``_newton_polish``) take the evaluator as an argument, so a polynomial
@@ -183,20 +186,24 @@ def _newton_polish(evaluate, z: np.ndarray):
 
 
 def _compensated_step(a: np.ndarray, z, pv, dv, noise):
-    # One Newton step, in place in z and pv, with p from compensated
-    # Horner, for the roots whose attainable plain accuracy noise/|p'|
-    # is poor (heavy cancellation); kept only where |p| drops, so never
-    # from p' = 0.
+    # One Newton step, in place in z, pv and noise, with p from
+    # compensated Horner, for the roots whose attainable plain accuracy
+    # noise/|p'| is poor (heavy cancellation); kept only where the
+    # normwise residual |p|/noise drops, so never from p' = 0.  |p|
+    # alone can drop on a long step to where every term of p is
+    # smaller, while the residual there is far larger.
     poor = np.flatnonzero(noise > 2e-11 * (1.0 + np.abs(z)) * np.abs(dv))
     if not poor.size:
         return
-    zp, dp = z[poor], dv[poor]
+    zp, dp, n0 = z[poor], dv[poor], noise[poor]
     p0 = _horner_comp(*_oriented(a, zp)[:2])
     cand = zp - p0 / dp
-    p1 = _horner_comp(*_oriented(a, cand)[:2])
-    better = np.abs(p1) < np.abs(p0)
+    coeffs, x = _oriented(a, cand)[:2]
+    p1, n1 = _horner_comp(coeffs, x), _horner(coeffs, x)[2]
+    better = np.abs(p1) * n0 < np.abs(p0) * n1
     z[poor] = np.where(better, cand, zp)
     pv[poor] = np.where(better, p1, p0)
+    noise[poor] = np.where(better, n1, n0)
 
 
 def _aberth(z: np.ndarray, evaluate, tol: float, max_iter: int):
@@ -236,9 +243,11 @@ def _aberth(z: np.ndarray, evaluate, tol: float, max_iter: int):
             denom = np.where(denom == 0, 1.0, denom)
             delta = np.where(at_root, 0.0, w / denom)
 
-            # A root settles on a small correction or on reaching the
-            # evaluation noise floor.
-            settled = (np.abs(delta) <= tol) | (np.abs(pv) <= noise)
+            # A root settles on a small Newton correction |p/p'| or on
+            # reaching the evaluation noise floor; not on a small Aberth
+            # correction, which is tiny whenever two iterates sit close
+            # together, however far both are from a zero.
+            settled = (np.abs(w) <= tol) | (np.abs(pv) <= noise)
             z[active] = za - np.where(settled, 0.0, delta)
             active = active[~settled]
             if not active.size:
@@ -267,8 +276,9 @@ def find_roots(
     p : Polynomial
         Polynomial of degree >= 1.
     tol : float
-        A root settles once its correction has modulus at most ``tol``
-        (or its residual reaches the evaluation noise floor).
+        A root settles once its Newton correction |p/p'| has modulus
+        at most ``tol`` (or its residual reaches the evaluation noise
+        floor).
     max_iter : int
         Maximum number of simultaneous sweeps.
 

@@ -28,7 +28,6 @@ from .polar import (
     s_poly,
     s_zeros,
     solve_polar,
-    solve_polar_shifted,
 )
 from .polynomial import (
     Polynomial,
@@ -226,7 +225,7 @@ def residual_norm(P: Polynomial, R: Polynomial, Q: Polynomial) -> float:
     n = P.degree
     lhs = derivative_k(poly_mul(R, Q), k)
     scale = float(rising_factorial(n + 1, k))
-    rhs = Polynomial._from_trusted([scale * c for c in P.coeffs])
+    rhs = Polynomial([scale * c for c in P.coeffs])
     return max_coeff_diff(lhs, rhs)
 
 
@@ -260,22 +259,21 @@ def case_metrics(
     """All per-instance property metrics, shared by suite and replay."""
     n, k, xi = inst.n, inst.k, inst.xi
     P = inst.P
-    R = poly_from_roots([xi] * k)
-    q_shifted_path = solve_polar_shifted(P, xi, k)
-    q_matrix_path = solve_polar(PolarProblem(P, R, xi=xi))
+    problem = PolarProblem.centered(P, xi, k)
+    Q = solve_polar(problem)
 
     scale = float(rising_factorial(n + 1, k)) * sup_norm(P)
-    residual_rel = residual_norm(P, R, q_shifted_path) / scale
-    path_rel = max_coeff_diff(q_matrix_path, q_shifted_path) / sup_norm(
-        q_shifted_path
-    )
+    residual_rel = residual_norm(P, problem.R, Q) / scale
 
+    # The Grace-convolution path to Q shares no code with solve_polar:
+    # Q(xi + w) is P(xi + w) convolved with S.
     s = s_poly(n, k)
-    lhs = taylor_shift(q_shifted_path, xi)
+    lhs = taylor_shift(Q, xi)
     rhs = grace_convolve(taylor_shift(P, xi), s)
     convolution_rel = max_coeff_diff(lhs, rhs) / sup_norm(lhs)
+    path_rel = max_coeff_diff(Q, taylor_shift(rhs, -xi)) / sup_norm(Q)
 
-    q_roots = find_roots(q_shifted_path)
+    q_roots = find_roots(Q)
     if s_cache is not None:
         s_roots = s_cache.get((n, k))
         if s_roots is None:
@@ -294,7 +292,7 @@ def case_metrics(
     s_radius_excess = max_modulus(s_roots) - (k + 1)
 
     try:
-        fact = grace_factorize(P, q_shifted_path, xi)
+        fact = grace_factorize(P, Q, xi)
         factorize_error = max(
             fact.exact_match_error,
             max_coeff_diff(fact.s_r, s) / sup_norm(s),
@@ -315,7 +313,7 @@ def case_metrics(
         "factorize_impossible": factorize_impossible,
         "artifacts": {
             "P": poly_to_pairs(P),
-            "Q": poly_to_pairs(q_shifted_path),
+            "Q": poly_to_pairs(Q),
             "Q_roots": to_pairs(q_roots.roots),
         },
     }
@@ -409,7 +407,7 @@ def reproduce_paper_examples() -> SuiteReport:
     for n in range(1, 9):
         for k in range(1, 6):
             mono = Polynomial([0j] * n + [1.0])
-            q = solve_polar_shifted(mono, 0.0, k)
+            q = solve_polar(PolarProblem.centered(mono, 0.0, k))
             off = max(
                 (abs(c) for c in q.coeffs[:-1]), default=0.0
             )
@@ -428,7 +426,8 @@ def reproduce_paper_examples() -> SuiteReport:
     for k in range(1, 6):
         bound = polar_zero_bound(0.0, k)
         mono = Polynomial([0j] * 8 + [1.0])
-        observed = max_modulus(find_roots(solve_polar_shifted(mono, 0.0, k)))
+        q = solve_polar(PolarProblem.centered(mono, 0.0, k))
+        observed = max_modulus(find_roots(q))
         ok = (
             abs(bound - (k + 1)) <= 1e-12
             and observed <= 1e-6

@@ -196,3 +196,28 @@ def newton_s_zero(n, k, z):
     term of the evaluation cancels away (about 3^(n+k) at |w| = 2)."""
     coeffs = [math.comb(n + k, j + k) for j in range(n + 1)]
     return newton_zero(coeffs, z, 60 + (n + k) // 2)
+
+
+def polar_solution(p, r, dps=120):
+    """The monic Q with (R Q)^(k) = (n+1)_k P for ascending coefficient
+    lists p (monic, degree n) and r (monic, degree k), by back
+    substitution in ``dps``-digit mpmath on the coefficients as given.
+
+    The coefficient of z^i in (R Q)^(k) is (i+1)_k times that of
+    z^(i+k) in R Q, sum_d r_(k-d) q_(i+d), so from the top down
+    q_i = (n+1)_k p_i / (i+1)_k - sum_{d >= 1} r_(k-d) q_(i+d).
+    """
+    import mpmath
+
+    n, k = len(p) - 1, len(r) - 1
+    top = math.prod(range(n + 1, n + k + 1))
+    with mpmath.workdps(dps):
+        p = [mpmath.mpc(c) for c in p]
+        r = [mpmath.mpc(c) for c in r]
+        q = [mpmath.mpc(0)] * (n + 1)
+        for i in range(n, -1, -1):
+            acc = top * p[i] / math.prod(range(i + 1, i + k + 1))
+            for d in range(1, min(k, n - i) + 1):
+                acc -= r[k - d] * q[i + d]
+            q[i] = acc
+        return [complex(c) for c in q]

@@ -25,7 +25,6 @@ from polarpoly.polar import (
     s_poly,
     s_zeros,
     solve_polar,
-    solve_polar_shifted,
 )
 from polarpoly.polynomial import (
     Polynomial,
@@ -62,13 +61,17 @@ def _sample_batch(seed: int, count: int):
 
 @pytest.fixture(scope="module")
 def batch_1000():
-    """Shared instances for the residual and path-equivalence criteria."""
+    """Shared instances for the residual and path-equivalence criteria:
+    Q from the solver and from the convolution identity
+    Q(xi+w) = P(xi+w) * S(w), which shares no code with the solver."""
     out = []
     for inst in _sample_batch(20250801, 1000):
         p = inst.P
-        q_fast = solve_polar_shifted(p, inst.xi, inst.k)
-        q_general = solve_polar(PolarProblem.centered(p, inst.xi, inst.k))
-        out.append((inst, p, q_fast, q_general))
+        q = solve_polar(PolarProblem.centered(p, inst.xi, inst.k))
+        conv = grace_convolve(
+            taylor_shift(p, inst.xi), s_poly(inst.n, inst.k)
+        )
+        out.append((inst, p, q, taylor_shift(conv, -inst.xi)))
     return out
 
 
@@ -79,7 +82,7 @@ def batch_500():
     out = []
     for inst in _sample_batch(20250802, 500):
         p = inst.P
-        q = solve_polar_shifted(p, inst.xi, inst.k)
+        q = solve_polar(PolarProblem.centered(p, inst.xi, inst.k))
         q_roots = find_roots(q)
         key = (inst.n, inst.k)
         if key not in s_roots_cache:
@@ -94,7 +97,7 @@ def test_criterion_01_free_case_golden():
     for n in range(1, 9):
         for k in range(1, 6):
             mono = Polynomial([0j] * n + [1.0])
-            q = solve_polar_shifted(mono, 0.0, k)
+            q = solve_polar(PolarProblem.centered(mono, 0.0, k))
             assert q.degree == n
             assert q.leading == 1.0
             off = max((abs(c) for c in q.coeffs[:-1]), default=0.0)
@@ -115,10 +118,10 @@ def test_criterion_01_free_case_golden():
 
 def test_criterion_02_residual_property(batch_1000):
     worst = 0.0
-    for inst, p, q_fast, _ in batch_1000:
+    for inst, p, q, _ in batch_1000:
         r = poly_from_roots([inst.xi] * inst.k)
         scale = float(rising_factorial(inst.n + 1, inst.k)) * sup_norm(p)
-        rel = residual_norm(p, r, q_fast) / scale
+        rel = residual_norm(p, r, q) / scale
         worst = max(worst, rel)
         assert rel <= 1e-9
     rng = np.random.Generator(np.random.PCG64(20250803))
@@ -147,13 +150,13 @@ def test_criterion_02_residual_property(batch_1000):
 
 def test_criterion_03_path_equivalence(batch_1000):
     worst = 0.0
-    for _, _, q_fast, q_general in batch_1000:
-        rel = max_coeff_diff(q_general, q_fast) / sup_norm(q_fast)
+    for _, _, q, q_grace in batch_1000:
+        rel = max_coeff_diff(q_grace, q) / sup_norm(q)
         worst = max(worst, rel)
         assert rel <= 1e-10
     report(
         3, "path equivalence", True,
-        f"matrix vs diagonal path agree on 1000 instances, "
+        f"solver vs Grace-convolution path agree on 1000 instances, "
         f"worst {worst:.2e} (tol 1e-10)",
     )
 
@@ -316,7 +319,7 @@ def test_criterion_08_factorization():
         if min(abs(a) for a in alphas) <= 1e-8 * amax:
             continue  # degenerate draw; the criterion covers the rest
         accepted += 1
-        q = solve_polar_shifted(p, inst.xi, inst.k)
+        q = solve_polar(PolarProblem.centered(p, inst.xi, inst.k))
         fact = grace_factorize(p, q, inst.xi)
         worst_recon = max(worst_recon, fact.exact_match_error)
         assert fact.exact_match_error <= 1e-10

@@ -227,6 +227,17 @@ class TestSPolyRootsBound:
         for re, im in payload["roots"]:
             assert abs(abs(complex(re, im)) - math.sqrt(3)) <= 1e-10
 
+    def test_roots_large_constant_keeps_degree(self, run_cli):
+        # z^2 + 1e13: the leading 1 is 1e-13 of the constant term and
+        # still the leading coefficient.
+        out = run_cli("roots", "--P", "[[1e13,0],[0,0],[1,0]]")
+        payload = json.loads(out.stdout)
+        assert payload["converged"] is True
+        got = sorted(complex(re, im).imag for re, im in payload["roots"])
+        want = math.sqrt(1e13)
+        assert got == pytest.approx([-want, want], rel=1e-14)
+        assert all(re == 0.0 for re, _ in payload["roots"])
+
     def test_bound(self, run_cli):
         payload = json.loads(run_cli("bound", "--xi", "1+0i", "--k", "2").stdout)
         assert payload["radius"] == 7.0

@@ -20,7 +20,6 @@ from polarpoly.polar import (
     s_poly,
     s_zeros,
     solve_polar,
-    solve_polar_shifted,
 )
 from polarpoly.polynomial import (
     Polynomial,
@@ -39,6 +38,7 @@ from oracles import (
     eval_poly,
     newton_s_zero,
     polar_backward_error,
+    polar_solution,
     s_zeros_k1,
     sort_roots,
 )
@@ -77,7 +77,6 @@ class TestProblem:
     def test_centered_builds_linear_power(self):
         prob = PolarProblem.centered(Polynomial([0, 1]), 1.0, 2)
         assert prob.k == 2
-        assert prob.xi == 1.0
         # (z - 1)^2 = 1 - 2z + z^2
         assert prob.R.coeffs == (1 + 0j, -2 + 0j, 1 + 0j)
         with pytest.raises(ValueError):
@@ -178,27 +177,49 @@ class TestSolvePolar:
         assert q.degree == n and q.coeffs[-1] == 1.0
         assert polar_backward_error(p.coeffs, r.coeffs, q.coeffs) <= 1e-14
 
+    @pytest.mark.parametrize("seed", [0, 8, 19, 36])
+    def test_matches_exact_back_substitution(self, seed):
+        # n = 128, k = 5: max |Q| is 1e37 to 1e41 here, far past where a
+        # relative trim of R*Q used to drop the top of the refinement
+        # residual (seed 0 gave an error of 1.0 and degree 65).
+        rng = np.random.default_rng(seed)
+        p = poly_from_roots(
+            np.sqrt(rng.random(128)) * np.exp(2j * np.pi * rng.random(128))
+        )
+        r = poly_from_roots(
+            2 * np.sqrt(rng.random(5)) * np.exp(2j * np.pi * rng.random(5))
+        )
+        q = solve_polar(PolarProblem(p, r))
+        exact = polar_solution(p.coeffs, r.coeffs)
+        err = max(abs(a - b) for a, b in zip(q.coeffs, exact))
+        assert len(q.coeffs) == len(exact)
+        assert err <= 1e-13 * max(abs(c) for c in exact)
+        assert apply_tr(r, q).degree == 128
+
 
 class TestSolveShifted:
+    """The centered problem R = (z - xi)^k."""
+
     def test_free_case_fixed(self):
-        q = solve_polar_shifted(Polynomial([0, 0, 1]), 0.0, 3)
+        q = solve_polar(PolarProblem.centered(Polynomial([0, 0, 1]), 0.0, 3))
         assert q.coeffs == (0j, 0j, 1 + 0j)
 
     def test_matches_general_path_on_example(self):
-        q = solve_polar_shifted(Polynomial([-0.25, 0, 1]), 0.0, 1)
+        p = Polynomial([-0.25, 0, 1])
+        q = solve_polar(PolarProblem.centered(p, 0.0, 1))
         assert rel_diff(q, Polynomial([-0.75, 0, 1])) <= 1e-14
 
     def test_degree_one(self):
-        q = solve_polar_shifted(Polynomial([0, 1]), 0.0, 1)
+        q = solve_polar(PolarProblem.centered(Polynomial([0, 1]), 0.0, 1))
         assert q.coeffs == (0j, 1 + 0j)
 
     def test_validation(self):
         with pytest.raises(NotMonicError):
-            solve_polar_shifted(Polynomial([1, 2]), 0.0, 1)
+            PolarProblem.centered(Polynomial([1, 2]), 0.0, 1)
         with pytest.raises(DegreeZeroError):
-            solve_polar_shifted(Polynomial([5]), 0.0, 1)
+            PolarProblem.centered(Polynomial([5]), 0.0, 1)
         with pytest.raises(ValueError):
-            solve_polar_shifted(Polynomial([0, 1]), 0.0, 0)
+            PolarProblem.centered(Polynomial([0, 1]), 0.0, 0)
 
     def test_path_equivalence(self):
         rng = np.random.default_rng(13)
@@ -209,10 +230,13 @@ class TestSolveShifted:
             xi = 2.0 * math.sqrt(rng.random()) * cmath.exp(
                 2j * math.pi * rng.random()
             )
-            fast = solve_polar_shifted(p, xi, k)
-            general = solve_polar(PolarProblem.centered(p, xi, k))
-            assert fast.coeffs[-1] == 1.0
-            assert max_coeff_diff(fast, general) <= 1e-10 * sup_norm(fast)
+            q = solve_polar(PolarProblem.centered(p, xi, k))
+            # Q(xi+w) = P(xi+w) * S(w), a path that shares no code with
+            # the solver.
+            conv = grace_convolve(taylor_shift(p, xi), s_poly(n, k))
+            assert q.coeffs[-1] == 1.0
+            diff = max_coeff_diff(q, taylor_shift(conv, -xi))
+            assert diff <= 1e-10 * sup_norm(q)
 
 
 class TestSPoly:
@@ -368,7 +392,7 @@ class TestGraceConvolve:
             xi = 2.0 * math.sqrt(rng.random()) * cmath.exp(
                 2j * math.pi * rng.random()
             )
-            q = solve_polar_shifted(p, xi, k)
+            q = solve_polar(PolarProblem.centered(p, xi, k))
             lhs = taylor_shift(q, xi)
             rhs = grace_convolve(taylor_shift(p, xi), s_poly(n, k))
             assert max_coeff_diff(lhs, rhs) <= 1e-9 * sup_norm(lhs)
@@ -395,7 +419,7 @@ class TestGraceFactorize:
 
     def test_non_vanishing_instance_matches_s_poly(self):
         p = poly_from_roots([0.5, 1.0 / 3.0])
-        q = solve_polar_shifted(p, 0.0, 1)
+        q = solve_polar(PolarProblem.centered(p, 0.0, 1))
         fact = grace_factorize(p, q, 0.0)
         assert rel_diff(fact.s_r, s_poly(2, 1)) <= 1e-10
 
@@ -416,7 +440,7 @@ class TestGraceFactorize:
                 2j * math.pi * rng.random()
             )
             k = int(rng.integers(1, 6))
-            q = solve_polar_shifted(p, xi, k)
+            q = solve_polar(PolarProblem.centered(p, xi, k))
             try:
                 fact = grace_factorize(p, q, xi)
             except FactorizationImpossible:

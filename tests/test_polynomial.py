@@ -42,9 +42,12 @@ class TestConstruction:
         assert Polynomial([0]).degree == 0
         assert Polynomial([0]).is_zero()
 
-    def test_trailing_trim_relative_to_scale(self):
-        p = Polynomial([1.0, 1e-20])
-        assert p.degree == 0
+    def test_trailing_trim_exact_zeros_only(self):
+        assert Polynomial([1.0, 2.0, 0.0, -0.0, 0j]).coeffs == (1 + 0j, 2 + 0j)
+        # a tiny leading coefficient is kept, however large the others
+        assert Polynomial([1.0, 1e-20]).degree == 1
+        assert Polynomial([1e13, 0, 1]).degree == 2
+        assert Polynomial([1e300, 1e-300]).leading == 1e-300
         # a uniformly tiny polynomial is not the zero polynomial
         q = Polynomial([1e-20])
         assert not q.is_zero()
@@ -143,6 +146,12 @@ class TestDerivative:
     def test_negative_order_rejected(self):
         with pytest.raises(ValueError):
             derivative_k(Polynomial([1, 1]), -1)
+
+    def test_keeps_a_tiny_top(self):
+        # (1e15 z^2 + z^4)'' = 2e15 + 12 z^2: the top is 6e-15 of the
+        # constant term and still the leading coefficient.
+        out = derivative_k(Polynomial([0, 0, 1e15, 0, 1]), 2)
+        assert out.coeffs == (2e15 + 0j, 0j, 12 + 0j)
 
     def test_linearity(self):
         rng = np.random.default_rng(17)

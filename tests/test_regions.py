@@ -9,7 +9,7 @@ from polarpoly.errors import (
     EmptyRootSetError,
     SZeroAtOriginError,
 )
-from polarpoly.polar import s_poly, solve_polar_shifted
+from polarpoly.polar import PolarProblem, s_poly, solve_polar
 from polarpoly.polynomial import Polynomial, poly_from_roots, taylor_shift
 from polarpoly.regions import (
     Region,
@@ -211,7 +211,7 @@ class TestLocalizationCheck:
             xi = 2.0 * math.sqrt(rng.random()) * cmath.exp(
                 2j * math.pi * rng.random()
             )
-            q = solve_polar_shifted(p, xi, k)
+            q = solve_polar(PolarProblem.centered(p, xi, k))
             region = enclosing_disk([z - xi for z in zeros])
             report = localization_check(
                 find_roots(q), xi, region, find_roots(s_poly(n, k)), tol=1e-6
@@ -228,7 +228,9 @@ class TestPolarZeroBound:
         for k in range(1, 6):
             bound = polar_zero_bound(0.0, k)
             assert bound == k + 1
-            q = solve_polar_shifted(Polynomial([0, 0, 0, 1]), 0.0, k)
+            q = solve_polar(
+                PolarProblem.centered(Polynomial([0, 0, 0, 1]), 0.0, k)
+            )
             assert all(abs(r) <= 1e-6 for r in find_roots(q).roots)
 
     def test_validation(self):
@@ -248,7 +250,7 @@ class TestPolarZeroBound:
             xi = 2.0 * math.sqrt(rng.random()) * cmath.exp(
                 2j * math.pi * rng.random()
             )
-            q = solve_polar_shifted(p, xi, k)
+            q = solve_polar(PolarProblem.centered(p, xi, k))
             bound = polar_zero_bound(xi, k)
             for r in find_roots(q).roots:
                 assert abs(r) <= bound + 1e-8

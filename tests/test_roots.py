@@ -86,6 +86,27 @@ class TestBasics:
             p = Polynomial(list(rng.normal(size=deg)) + [1.0])
             assert len(find_roots(p)) == deg
 
+    def test_close_iterates_do_not_settle(self):
+        # Two iterates near 1.2159-1.2569i made each other's Aberth
+        # correction tiny, so both settled there with converged=True
+        # while the zero -1.7252+0.2991i was missed (residual 2.0e-3).
+        q = Polynomial([
+            -3.4216790362517937 - 8.754639196160145j,
+            5.333827118338251 + 0.6067012686139718j,
+            -1.7288542264133617 + 2.5319194245550425j,
+            -0.8176230193393746 - 1.5483415734801533j,
+            1,
+        ])
+        rs = find_roots(q)
+        limits = [newton_zero(q.coeffs, z, 60) for z in rs.roots]
+        gaps = np.abs(np.subtract.outer(limits, limits))
+        np.fill_diagonal(gaps, np.inf)
+        assert gaps.min() > 1e-3, "two zeros refine to the same limit"
+        for z, limit in zip(rs.roots, limits):
+            assert abs(z - limit) <= 1e-14 * abs(limit)
+        assert rs.converged
+        assert rs.max_residual <= 1e-15
+
 
 class TestOrdering:
     def test_modulus_then_argument(self):
@@ -192,7 +213,7 @@ class TestMaxModulus:
 
 
 def polar_q(n, seed):
-    """Q = solve_polar(P, (z - xi)^k, xi) for P with n zeros uniform in
+    """Q = solve_polar for R = (z - xi)^k and P with n zeros uniform in
     the unit disk, |xi| <= 2 and k in 1..5, all drawn from ``seed``."""
     rng = np.random.default_rng(10 * n + seed)
     k = int(rng.integers(1, 6))
@@ -204,7 +225,7 @@ def polar_q(n, seed):
             for _ in range(n)
         ]
     )
-    return solve_polar(PolarProblem(p, poly_from_roots([xi] * k), xi=xi))
+    return solve_polar(PolarProblem.centered(p, xi, k))
 
 
 class TestHighDegree:
@@ -233,6 +254,25 @@ class TestHighDegree:
         assert gaps.min() > 1e-6, "two zeros refine to the same limit"
         for z, limit in zip(rs.roots, limits):
             assert abs(z - limit) <= 1e-10 * abs(limit)
+
+
+    @pytest.mark.parametrize("seed", [587, 1185])
+    def test_residual_is_that_of_the_returned_zeros(self, seed):
+        # The compensated step used to keep a long step on a drop of |p|
+        # alone, to where every term of Q is smaller, and to report the
+        # noise floor of the point it left: 3.2e-12 was reported at seed
+        # 1185 (n = 192) for zeros whose residual is 1.7e-9.
+        rng = np.random.default_rng(seed)
+        n, k = int(rng.integers(8, 257)), int(rng.integers(1, 6))
+        xi = 2 * math.sqrt(rng.random())
+        xi *= cmath.exp(2j * math.pi * rng.random())
+        zeros = np.sqrt(rng.random(n)) * np.exp(2j * np.pi * rng.random(n))
+        q = solve_polar(PolarProblem.centered(poly_from_roots(zeros), xi, k))
+        rs = find_roots(q)
+        true = normwise_residual(q.coeffs, rs.roots)
+        assert rs.converged
+        assert true <= 1e-11
+        assert true / 2 <= rs.max_residual <= 2 * true
 
 
 class TestCompensatedHorner:

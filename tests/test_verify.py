@@ -8,7 +8,7 @@ from polarpoly.polynomial import (
     rising_factorial,
     sup_norm,
 )
-from polarpoly.polar import solve_polar_shifted
+from polarpoly.polar import PolarProblem, solve_polar
 from polarpoly.verify import (
     CaseInstance,
     SuiteConfig,
@@ -45,7 +45,7 @@ class TestResidualNorm:
 
     def test_catches_corrupted_solver_output(self):
         p = poly_from_roots([0.4, -0.3 + 0.2j, 0.1j])
-        q = solve_polar_shifted(p, 0.5, 2)
+        q = solve_polar(PolarProblem.centered(p, 0.5, 2))
         corrupted = Polynomial(
             list(q.coeffs[:-1]) + [q.coeffs[-1] + 1e-3]
         )
