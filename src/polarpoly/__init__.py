@@ -31,7 +31,6 @@ from .polar import (
     solve_polar,
 )
 from .polynomial import (
-    BinomialForm,
     Polynomial,
     binomial_coeffs,
     derivative_k,
@@ -69,7 +68,6 @@ from .verify import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BinomialForm",
     "CaseInstance",
     "DegreeTooLargeError",
     "DegreeZeroError",

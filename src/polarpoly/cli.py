@@ -41,44 +41,18 @@ from .verify import SuiteConfig, reproduce_paper_examples, run_property_suite
 def parse_complex(text: str) -> complex:
     """Parse ``a``, ``a+bi``, ``a-bi``, ``bi`` or ``i`` (no whitespace).
 
-    Both parts must be finite: ``nan``, ``inf`` and overflowing
-    literals such as ``1e400`` are rejected.
+    Python's own ``complex`` reads the number once the trailing ``i``
+    is spelled ``j``.  Both parts must be finite: ``nan``, ``inf`` and
+    overflowing literals such as ``1e400`` are rejected.
     """
-    value = _parse_complex(text)
+    s = text.strip()
+    try:
+        value = complex(s[:-1] + "j") if s.endswith("i") else complex(float(s))
+    except ValueError:
+        raise ValueError(f"cannot parse complex number {text!r}") from None
     if not cmath.isfinite(value):
         raise ValueError(f"complex number {text!r} is not finite")
     return value
-
-
-def _parse_complex(text: str) -> complex:
-    s = text.strip()
-    try:
-        return complex(float(s), 0.0)
-    except ValueError:
-        pass
-    if not s.endswith("i"):
-        raise ValueError(f"cannot parse complex number {text!r}")
-    body = s[:-1]
-    split = -1
-    for pos in range(len(body) - 1, 0, -1):
-        if body[pos] in "+-" and body[pos - 1] not in "eE":
-            split = pos
-            break
-    if split == -1:
-        real_part, imag_part = "", body
-    else:
-        real_part, imag_part = body[:split], body[split:]
-    try:
-        real = float(real_part) if real_part else 0.0
-        if imag_part in ("", "+"):
-            imag = 1.0
-        elif imag_part == "-":
-            imag = -1.0
-        else:
-            imag = float(imag_part)
-    except ValueError:
-        raise ValueError(f"cannot parse complex number {text!r}") from None
-    return complex(real, imag)
 
 
 def _complex_arg(text: str) -> complex:
@@ -274,7 +248,7 @@ def _cmd_roots(args, parser):
         "converged": rs.converged,
     }
     rows = (["index", "re", "im"], _index_rows(rs.roots))
-    scene = render_scene([("zero", rs.roots)])
+    scene = render_scene([("zero", rs.roots)]) if args.svg else None
     return payload, rows, scene, 0
 
 
@@ -322,9 +296,11 @@ def _cmd_localize(args, parser):
             for w in report.witnesses
         ],
     )
-    scene = render_scene(
-        [("Q zero", q_roots.roots), ("S zero", s_roots.roots)], [region]
-    )
+    scene = None
+    if args.svg:
+        scene = render_scene(
+            [("Q zero", q_roots.roots), ("S zero", s_roots.roots)], [region]
+        )
     return payload, rows, scene, 0
 
 
@@ -337,10 +313,10 @@ def _cmd_factorize(args, parser):
     fact = grace_factorize(args.P, args.Q, args.xi)
     payload = {
         "S_R": poly_to_pairs(fact.s_r),
-        "c": to_pairs(fact.c.gamma),
+        "c": to_pairs(fact.c),
         "exact_match_error": fact.exact_match_error,
     }
-    rows = (["index", "c_re", "c_im"], _index_rows(fact.c.gamma))
+    rows = (["index", "c_re", "c_im"], _index_rows(fact.c))
     return payload, rows, None, 0
 
 
@@ -375,7 +351,7 @@ def main(argv=None) -> int:
         out.update(exc.details)
         print(json.dumps(out, sort_keys=True))
         return 1
-    if getattr(args, "svg", None) and scene is not None:
+    if scene is not None:
         with open(args.svg, "w", encoding="utf-8") as fh:
             fh.write(scene)
         print(f"wrote {args.svg}", file=sys.stderr)

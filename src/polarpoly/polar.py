@@ -32,7 +32,6 @@ from .errors import (
     NotMonicError,
 )
 from .polynomial import (
-    BinomialForm,
     Polynomial,
     binomial_coeffs,
     derivative_k,
@@ -111,12 +110,13 @@ class PolarProblem:
 class GraceFactorization:
     """A factor S_R with P(xi+w) convolved with S_R equal to Q(xi+w).
 
-    ``c`` holds the binomial-basis ratios c_j; ``exact_match_error`` is
-    the relative reconstruction residual of the convolution.
+    ``c`` holds the binomial-basis ratios c_0, .., c_n;
+    ``exact_match_error`` is the relative reconstruction residual of
+    the convolution.
     """
 
     s_r: Polynomial
-    c: BinomialForm
+    c: tuple[complex, ...]
     exact_match_error: float
 
 
@@ -343,8 +343,8 @@ def grace_convolve(p: Polynomial, q: Polynomial) -> Polynomial:
     element for this product.
     """
     n = max(p.degree, q.degree)
-    alpha = binomial_coeffs(p, n).gamma
-    beta = binomial_coeffs(q, n).gamma
+    alpha = binomial_coeffs(p, n)
+    beta = binomial_coeffs(q, n)
     return Polynomial(
         float(math.comb(n, j)) * alpha[j] * beta[j] for j in range(n + 1)
     )
@@ -374,8 +374,8 @@ def grace_factorize(
     xi = complex(xi)
     ps = taylor_shift(P, xi)
     qs = taylor_shift(Q, xi)
-    alpha = binomial_coeffs(ps, n).gamma
-    beta = binomial_coeffs(qs, n).gamma
+    alpha = binomial_coeffs(ps, n)
+    beta = binomial_coeffs(qs, n)
     alpha_cut = tol * max(abs(a) for a in alpha)
     beta_cut = tol * max(abs(b) for b in beta)
     c = []
@@ -391,8 +391,7 @@ def grace_factorize(
             c.append(0j)
         else:
             c.append(beta[j] / alpha[j])
-    form = BinomialForm(n, tuple(c))
-    s_r = from_binomial(form)
+    s_r = from_binomial(c)
     rebuilt = grace_convolve(ps, s_r)
     error = max_coeff_diff(rebuilt, qs) / sup_norm(qs)
     if error > RECONSTRUCTION_RTOL:
@@ -407,4 +406,4 @@ def grace_factorize(
             alpha=alpha[worst],
             beta=beta[worst],
         )
-    return GraceFactorization(s_r=s_r, c=form, exact_match_error=error)
+    return GraceFactorization(s_r=s_r, c=tuple(c), exact_match_error=error)

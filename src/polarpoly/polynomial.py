@@ -21,7 +21,6 @@ them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import zip_longest
 from typing import Iterable, Sequence
 
@@ -73,22 +72,6 @@ class Polynomial:
 
     def __repr__(self) -> str:
         return f"Polynomial({list(self.coeffs)!r})"
-
-
-@dataclass(frozen=True)
-class BinomialForm:
-    """Coefficients gamma_j of ``p(w) = sum_j C(n, j) * gamma_j * w**j``."""
-
-    n: int
-    gamma: tuple[complex, ...]
-
-    def __post_init__(self):
-        if self.n < 0:
-            raise ValueError("binomial form size must be nonnegative")
-        if len(self.gamma) != self.n + 1:
-            raise ValueError(
-                f"expected {self.n + 1} entries, got {len(self.gamma)}"
-            )
 
 
 def make_monic(p: Polynomial) -> Polynomial:
@@ -153,29 +136,30 @@ def taylor_shift(p: Polynomial, xi: complex) -> Polynomial:
     return Polynomial(_shift_coeffs(p.coeffs, xi))
 
 
-def binomial_coeffs(p: Polynomial, n: int | None = None) -> BinomialForm:
-    """Binomial-basis coefficients gamma_j = coeff_j / C(n, j).
+def binomial_coeffs(
+    p: Polynomial, n: int | None = None
+) -> tuple[complex, ...]:
+    """Binomial-basis coefficients gamma_j = coeff_j / C(n, j), j = 0..n.
 
-    ``n`` defaults to the degree of ``p``; a larger ``n`` pads with
-    zeros, which is how missing coefficients are treated when two
-    polynomials of different degree meet in a convolution.
+    They are those of ``p(w) = sum_j C(n, j) * gamma_j * w**j``.  ``n``
+    defaults to the degree of ``p``; a larger ``n`` pads with zeros,
+    which is how missing coefficients are treated when two polynomials
+    of different degree meet in a convolution.
     """
     deg = p.degree
     size = deg if n is None else n
     if size < deg:
         raise ValueError("binomial form size cannot be below the degree")
-    gamma = tuple(
+    return tuple(
         p.coeffs[j] / float(math.comb(size, j)) if j <= deg else 0j
         for j in range(size + 1)
     )
-    return BinomialForm(size, gamma)
 
 
-def from_binomial(bf: BinomialForm) -> Polynomial:
-    """Inverse of :func:`binomial_coeffs`."""
-    return Polynomial(
-        bf.gamma[j] * float(math.comb(bf.n, j)) for j in range(bf.n + 1)
-    )
+def from_binomial(gamma: Sequence[complex]) -> Polynomial:
+    """Inverse of :func:`binomial_coeffs`, with n = len(gamma) - 1."""
+    n = len(gamma) - 1
+    return Polynomial(gamma[j] * float(math.comb(n, j)) for j in range(n + 1))
 
 
 def rising_factorial(a: int, k: int) -> int:

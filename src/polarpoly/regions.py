@@ -2,16 +2,18 @@
 
 A Region is a disk, a half-plane, or the exterior of a disk; these are
 exactly the shapes a localization region K may take.  Membership is
-reported as a signed margin (nonnegative means inside) so callers can
-apply their own tolerance.  The open/closed flag is carried as metadata
-and reported, but membership at margin zero is accepted either way:
-floating point cannot witness a strict boundary.
+reported as a signed margin (nonnegative means inside) by the one
+function ``region_contains``, for a point or elementwise for an array,
+so callers can apply their own tolerance.  The open/closed flag is
+carried as metadata and reported, but membership at margin zero is
+accepted either way: floating point cannot witness a strict boundary.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import (
     EmptyInputError,
@@ -53,9 +55,6 @@ class Region:
             if self.radius < 0:
                 raise ValueError("radius must be nonnegative")
             object.__setattr__(self, "radius", float(self.radius))
-
-    def contains(self, z: complex, tol: float = 0.0) -> bool:
-        return region_contains(self, z) >= -tol
 
     def to_dict(self) -> dict:
         out = {
@@ -137,18 +136,19 @@ class LocalizationReport:
         }
 
 
-def region_contains(region: Region, z: complex) -> float:
+def region_contains(region: Region, z):
     """Signed membership margin; >= 0 means inside.
 
     disk: radius - |z - center|; half-plane: -Re(conj(normal) * (z -
-    boundary point)); exterior: |z - center| - radius.
+    boundary point)); exterior: |z - center| - radius.  ``z`` is a
+    point or an array of points; the margins have its shape.
     """
-    z = complex(z)
+    d = np.asarray(z) - region.center
     if region.kind == "disk":
-        return region.radius - abs(z - region.center)
+        return region.radius - np.abs(d)
     if region.kind == "half_plane":
-        return -((region.normal.conjugate() * (z - region.center)).real)
-    return abs(z - region.center) - region.radius
+        return -(d.real * region.normal.real + d.imag * region.normal.imag)
+    return np.abs(d) - region.radius
 
 
 def _in_circle(center: complex, radius: float, p: complex) -> bool:
@@ -263,8 +263,10 @@ def localization_check(
 
     For each zero zeta the check looks for some beta in Z(S) with
     (xi - zeta) / beta inside K (margin >= -tol); the witness records
-    the best beta.  Z(S) never meets the origin for genuine S inputs,
-    so a near-zero beta signals a caller error.
+    the best beta (the first on a tie).  A NaN margin is the best of
+    its row, so its witness, ``contained`` (false) and
+    ``max_violation`` (NaN) all show it.  Z(S) never meets the origin
+    for genuine S inputs, so a near-zero beta signals a caller error.
     """
     if not s_zeros.roots:
         raise EmptyRootSetError("S has no zeros to divide by")
@@ -276,23 +278,21 @@ def localization_check(
             )
     if not q_zeros.roots:
         raise EmptyRootSetError("Q has no zeros to check")
-    witnesses = []
-    for zeta in q_zeros.roots:
-        best: Witness | None = None
-        for beta in s_zeros.roots:
-            quotient = (xi - zeta) / beta
-            margin = region_contains(region, quotient)
-            if best is None or margin > best.margin:
-                best = Witness(
-                    zero=zeta, beta=beta, quotient=quotient, margin=margin
-                )
-        witnesses.append(best)
-    contained = all(w.margin >= -tol for w in witnesses)
-    max_violation = max(0.0, max(-w.margin for w in witnesses))
+    zeta = np.array(q_zeros.roots)
+    with np.errstate(invalid="ignore", over="ignore"):
+        quotients = (xi - zeta)[:, None] / np.array(s_zeros.roots)
+    margins = region_contains(region, quotients)
+    witnesses = tuple(
+        Witness(zero, s_zeros.roots[j], complex(row[j]), float(m[j]))
+        for zero, row, m, j in zip(
+            q_zeros.roots, quotients, margins, margins.argmax(axis=1)
+        )
+    )
+    chosen = np.array([w.margin for w in witnesses])
     return LocalizationReport(
-        contained=contained,
-        witnesses=tuple(witnesses),
-        max_violation=max_violation,
+        contained=bool((chosen >= -tol).all()),
+        witnesses=witnesses,
+        max_violation=float(np.maximum(0.0, -chosen.min())),
         tol=tol,
     )
 

@@ -97,6 +97,35 @@ def brute_force_disk(points):
     return best
 
 
+def region_margin(kind, center, radius, normal, z):
+    """Signed margin of the point z in a disk, a half-plane (boundary
+    through ``center``, outward unit ``normal``) or a disk's exterior;
+    nonnegative means inside."""
+    if kind == "disk":
+        return radius - abs(z - center)
+    if kind == "half_plane":
+        dx, dy = z.real - center.real, z.imag - center.imag
+        return -(dx * normal.real + dy * normal.imag)
+    return abs(z - center) - radius
+
+
+def best_factors(q_zeros, xi, s_zeros, margin):
+    """For each zero zeta of Q, pair by pair: the index of the beta in
+    ``s_zeros`` whose quotient (xi - zeta) / beta has the largest
+    ``margin`` (the first such on a tie), that quotient and its
+    margin."""
+    out = []
+    for zeta in q_zeros:
+        best = None
+        for j, beta in enumerate(s_zeros):
+            quotient = (xi - zeta) / beta
+            m = margin(quotient)
+            if best is None or m > best[2]:
+                best = (j, quotient, m)
+        out.append(best)
+    return out
+
+
 def s_radius_k1(n):
     """Largest zero modulus of S for k = 1, from the roots of unity.
 

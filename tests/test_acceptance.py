@@ -314,7 +314,7 @@ def test_criterion_08_factorization():
     while accepted < 200:
         inst = sample_case(rng, cfg)
         p = inst.P
-        alphas = binomial_coeffs(taylor_shift(p, inst.xi), inst.n).gamma
+        alphas = binomial_coeffs(taylor_shift(p, inst.xi), inst.n)
         amax = max(abs(a) for a in alphas)
         if min(abs(a) for a in alphas) <= 1e-8 * amax:
             continue  # degenerate draw; the criterion covers the rest

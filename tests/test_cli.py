@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from polarpoly import cli
 from polarpoly.cli import main, parse_complex
 from polarpoly.regions import enclosing_disk
 
@@ -31,6 +32,8 @@ class TestComplexFlagSyntax:
             ("-i", -1j),
             ("i", 1j),
             ("0.25-0.75i", 0.25 - 0.75j),
+            ("+i", 1j),
+            ("1e-3+2E+3i", 0.001 + 2000j),
         ],
     )
     def test_accepted(self, text, want):
@@ -41,6 +44,7 @@ class TestComplexFlagSyntax:
         [
             "", "z", "1+2j5", "1 + 2i", "2x+1i",
             "nan", "inf", "-Infinity", "1e400", "1+nani", "1e400i",
+            "1 +2i", "1+2j", "2j", "(1+2i)", "1+2ji",
         ],
     )
     def test_rejected(self, text):
@@ -380,6 +384,19 @@ class TestSvgOutput:
         paths = tree.getroot().findall(f".//{ns}path")
         assert len(markers) == 4  # two zeros of Q, two of S
         assert len(paths) == 1  # one region boundary
+
+    def test_nothing_drawn_without_svg(self, monkeypatch, capsys):
+        def refuse(*args, **kwargs):
+            raise AssertionError("render_scene called without --svg")
+
+        monkeypatch.setattr(cli, "render_scene", refuse)
+        for argv in (
+            ["localize", "--P", "[[-0.25,0],[0,0],[1,0]]",
+             "--xi", "0", "--k", "1"],
+            ["roots", "--P", "[[3,0],[3,0],[1,0]]"],
+        ):
+            assert main(argv) == 0
+        assert capsys.readouterr().out
 
     def test_only_named_files_written(self, run_cli, tmp_path):
         before = set(os.listdir(tmp_path))

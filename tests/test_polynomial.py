@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from polarpoly.polynomial import (
-    BinomialForm,
     Polynomial,
     binomial_coeffs,
     derivative_k,
@@ -215,24 +214,19 @@ class TestTaylorShift:
 
 class TestBinomialForm:
     def test_half_coefficient_example(self):
-        bf = binomial_coeffs(Polynomial([0, 1, 1]))
-        assert bf.n == 2
-        assert bf.gamma == (0j, 0.5 + 0j, 1 + 0j)
+        assert binomial_coeffs(Polynomial([0, 1, 1])) == (0j, 0.5 + 0j, 1 + 0j)
 
     def test_pure_square_example(self):
-        assert binomial_coeffs(Polynomial([0, 0, 1])).gamma == (0j, 0j, 1 + 0j)
+        assert binomial_coeffs(Polynomial([0, 0, 1])) == (0j, 0j, 1 + 0j)
 
     def test_binomial_power_has_unit_coefficients(self):
         for n in range(1, 9):
             p = poly_from_roots([-1.0] * n)  # (1 + w)^n
-            assert all(
-                abs(g - 1) <= 1e-12 for g in binomial_coeffs(p).gamma
-            )
+            assert all(abs(g - 1) <= 1e-12 for g in binomial_coeffs(p))
 
     def test_padding_to_larger_size(self):
-        bf = binomial_coeffs(Polynomial([1, 1]), n=3)
-        assert bf.n == 3
-        assert bf.gamma == (1 + 0j, (1 / 3) + 0j, 0j, 0j)
+        gamma = binomial_coeffs(Polynomial([1, 1]), n=3)
+        assert gamma == (1 + 0j, (1 / 3) + 0j, 0j, 0j)
         with pytest.raises(ValueError):
             binomial_coeffs(Polynomial([0, 0, 1]), n=1)
 
@@ -243,12 +237,6 @@ class TestBinomialForm:
             p = Polynomial(rng.normal(size=deg + 1) + 1j * rng.normal(size=deg + 1))
             back = from_binomial(binomial_coeffs(p))
             assert coeffs_close(p, back, 1e-12)
-
-    def test_size_validation(self):
-        with pytest.raises(ValueError):
-            BinomialForm(2, (1j,))
-        with pytest.raises(ValueError):
-            BinomialForm(-1, ())
 
 
 class TestScalars:

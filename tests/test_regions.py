@@ -20,7 +20,22 @@ from polarpoly.regions import (
 )
 from polarpoly.roots import RootSet, find_roots
 
-from oracles import brute_force_disk
+from oracles import best_factors, brute_force_disk, region_margin
+
+EPS = float(np.finfo(float).eps)
+REGIONS = (
+    Region(kind="disk", center=0.1 - 0.2j, radius=1.0),
+    Region(kind="half_plane", center=0.3j, normal=1 + 1j),
+    Region(kind="exterior_disk", center=-0.2 + 0j, radius=0.8),
+)
+
+
+def random_points(rng, count, scale):
+    return scale * (rng.uniform(-1, 1, count) + 1j * rng.uniform(-1, 1, count))
+
+
+def root_set(roots):
+    return RootSet(roots=tuple(roots), max_residual=0.0, converged=True)
 
 
 class TestRegion:
@@ -44,8 +59,16 @@ class TestRegion:
 
     def test_contains_uses_tolerance(self):
         disk = Region(kind="disk", center=0j, radius=1.0)
-        assert disk.contains(1.0 + 1e-9, tol=1e-6)
-        assert not disk.contains(1.1, tol=1e-6)
+        assert region_contains(disk, 1.0 + 1e-9) >= -1e-6
+        assert not region_contains(disk, 1.1) >= -1e-6
+
+    @pytest.mark.parametrize("region", REGIONS, ids=lambda r: r.kind)
+    def test_array_margins_match_scalar_margins(self, region):
+        z = random_points(np.random.default_rng(11), 28, 3.0).reshape(7, 4)
+        margins = region_contains(region, z)
+        assert margins.shape == z.shape
+        for point, margin in zip(z.ravel(), margins.ravel()):
+            assert margin == region_contains(region, complex(point))
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -168,6 +191,56 @@ class TestLocalizationCheck:
         for w in report.witnesses:
             assert any(abs(w.beta - b) <= 1e-12 for b in s_zeros.roots)
             assert abs(w.quotient - (0.0 - w.zero) / w.beta) <= 1e-12
+
+    def test_nan_zero_of_q_is_reported(self):
+        q_zeros = root_set([complex(math.nan, 0.0)])
+        s_zeros = root_set([-1.5 + 0.8j, -0.5 - 0.2j])
+        report = localization_check(
+            q_zeros, 0.0, Region(kind="disk", radius=1.0), s_zeros
+        )
+        assert not report.contained
+        assert math.isnan(report.witnesses[0].margin)
+        assert math.isnan(report.max_violation)
+
+    def test_nan_zero_of_s_is_reported(self):
+        # The NaN beta is not the first one, so a strict ">" scan that
+        # starts from the finite beta never picks it.
+        q_zeros = root_set([0.1 + 0j])
+        s_zeros = root_set([-1.5 + 0.8j, complex(math.nan, 0.0)])
+        report = localization_check(
+            q_zeros, 0.0, Region(kind="disk", radius=1.0), s_zeros
+        )
+        assert not report.contained
+        assert cmath.isnan(report.witnesses[0].beta)
+        assert math.isnan(report.witnesses[0].margin)
+        assert math.isnan(report.max_violation)
+
+    @pytest.mark.parametrize("region", REGIONS, ids=lambda r: r.kind)
+    @pytest.mark.parametrize(
+        "shape", [(1, 1), (5, 3), (256, 261)], ids=lambda s: f"{s[0]}x{s[1]}"
+    )
+    def test_matches_pair_by_pair_reference(self, region, shape):
+        rng = np.random.default_rng(shape[0] * 1000 + shape[1])
+        q_roots = [complex(z) for z in random_points(rng, shape[0], 2.0)]
+        s_roots = [complex(b) for b in random_points(rng, shape[1], 3.0)]
+        xi, tol = 0.7 - 0.4j, 1e-6
+        report = localization_check(
+            root_set(q_roots), xi, region, root_set(s_roots), tol=tol
+        )
+
+        def margin(z):
+            return region_margin(
+                region.kind, region.center, region.radius, region.normal, z
+            )
+
+        want = best_factors(q_roots, xi, s_roots, margin)
+        assert len(report.witnesses) == len(want)
+        for w, zeta, (j, quotient, m) in zip(report.witnesses, q_roots, want):
+            assert w.zero == zeta
+            assert w.beta == s_roots[j]
+            assert abs(w.quotient - quotient) <= 4 * EPS * abs(quotient)
+            assert abs(w.margin - m) <= 4 * EPS * (1 + abs(quotient))
+        assert report.contained == all(m >= -tol for _, _, m in want)
 
     def test_s_zero_at_origin_rejected(self):
         q_zeros = find_roots(Polynomial([0, 1]))
