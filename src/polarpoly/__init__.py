@@ -35,7 +35,6 @@ from .polynomial import (
     binomial_coeffs,
     derivative_k,
     from_binomial,
-    make_monic,
     max_coeff_diff,
     poly_from_pairs,
     poly_from_roots,
@@ -95,7 +94,6 @@ __all__ = [
     "grace_convolve",
     "grace_factorize",
     "localization_check",
-    "make_monic",
     "max_coeff_diff",
     "max_modulus",
     "polar_zero_bound",

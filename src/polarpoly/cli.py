@@ -255,10 +255,12 @@ def _cmd_roots(args, parser):
 def _cmd_localize(args, parser):
     P = _require_poly(args, parser)
     n, k, xi = P.degree, args.k, args.xi
-    # S first: it refuses a degree it cannot represent before any work.
+    # The problem refuses P (DegreeZero, NotMonic) and S a degree it
+    # cannot represent (DegreeTooLarge), both before any zero is sought.
+    problem = PolarProblem.centered(P, xi, k)
     S = s_poly(n, k)
     s_roots = s_zeros(n, k)
-    Q = solve_polar(PolarProblem.centered(P, xi, k))
+    Q = solve_polar(problem)
     q_roots = find_roots(Q)
     if args.K is not None:
         region = args.K
@@ -276,10 +278,7 @@ def _cmd_localize(args, parser):
         "K": region.to_dict(),
         "Q_roots": to_pairs(q_roots.roots),
         "S_roots": to_pairs(s_roots.roots),
-        "contained": report.contained,
-        "max_violation": report.max_violation,
-        "tol": report.tol,
-        "witnesses": [w.to_dict() for w in report.witnesses],
+        **report.to_dict(),
         "bound_radius": polar_zero_bound(xi, k),
         "max_zero_modulus": max_modulus(q_roots),
     }
@@ -310,6 +309,8 @@ def _cmd_bound(args, parser):
 
 
 def _cmd_factorize(args, parser):
+    if args.P.degree != args.Q.degree:
+        parser.error("--P and --Q must have the same degree")
     fact = grace_factorize(args.P, args.Q, args.xi)
     payload = {
         "S_R": poly_to_pairs(fact.s_r),

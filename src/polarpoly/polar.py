@@ -45,14 +45,11 @@ from .polynomial import (
 )
 from .roots import (
     _EPS,
-    _DEFAULT_MAX_ITER,
-    _DEFAULT_TOL,
     RootSet,
     _aberth,
-    _horner,
+    _evaluate,
     _newton_polish,
-    _ordered,
-    _oriented,
+    _root_set,
 )
 
 # Relative threshold below which a binomial coefficient counts as zero
@@ -75,20 +72,14 @@ class PolarProblem:
     R: Polynomial
 
     def __post_init__(self):
-        if self.P.degree < 1:
-            raise DegreeZeroError("P must be non-constant")
-        if not self.P.is_monic():
-            raise NotMonicError(
-                "P must be monic",
-                leading=[self.P.leading.real, self.P.leading.imag],
-            )
-        if self.R.degree < 1:
-            raise ValueError("R must have degree >= 1")
-        if not self.R.is_monic():
-            raise NotMonicError(
-                "R must be monic",
-                leading=[self.R.leading.real, self.R.leading.imag],
-            )
+        for name, poly in (("P", self.P), ("R", self.R)):
+            if poly.degree < 1:
+                raise DegreeZeroError(f"{name} must be non-constant")
+            if not poly.is_monic():
+                raise NotMonicError(
+                    f"{name} must be monic",
+                    leading=[poly.leading.real, poly.leading.imag],
+                )
 
     @classmethod
     def centered(cls, P: Polynomial, xi: complex, k: int) -> "PolarProblem":
@@ -138,20 +129,6 @@ def _operator_band(R: Polynomial, n: int) -> list[list[complex]]:
             [R.coeffs[k - d] * scale for d in range(min(k, n - i) + 1)]
         )
     return band
-
-
-def operator_matrix(R: Polynomial, n: int) -> list[list[complex]]:
-    """Matrix of Q -> d^k/dz^k(R*Q) on the monomial basis 1, z, .., z^n.
-
-    Column j holds the image of z^j.  The matrix is upper triangular
-    with bandwidth k: entries below the diagonal and more than k above
-    it vanish, entry (i, i+d) is R_(k-d) * (i+1)_k, and the diagonal
-    entry at j is (j+1)_k.
-    """
-    m = [[0j] * (n + 1) for _ in range(n + 1)]
-    for i, row in enumerate(_operator_band(R, n)):
-        m[i][i : i + len(row)] = row
-    return m
 
 
 def _band_back_substitute(
@@ -262,18 +239,15 @@ def _s_form(n: int, k: int):
     fwd = np.array([math.comb(big_n, j) / top for j in range(k)])
 
     def log_t(w):
-        # log t(w), t'(w)/t(w) and sum_j |t_j w^j| / |t(w)|, by the
-        # Horner of find_roots: in w for |w| <= 1 and in 1/w beyond,
-        # where t(w) = top * w^(k-1) * T(1/w) with T the reversed
-        # polynomial.  4 eps is a power of two, so dividing the noise
-        # floor by it gives the sum exactly.
-        coeffs, x, far = _oriented(fwd, w)
-        p, d, noise = _horner(coeffs, x)
-        ratio = d / p
-        log_w = np.log(np.where(far, w, 1.0))
+        # log t(w), t'(w)/t(w) and sum_j |t_j w^j| / |t(w)|, from the
+        # evaluator of find_roots: beyond |w| = 1 its values are those of
+        # w^-(k-1) t(w) / top, and their ratio is t'/t on both sides.
+        # 4 eps is a power of two, so dividing the noise floor by it
+        # gives the sum exactly.
+        p, d, noise = _evaluate(fwd, w)
+        log_w = np.log(np.where(np.abs(w) > 1.0, w, 1.0))
         log_t = log_top + np.log(p) + (k - 1) * log_w
-        dlog_t = np.where(far, x * ((k - 1) - x * ratio), ratio)
-        return log_t, dlog_t, noise / (4.0 * _EPS) / np.abs(p)
+        return log_t, d / p, noise / (4.0 * _EPS) / np.abs(p)
 
     def evaluate(w):
         # F/s, (F' - k F/w)/s and the noise floor of F/s, so that their
@@ -301,11 +275,11 @@ def s_zeros(n: int, k: int) -> RootSet:
     them, but computed from the form w^k S(w) = (1+w)^(n+k) - t(w), with
     t(w) = sum_{j<k} C(n+k, j) w^j.
 
-    Runs the Aberth-Ehrlich iteration of ``find_roots`` (same settle rule
-    and defaults, same ordering and ``RootSet`` contract) with Newton
-    ratios from S'/S = F'/F - k/w at O(k) cost per point, and a final
-    plain Newton polish in the same form.  In the monomial basis S is
-    ill conditioned from n of about 40 on (the dense finder reports
+    Runs the pipeline of ``find_roots`` (the same iteration, settle
+    rule, defaults, polish rule, ordering and ``RootSet`` contract) with
+    Newton ratios from S'/S = F'/F - k/w at O(k) cost per point, t'/t
+    coming from the evaluator of ``find_roots``.  In the monomial basis
+    S is ill conditioned from n of about 40 on (the dense finder reports
     converged zeros of S(41, 1) that are off by 0.3); in this form the
     zeros come out to a few units of rounding at every accepted degree.
     The iteration starts on the curve |1+w|^(n+k) = |t(w)|, which passes
@@ -325,14 +299,9 @@ def s_zeros(n: int, k: int) -> RootSet:
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for _ in range(_START_STEPS):
             radius = np.exp(log_t(radius * ray - 1.0)[0].real / (n + k))
-        z, converged = _aberth(
-            radius * ray - 1.0, evaluate, _DEFAULT_TOL, _DEFAULT_MAX_ITER
-        )
+        z, converged = _aberth(radius * ray - 1.0, evaluate)
         z, f, _, noise = _newton_polish(evaluate, z)
-        residual = float((4.0 * _EPS * np.abs(f) / noise).max())
-    return RootSet(
-        roots=_ordered(z), max_residual=residual, converged=converged
-    )
+    return _root_set(z, f, noise, converged)
 
 
 def grace_convolve(p: Polynomial, q: Polynomial) -> Polynomial:
@@ -351,10 +320,7 @@ def grace_convolve(p: Polynomial, q: Polynomial) -> Polynomial:
 
 
 def grace_factorize(
-    P: Polynomial,
-    Q: Polynomial,
-    xi: complex,
-    tol: float = VANISHING_RTOL,
+    P: Polynomial, Q: Polynomial, xi: complex
 ) -> GraceFactorization:
     """Extract S_R with P(xi+w) convolved with S_R equal to Q(xi+w).
 
@@ -365,8 +331,8 @@ def grace_factorize(
     reproduce that term and FactorizationImpossible is raised.
 
     Vanishing is judged relative to the largest coefficient of the
-    respective polynomial (threshold ``tol``), which keeps the test
-    independent of an overall scale.
+    respective polynomial (threshold ``VANISHING_RTOL``), which keeps
+    the test independent of an overall scale.
     """
     if P.degree != Q.degree:
         raise ValueError("P and Q must have the same degree")
@@ -376,8 +342,8 @@ def grace_factorize(
     qs = taylor_shift(Q, xi)
     alpha = binomial_coeffs(ps, n)
     beta = binomial_coeffs(qs, n)
-    alpha_cut = tol * max(abs(a) for a in alpha)
-    beta_cut = tol * max(abs(b) for b in beta)
+    alpha_cut = VANISHING_RTOL * max(abs(a) for a in alpha)
+    beta_cut = VANISHING_RTOL * max(abs(b) for b in beta)
     c = []
     for j in range(n + 1):
         if abs(alpha[j]) <= alpha_cut:

@@ -53,14 +53,8 @@ class Polynomial:
     def is_zero(self) -> bool:
         return self.coeffs == (0j,)
 
-    def is_monic(self, tol: float = MONIC_TOL) -> bool:
-        return abs(self.leading - 1.0) <= tol
-
-    def __call__(self, z: complex) -> complex:
-        acc = 0j
-        for c in reversed(self.coeffs):
-            acc = acc * z + c
-        return acc
+    def is_monic(self) -> bool:
+        return abs(self.leading - 1.0) <= MONIC_TOL
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Polynomial):
@@ -72,16 +66,6 @@ class Polynomial:
 
     def __repr__(self) -> str:
         return f"Polynomial({list(self.coeffs)!r})"
-
-
-def make_monic(p: Polynomial) -> Polynomial:
-    """Divide through by the leading coefficient."""
-    lead = p.leading
-    if lead == 0:
-        raise ValueError("cannot normalize the zero polynomial")
-    if lead == 1.0:
-        return p
-    return Polynomial(c / lead for c in p.coeffs)
 
 
 def poly_mul(p: Polynomial, q: Polynomial) -> Polynomial:

@@ -7,9 +7,10 @@ outputs.  Multiple roots are returned as clusters; the residual and
 Vieta diagnostics are the arbiters of quality in that case.
 
 Vanishing low coefficients give exact zeros at 0.  The starts come
-from the Newton polygon of the coefficients (Bini 1996; MPSolve), and
-Horner's rule runs on the reversed coefficients at 1/z where |z| > 1,
-so no power of a large z is formed at any degree.
+from the Newton polygon of the coefficients (Bini 1996; MPSolve).  One
+evaluator, ``_evaluate``, gives p, p' and the noise floor of the
+evaluation; it runs Horner's rule on the reversed coefficients at 1/z
+where |z| > 1, so no power of a large z is formed at any degree.
 
 A root counts as settled when its Newton correction |p/p'| drops below
 ``tol`` or when the polynomial value at the iterate is already below
@@ -17,16 +18,19 @@ the floating point noise floor of its evaluation, in which case no
 further double-precision progress is possible.  The Aberth correction
 is not a settle test: it is tiny whenever two iterates sit close
 together, also when both approach the same zero and another is missed.
-Roots whose attainable plain accuracy is poor (heavy coefficient
-cancellation) get one more Newton step with the value from compensated
-Horner (Graillat, Langlois and Louvet), which is as accurate as
-evaluation in twice the working precision; the step is kept only where
-the normwise residual drops.
 
-The iteration itself (``_aberth``) and the plain Newton polish
-(``_newton_polish``) take the evaluator as an argument, so a polynomial
-with a better form than its dense coefficients (see
-``polar.s_zeros``) runs the same update with its own evaluator.
+One polish rule follows: a Newton step is kept only where the
+normwise residual |p|/noise drops.  |p| alone can drop on a long step
+to where every term of p is smaller, while the residual there is far
+larger.  Roots whose attainable plain accuracy is poor (heavy
+coefficient cancellation) get one more such step with the value from
+compensated Horner (Graillat, Langlois and Louvet), which is as
+accurate as evaluation in twice the working precision.
+
+The iteration (``_aberth``) and the polish (``_newton_polish``) take
+the evaluator as an argument, and ``_root_set`` builds the result, so
+a polynomial with a better form than its dense coefficients (see
+``polar.s_zeros``) runs the same pipeline with its own evaluator.
 """
 
 from __future__ import annotations
@@ -43,9 +47,7 @@ from .polynomial import Polynomial
 # Fixed angular twist keeping initial guesses off symmetry axes.
 _ANGLE_TWIST = 0.4241438680420134
 
-_NEWTON_POLISH_STEPS = 3
-
-# Defaults of find_roots, shared by every caller of _aberth.
+# Defaults of find_roots and of _aberth, which s_zeros runs with them.
 _DEFAULT_TOL = 1e-12
 _DEFAULT_MAX_ITER = 200
 
@@ -108,10 +110,14 @@ def _oriented(a: np.ndarray, z: np.ndarray):
     return np.where(far, a[::-1, None], a[:, None]), x, far
 
 
-def _horner(coeffs: np.ndarray, x: np.ndarray):
-    # Value, derivative and the noise floor 4 eps sum_i |c_i| |x|^i of
-    # the ascending coefficients at x, in one sweep; |p| values below
-    # the noise floor are indistinguishable from zero in doubles.
+def _evaluate(a: np.ndarray, z: np.ndarray):
+    # p, p' and the noise floor 4 eps sum_i |a_i| |z|^i of the ascending
+    # coefficients a at z, in one Horner sweep and in the scale of
+    # _oriented: beyond |z| = 1 all three are those of z^-deg p(z), and
+    # there p'(z) z^-deg = (deg rev(x) - x rev'(x)) x with x = 1/z.
+    # |p| values below the noise floor are indistinguishable from zero
+    # in doubles.
+    coeffs, x, far = _oriented(a, z)
     ax = np.abs(x)
     sizes = np.abs(coeffs)
     p = np.zeros_like(x) + coeffs[-1]
@@ -121,6 +127,8 @@ def _horner(coeffs: np.ndarray, x: np.ndarray):
         d = d * x + p
         p = p * x + c
         size = size * ax + s
+    if far is not False:
+        d = np.where(far, ((len(a) - 1) * p - x * d) * x, d)
     return p, d, 4.0 * _EPS * size
 
 
@@ -166,16 +174,17 @@ def _horner_comp(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
     return (p[0] + 1j * p[1]) + err
 
 
-def _newton_polish(evaluate, z: np.ndarray):
-    # Plain Newton steps, each accepted only where it reduces |p|.
-    # ``evaluate`` gives p, p' and the noise floor in any per-point
-    # scale that varies smoothly with z; returns z and those three at z.
+def _newton_polish(evaluate, z: np.ndarray, steps: int = 3):
+    # Up to ``steps`` Newton steps, each kept only where it lowers the
+    # normwise residual |p|/noise, so never from p' = 0.  ``evaluate``
+    # gives p, p' and the noise floor in any per-point scale that varies
+    # smoothly with z; returns z and those three at z.
     pv, dv, noise = evaluate(z)
-    for _ in range(_NEWTON_POLISH_STEPS):
+    for _ in range(steps):
         dv_safe = np.where(dv == 0, 1.0, dv)
         cand = np.where(dv == 0, z, z - pv / dv_safe)
         pc, dc, nc = evaluate(cand)
-        improved = np.abs(pc) < np.abs(pv)
+        improved = np.abs(pc) * noise < np.abs(pv) * nc
         if not improved.any():
             break
         z = np.where(improved, cand, z)
@@ -185,37 +194,24 @@ def _newton_polish(evaluate, z: np.ndarray):
     return z, pv, dv, noise
 
 
-def _compensated_step(a: np.ndarray, z, pv, dv, noise):
-    # One Newton step, in place in z, pv and noise, with p from
-    # compensated Horner, for the roots whose attainable plain accuracy
-    # noise/|p'| is poor (heavy cancellation); kept only where the
-    # normwise residual |p|/noise drops, so never from p' = 0.  |p|
-    # alone can drop on a long step to where every term of p is
-    # smaller, while the residual there is far larger.
-    poor = np.flatnonzero(noise > 2e-11 * (1.0 + np.abs(z)) * np.abs(dv))
-    if not poor.size:
-        return
-    zp, dp, n0 = z[poor], dv[poor], noise[poor]
-    p0 = _horner_comp(*_oriented(a, zp)[:2])
-    cand = zp - p0 / dp
-    coeffs, x = _oriented(a, cand)[:2]
-    p1, n1 = _horner_comp(coeffs, x), _horner(coeffs, x)[2]
-    better = np.abs(p1) * n0 < np.abs(p0) * n1
-    z[poor] = np.where(better, cand, zp)
-    pv[poor] = np.where(better, p1, p0)
-    noise[poor] = np.where(better, n1, n0)
-
-
-def _aberth(z: np.ndarray, evaluate, tol: float, max_iter: int):
+def _aberth(
+    z: np.ndarray,
+    evaluate,
+    tol: float = _DEFAULT_TOL,
+    max_iter: int = _DEFAULT_MAX_ITER,
+):
     """Simultaneous Aberth-Ehrlich sweeps from the start vector ``z``.
 
-    ``evaluate(v)`` returns p(v), p'(v) and the noise floor of p at v
-    first, all three in one per-point scale of the caller's choice: only
-    the Newton ratio p/p' and the comparison of |p| with the noise floor
-    are used.  Each sweep evaluates and moves the active roots only;
-    settled roots freeze but keep repelling the others.  Returns the
-    final iterates and whether every root settled within ``max_iter``
-    sweeps.
+    ``evaluate(v)`` returns p(v), p'(v) and the noise floor of p at v,
+    all three in one per-point scale of the caller's choice: only the
+    Newton ratio p/p' and the comparison of |p| with the noise floor
+    are used.  ``_evaluate`` is that evaluator for dense coefficients;
+    ``polar.s_zeros`` passes its own, built on it.  Each sweep
+    evaluates and moves the active roots only; settled roots freeze but
+    keep repelling the others.  Returns the final iterates and whether
+    every root settled within ``max_iter`` sweeps.  The caller then
+    polishes with ``_newton_polish`` (same evaluator, one acceptance
+    rule) and builds the result with ``_root_set``.
     """
     z = np.array(z, dtype=np.complex128)
     active = np.arange(len(z))
@@ -255,15 +251,21 @@ def _aberth(z: np.ndarray, evaluate, tol: float, max_iter: int):
     return z, not active.size
 
 
-def _ordered(z: np.ndarray) -> tuple[complex, ...]:
-    return tuple(sorted((complex(v) for v in z), key=_sort_key))
-
-
 def _sort_key(z: complex):
     phase = cmath.phase(z)
     if phase <= -math.pi:
         phase = math.pi
     return (abs(z), phase)
+
+
+def _root_set(z, p, noise, converged: bool) -> RootSet:
+    # The zeros z, ordered, with the normwise residual max 4 eps |p| /
+    # noise over the values p and noise floors the polish ended with
+    # (zeros found exactly may be left out of p and noise).
+    with np.errstate(invalid="ignore", divide="ignore"):
+        residual = float((4.0 * _EPS * np.abs(p) / noise).max(initial=0.0))
+    roots = tuple(sorted((complex(v) for v in z), key=_sort_key))
+    return RootSet(roots=roots, max_residual=residual, converged=converged)
 
 
 def find_roots(
@@ -301,21 +303,24 @@ def find_roots(
         return RootSet(roots=(0j,) * n, max_residual=0.0, converged=True)
 
     def evaluate(v):
-        # p, p' and the noise floor, all in the scale of _oriented:
-        # beyond |v| = 1, p'(v) v^-n = (n rev(x) - x rev'(x)) x.
-        coeffs, x, far = _oriented(a, v)
-        pv, dv, noise = _horner(coeffs, x)
-        if far is not False:
-            dv = np.where(far, ((n - m) * pv - x * dv) * x, dv)
-        return pv, dv, noise
+        return _evaluate(a, v)
+
+    def compensated(v):
+        # p from compensated Horner, p' and the noise floor as above.
+        _, dv, noise = _evaluate(a, v)
+        return _horner_comp(*_oriented(a, v)[:2]), dv, noise
 
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         z, converged = _aberth(_hull_starts(a), evaluate, tol, max_iter)
         z, pv, dv, noise = _newton_polish(evaluate, z)
-        _compensated_step(a, z, pv, dv, noise)
-        residual = float((4.0 * _EPS * np.abs(pv) / noise).max())
-    ordered = _ordered(np.concatenate([np.zeros(m, dtype=complex), z]))
-    return RootSet(roots=ordered, max_residual=residual, converged=converged)
+        # One compensated step where the attainable plain accuracy
+        # noise/|p'| is poor (heavy cancellation).
+        poor = noise > 2e-11 * (1.0 + np.abs(z)) * np.abs(dv)
+        if poor.any():
+            z[poor], pv[poor], _, noise[poor] = _newton_polish(
+                compensated, z[poor], 1
+            )
+    return _root_set(np.concatenate([np.zeros(m), z]), pv, noise, converged)
 
 
 def max_modulus(rs: RootSet) -> float:

@@ -319,11 +319,10 @@ def case_metrics(
     }
 
 
-def replay_case(data: dict, containment_tol: float = 1e-6) -> dict:
-    """Recompute the metrics of a dumped instance, standalone."""
-    return case_metrics(
-        CaseInstance.from_dict(data), containment_tol=containment_tol
-    )
+def replay_case(data: dict) -> dict:
+    """Recompute the metrics of a dumped instance, standalone; none of
+    them depends on the containment tolerance."""
+    return case_metrics(CaseInstance.from_dict(data))
 
 
 def run_property_suite(cfg: SuiteConfig | None = None) -> SuiteReport:

@@ -177,6 +177,14 @@ class TestSolve:
         payload = json.loads(out.stdout)
         assert payload["error"] == "NotMonic"
 
+    def test_constant_r_domain_error(self, run_cli):
+        out = run_cli("solve", "--P", "[[1,0],[1,0]]", "--R", "[[1,0]]")
+        assert out.returncode == 1
+        assert json.loads(out.stdout) == {
+            "error": "DegreeZero", "message": "R must be non-constant",
+        }
+        assert "Traceback" not in out.stderr
+
     def test_csv_format(self, run_cli):
         out = run_cli(
             "solve", "--P", "[[-0.25,0],[0,0],[1,0]]",
@@ -274,7 +282,33 @@ class TestFactorize:
         assert payload["exact_match_error"] <= 1e-10
 
 
+    def test_unequal_degrees_usage_error(self, run_cli):
+        out = run_cli(
+            "factorize", "--P", "[[1,0],[1,0]]",
+            "--Q", "[[1,0],[0,0],[1,0]]", "--xi", "0",
+        )
+        assert out.returncode == 2
+        assert out.stdout == ""
+        assert "--P and --Q must have the same degree" in out.stderr
+        assert "Traceback" not in out.stderr
+
+
 class TestLocalize:
+    def test_constant_p_domain_error(self, run_cli):
+        out = run_cli("localize", "--P", "[[1,0]]", "--xi", "0", "--k", "1")
+        assert out.returncode == 1
+        assert json.loads(out.stdout) == {
+            "error": "DegreeZero", "message": "P must be non-constant",
+        }
+        assert "Traceback" not in out.stderr
+
+    def test_non_monic_reported_before_degree_too_large(self, run_cli):
+        # n + k = 1031 is beyond S, but P is refused first.
+        coeffs = json.dumps([[1, 0]] * 1030 + [[2, 0]])
+        out = run_cli("localize", "--P", coeffs, "--xi", "0", "--k", "1")
+        assert out.returncode == 1
+        assert json.loads(out.stdout)["error"] == "NotMonic"
+
     def test_pipeline_contained(self, run_cli):
         out = run_cli(
             "localize", "--P", "[[-0.25,0],[0,0],[1,0]]",

@@ -13,10 +13,10 @@ from polarpoly.errors import (
 )
 from polarpoly.polar import (
     PolarProblem,
+    _operator_band,
     apply_tr,
     grace_convolve,
     grace_factorize,
-    operator_matrix,
     s_poly,
     s_zeros,
     solve_polar,
@@ -73,6 +73,10 @@ class TestProblem:
     def test_rejects_constant_p(self):
         with pytest.raises(DegreeZeroError):
             PolarProblem(Polynomial([1]), Polynomial([0, 1]))
+
+    def test_rejects_constant_r(self):
+        with pytest.raises(DegreeZeroError, match="R must be non-constant"):
+            PolarProblem(Polynomial([0, 1]), Polynomial([1]))
 
     def test_centered_builds_linear_power(self):
         prob = PolarProblem.centered(Polynomial([0, 1]), 1.0, 2)
@@ -452,19 +456,25 @@ class TestGraceFactorize:
 
 class TestOperatorMatrix:
     def test_triangular_structure(self):
-        # Upper triangular with bandwidth k; entry (i, j) in the band is
-        # r_(k-(j-i)) * (i+1)_k, the z^i coefficient of (r z^j)^(k).
+        # Row i of the band holds the entries (i, i), .., (i, min(i+k, n))
+        # of the upper triangular matrix with bandwidth k; entry (i, j)
+        # is r_(k-(j-i)) * (i+1)_k, the z^i coefficient of (r z^j)^(k),
+        # and every entry outside the band is zero.
         rng = np.random.default_rng(41)
         r = sample_monic(rng, 3)
         n, k = 6, 3
-        m = operator_matrix(r, n)
-        for i in range(n + 1):
-            for j in range(n + 1):
-                if i > j or j > i + k:
-                    assert m[i][j] == 0
-                else:
-                    scale = rising_factorial(i + 1, k)
-                    assert m[i][j] == r.coeffs[k - (j - i)] * scale
+        band = _operator_band(r, n)
+        assert [len(row) for row in band] == [4, 4, 4, 4, 3, 2, 1]
+        for i, row in enumerate(band):
+            for d, entry in enumerate(row):
+                scale = rising_factorial(i + 1, k)
+                assert entry == r.coeffs[k - d] * scale
+        # Outside the band: the image of z^j has degree j and lowest
+        # term z^(j-k).
+        for j in range(n + 1):
+            image = apply_tr(r, Polynomial([0] * j + [1])).coeffs
+            assert len(image) == j + 1
+            assert all(c == 0 for c in image[: max(j - k, 0)])
 
     def test_determinant_in_exact_integers(self):
         # The diagonal entries are integer rising factorials even for
@@ -473,10 +483,10 @@ class TestOperatorMatrix:
         for n in range(1, 13):
             for k in range(1, 6):
                 r = sample_monic(rng, k)
-                m = operator_matrix(r, n)
+                band = _operator_band(r, n)
                 det = 1
                 for j in range(n + 1):
-                    diag = m[j][j]
+                    diag = band[j][0]
                     assert diag.imag == 0.0
                     assert float(diag.real).is_integer()
                     det *= int(diag.real)

@@ -11,7 +11,6 @@ from polarpoly.polynomial import (
     from_binomial,
     from_pair,
     from_pairs,
-    make_monic,
     max_coeff_diff,
     poly_from_pairs,
     poly_from_roots,
@@ -22,6 +21,7 @@ from polarpoly.polynomial import (
     taylor_shift,
     to_pairs,
 )
+from polarpoly.roots import _evaluate
 
 from oracles import eval_poly
 
@@ -51,19 +51,21 @@ class TestConstruction:
         q = Polynomial([1e-20])
         assert not q.is_zero()
 
-    def test_monic_predicate_and_make_monic(self):
-        p = Polynomial([2, 4])
-        assert not p.is_monic()
-        m = make_monic(p)
-        assert m.is_monic()
-        assert m.coeffs == (0.5 + 0j, 1 + 0j)
-        with pytest.raises(ValueError):
-            make_monic(Polynomial([0]))
+    def test_monic_predicate(self):
+        assert not Polynomial([2, 4]).is_monic()
+        assert Polynomial([0.5, 1]).is_monic()
+        assert Polynomial([0.5, 1 + 1e-13]).is_monic()
+        assert not Polynomial([0.5, 1 + 1e-11]).is_monic()
 
     def test_evaluation(self):
-        p = Polynomial([1, 0, 1])  # 1 + z^2
-        assert p(2) == 5
-        assert p(1j) == 0
+        # The one Horner evaluator, roots._evaluate: p itself inside the
+        # unit circle, z^-2 p(z) beyond it.
+        a = np.array(Polynomial([1, 0, 1]).coeffs)  # 1 + z^2
+        p, dp, _ = _evaluate(a, np.array([1j, 0.5]))
+        assert list(p) == [0, 1.25]
+        assert list(dp) == [2j, 1]
+        p, dp, _ = _evaluate(a, np.array([2.0]))
+        assert p[0] == 5 / 4 and dp[0] == 4 / 4
 
 
 class TestMul:

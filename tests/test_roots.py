@@ -9,15 +9,17 @@ from polarpoly.errors import DegreeZeroError, EmptyRootSetError
 from polarpoly.polar import PolarProblem, s_poly, s_zeros, solve_polar
 from polarpoly.polynomial import (
     Polynomial,
-    make_monic,
     max_coeff_diff,
     poly_from_roots,
     sup_norm,
 )
 from polarpoly.roots import (
     RootSet,
+    _evaluate,
     _horner_comp,
+    _newton_polish,
     _oriented,
+    _root_set,
     find_roots,
     max_modulus,
     vieta_residuals,
@@ -165,7 +167,7 @@ class TestReconstruction:
             rs = find_roots(p)
             assert rs.converged
             rebuilt = poly_from_roots(rs.roots)
-            assert max_coeff_diff(rebuilt, make_monic(p)) <= 1e-8 * sup_norm(p)
+            assert max_coeff_diff(rebuilt, p) <= 1e-8 * sup_norm(p)
 
     def test_vieta_identities(self):
         rng = np.random.default_rng(13)
@@ -315,3 +317,72 @@ class TestCompensatedHorner:
             mods = rng.uniform(*radius, size=12)
             points = mods * np.exp(2j * math.pi * rng.random(12))
             self.assert_accurate(coeffs, points)
+
+
+class TestSharedPipeline:
+    """The pieces find_roots and polar.s_zeros both run."""
+
+    @pytest.mark.parametrize("degree", [0, 1, 2, 5, 256])
+    def test_evaluate_ratio_matches_polyval(self, degree):
+        # p'/p does not depend on the scale _evaluate reports p and p'
+        # in, so it must match plain evaluation on both sides of |z| = 1.
+        # Degree 0 is t(w) of s_zeros at k = 1.
+        rng = np.random.default_rng(23 + degree)
+        a = [1.0, 1j] @ rng.normal(size=(2, degree + 1))
+        mods = np.array([0.3, 0.9, 0.999, 1.0, 1.001, 1.1, 1.9])
+        z = mods * np.exp(2j * math.pi * rng.random(len(mods)))
+        p, dp, noise = _evaluate(a, z)
+        want = np.polyval(np.polyder(a[::-1]), z) / np.polyval(a[::-1], z)
+        if degree == 0:
+            assert (dp == 0).all()
+            assert (want == 0).all()
+        else:
+            rel = np.abs(dp / p - want) / np.abs(want)
+            assert rel.max() <= 1e-10
+        assert (noise > 0).all()
+        # Mixed sides in one call give the values of one point per call
+        # (the noise floor up to its last bits: np.abs may round a
+        # strided array differently).
+        for i in range(len(z)):
+            one = _evaluate(a, z[i : i + 1])
+            assert (one[0][0], one[1][0]) == (p[i], dp[i])
+            assert one[2][0] == pytest.approx(noise[i], rel=4 * EPS)
+
+    def test_polish_rejects_step_that_raises_normwise_residual(self):
+        # The step from 0 lands at 1, where |p| halves but the noise
+        # floor drops a thousandfold: |p|/noise rises from 1 to 500, so
+        # the step is refused although |p| alone went down.
+        def evaluate(z):
+            at_start = z == 0
+            p = np.where(at_start, 1.0, 0.5) + 0j
+            noise = np.where(at_start, 1.0, 1e-3)
+            return p, np.full(z.shape, -1.0 + 0j), noise
+
+        z, p, dp, noise = _newton_polish(evaluate, np.zeros(1, complex))
+        assert (z[0], p[0], noise[0]) == (0, 1, 1.0)
+
+    def test_polish_keeps_step_that_lowers_normwise_residual(self):
+        # Same step, same |p| drop, but the noise floor stays: kept, and
+        # only as many steps as asked for are taken.
+        def evaluate(z):
+            p = 0.5**z.real + 0j
+            return p, np.full(z.shape, -1.0 + 0j), np.ones(z.shape)
+
+        z, p, _, _ = _newton_polish(evaluate, np.zeros(1, complex), 1)
+        assert (z[0], p[0]) == (1, 0.5)
+        want = 0.0
+        for _ in range(3):
+            want += 0.5**want
+        z, p, _, _ = _newton_polish(evaluate, np.zeros(1, complex))
+        assert (z[0], p[0]) == (want, 0.5**want)
+
+    def test_root_set_orders_and_skips_exact_zeros(self):
+        # Zeros found exactly have no polish values; the residual is the
+        # largest 4 eps |p| / noise of the rest.
+        z = np.array([0, -1, 1j, 0.5])
+        p = np.array([EPS, 0.0, 2 * EPS])
+        rs = _root_set(z, p, np.full(3, 4 * EPS), True)
+        assert rs.roots == (0j, 0.5, 1j, -1)
+        assert rs.max_residual == 2 * EPS
+        assert rs.converged
+        assert _root_set(z[:1], [], [], False).max_residual == 0.0
