@@ -35,11 +35,11 @@ from .polynomial import (
     binomial_coeffs,
     derivative_k,
     from_binomial,
+    jsonable,
     max_coeff_diff,
     poly_from_pairs,
     poly_from_roots,
     poly_mul,
-    poly_to_pairs,
     rising_factorial,
     sup_norm,
     taylor_shift,
@@ -93,6 +93,7 @@ __all__ = [
     "from_binomial",
     "grace_convolve",
     "grace_factorize",
+    "jsonable",
     "localization_check",
     "max_coeff_diff",
     "max_modulus",
@@ -100,7 +101,6 @@ __all__ = [
     "poly_from_pairs",
     "poly_from_roots",
     "poly_mul",
-    "poly_to_pairs",
     "region_contains",
     "replay_case",
     "reproduce_paper_examples",

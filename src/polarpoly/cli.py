@@ -26,11 +26,9 @@ from .polar import (
 from .polynomial import (
     Polynomial,
     from_pairs,
+    jsonable,
     poly_from_pairs,
     poly_from_roots,
-    poly_to_pairs,
-    taylor_shift,
-    to_pairs,
 )
 from .regions import Region, enclosing_disk, localization_check, polar_zero_bound
 from .roots import find_roots, max_modulus
@@ -229,56 +227,49 @@ def _cmd_solve(args, parser):
             parser.error("solve needs either --R or both --xi and --k")
         Q = solve_polar(PolarProblem.centered(P, args.xi, args.k))
         k, path = args.k, "centered"
-    payload = {"Q": poly_to_pairs(Q), "n": P.degree, "k": k, "path": path}
+    payload = {"Q": Q, "n": P.degree, "k": k, "path": path}
     return payload, (["index", "re", "im"], _index_rows(Q.coeffs)), None, 0
 
 
 def _cmd_spoly(args, parser):
     S = s_poly(args.n, args.k)
-    payload = {"S": poly_to_pairs(S), "n": args.n, "k": args.k}
+    payload = {"S": S, "n": args.n, "k": args.k}
     return payload, (["index", "re", "im"], _index_rows(S.coeffs)), None, 0
 
 
 def _cmd_roots(args, parser):
     P = _require_poly(args, parser)
     rs = find_roots(P, tol=args.tol)
-    payload = {
-        "roots": to_pairs(rs.roots),
-        "max_residual": rs.max_residual,
-        "converged": rs.converged,
-    }
     rows = (["index", "re", "im"], _index_rows(rs.roots))
     scene = render_scene([("zero", rs.roots)]) if args.svg else None
-    return payload, rows, scene, 0
+    return rs, rows, scene, 0
 
 
 def _cmd_localize(args, parser):
     P = _require_poly(args, parser)
     n, k, xi = P.degree, args.k, args.xi
-    # The problem refuses P (DegreeZero, NotMonic) and S a degree it
-    # cannot represent (DegreeTooLarge), both before any zero is sought.
+    # The problem refuses P (DegreeZero, NotMonic), then sizes it or S
+    # cannot represent (DegreeTooLarge), before any zero is sought.
     problem = PolarProblem.centered(P, xi, k)
     S = s_poly(n, k)
     s_roots = s_zeros(n, k)
     Q = solve_polar(problem)
     q_roots = find_roots(Q)
-    if args.K is not None:
-        region = args.K
-    elif args.P_roots is not None:
-        region = enclosing_disk([z - xi for z in args.P_roots])
-    else:
-        region = enclosing_disk(find_roots(taylor_shift(P, xi)).roots)
+    region = args.K
+    if region is None:
+        zeros = args.P_roots or find_roots(P).roots
+        region = enclosing_disk([z - xi for z in zeros])
     report = localization_check(q_roots, xi, region, s_roots, tol=args.tol)
     payload = {
         "n": n,
         "k": k,
-        "xi": [xi.real, xi.imag],
-        "Q": poly_to_pairs(Q),
-        "S": poly_to_pairs(S),
+        "xi": xi,
+        "Q": Q,
+        "S": S,
         "K": region.to_dict(),
-        "Q_roots": to_pairs(q_roots.roots),
-        "S_roots": to_pairs(s_roots.roots),
-        **report.to_dict(),
+        "Q_roots": q_roots.roots,
+        "S_roots": s_roots.roots,
+        **vars(report),
         "bound_radius": polar_zero_bound(xi, k),
         "max_zero_modulus": max_modulus(q_roots),
     }
@@ -313,8 +304,8 @@ def _cmd_factorize(args, parser):
         parser.error("--P and --Q must have the same degree")
     fact = grace_factorize(args.P, args.Q, args.xi)
     payload = {
-        "S_R": poly_to_pairs(fact.s_r),
-        "c": to_pairs(fact.c),
+        "S_R": fact.s_r,
+        "c": fact.c,
         "exact_match_error": fact.exact_match_error,
     }
     rows = (["index", "c_re", "c_im"], _index_rows(fact.c))
@@ -348,9 +339,8 @@ def main(argv=None) -> int:
     try:
         payload, rows, scene, code = args.func(args, parser)
     except DomainError as exc:
-        out = {"error": exc.code, "message": str(exc)}
-        out.update(exc.details)
-        print(json.dumps(out, sort_keys=True))
+        out = {"error": exc.code, "message": str(exc), **exc.details}
+        print(json.dumps(jsonable(out), sort_keys=True))
         return 1
     if scene is not None:
         with open(args.svg, "w", encoding="utf-8") as fh:
@@ -362,7 +352,7 @@ def main(argv=None) -> int:
         writer.writerow(header)
         writer.writerows(body)
     else:
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        print(json.dumps(jsonable(payload), indent=2, sort_keys=True))
     return code
 
 

@@ -1,8 +1,9 @@
 """Domain error types shared across the library.
 
 Every error carries a stable ``code`` string which the CLI reports
-verbatim in its JSON error output.  ``details`` holds JSON-safe extra
-context (complex values are stored as ``[re, im]`` pairs).
+verbatim in its JSON error output.  ``details`` holds the values of
+extra context as they are (a complex number stays complex); the CLI
+writes them into that output through ``polynomial.jsonable``.
 """
 
 from __future__ import annotations
@@ -55,12 +56,7 @@ class FactorizationImpossible(DomainError):
     code = "FactorizationImpossible"
 
     def __init__(self, message: str, index: int, alpha: complex, beta: complex):
-        super().__init__(
-            message,
-            index=index,
-            alpha=[alpha.real, alpha.imag],
-            beta=[beta.real, beta.imag],
-        )
+        super().__init__(message, index=index, alpha=alpha, beta=beta)
         self.index = index
         self.alpha = alpha
         self.beta = beta

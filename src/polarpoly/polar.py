@@ -64,28 +64,51 @@ RECONSTRUCTION_RTOL = 1e-10
 _START_STEPS = 4
 
 
+def _check_factor(name: str, poly: Polynomial) -> None:
+    if poly.degree < 1:
+        raise DegreeZeroError(f"{name} must be non-constant")
+    if not poly.is_monic():
+        raise NotMonicError(f"{name} must be monic", leading=poly.leading)
+
+
+def _check_scale(n: int, k: int) -> None:
+    # The operator's diagonal (j+1)_k, j = 0..n, peaks at (n+1)_k, the
+    # scale of the right-hand side; every entry fits a double with it.
+    try:
+        float(rising_factorial(n + 1, k))
+    except OverflowError:
+        raise DegreeTooLargeError(
+            f"the operator for n = {n}, k = {k} needs (n+1)_k, which "
+            "exceeds the double range",
+            n=n,
+            k=k,
+        ) from None
+
+
 @dataclass(frozen=True)
 class PolarProblem:
-    """The data (P, R) of the equation d^k/dz^k(R*Q) = (n+1)_k * P."""
+    """The data (P, R) of the equation d^k/dz^k(R*Q) = (n+1)_k * P.
+
+    Raises DegreeZeroError or NotMonicError for P, then for R, and
+    DegreeTooLargeError where (n+1)_k exceeds the double range.
+    """
 
     P: Polynomial
     R: Polynomial
 
     def __post_init__(self):
-        for name, poly in (("P", self.P), ("R", self.R)):
-            if poly.degree < 1:
-                raise DegreeZeroError(f"{name} must be non-constant")
-            if not poly.is_monic():
-                raise NotMonicError(
-                    f"{name} must be monic",
-                    leading=[poly.leading.real, poly.leading.imag],
-                )
+        _check_factor("P", self.P)
+        _check_factor("R", self.R)
+        _check_scale(self.n, self.k)
 
     @classmethod
     def centered(cls, P: Polynomial, xi: complex, k: int) -> "PolarProblem":
-        """Problem with R = (z - xi)^k."""
+        """Problem with R = (z - xi)^k; P and the scale are checked
+        before R is expanded, which takes O(k^2)."""
         if k < 1:
             raise ValueError("k must be a positive integer")
+        _check_factor("P", P)
+        _check_scale(P.degree, k)
         return cls(P, poly_from_roots([complex(xi)] * k))
 
     @property

@@ -13,13 +13,14 @@ the point of use, which keeps them cancellation-free for sizes up to
 n + k of about 60.
 
 In JSON a complex number is an ``[re, im]`` pair of finite numbers.
-Every reader of that form goes through the codec at the end of this
-module (``from_pair``, ``from_pairs``); ``to_pairs`` writes lists of
-them.
+The codec at the end of this module is the one home of that form: its
+readers (``from_pair``, ``from_pairs``, ``poly_from_pairs``) parse it
+and its one writer, ``jsonable``, writes every result in it.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from itertools import zip_longest
 from typing import Iterable, Sequence
@@ -209,16 +210,28 @@ def from_pairs(data, what: str) -> list[complex]:
     return [from_pair(item, f"each {what}") for item in data]
 
 
-def to_pairs(values: Iterable[complex]) -> list[list[float]]:
-    """JSON form of complex numbers: ``[re, im]`` pairs."""
-    return [[v.real, v.imag] for v in values]
-
-
-def poly_to_pairs(p: Polynomial) -> list[list[float]]:
-    """JSON form: ascending ``[re, im]`` pairs."""
-    return to_pairs(p.coeffs)
-
-
 def poly_from_pairs(data) -> Polynomial:
     """Parse the JSON form; raises ValueError on malformed input."""
     return Polynomial(from_pairs(data, "coefficient"))
+
+
+def jsonable(value):
+    """The JSON form of a result, the inverse of the readers above.
+
+    A complex number becomes an ``[re, im]`` pair, a Polynomial its
+    ascending pairs, a dataclass the dict of its fields, and lists,
+    tuples and dicts are converted item by item; every other value is
+    returned as it is.
+    """
+    if isinstance(value, complex):
+        return [value.real, value.imag]
+    if isinstance(value, (list, tuple)):
+        return [jsonable(item) for item in value]
+    if isinstance(value, dict):
+        return {key: jsonable(item) for key, item in value.items()}
+    if isinstance(value, Polynomial):
+        return jsonable(value.coeffs)
+    if dataclasses.is_dataclass(value):
+        fields = dataclasses.fields(value)
+        return {f.name: jsonable(getattr(value, f.name)) for f in fields}
+    return value

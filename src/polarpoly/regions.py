@@ -20,7 +20,7 @@ from .errors import (
     EmptyRootSetError,
     SZeroAtOriginError,
 )
-from .polynomial import from_number, from_pair
+from .polynomial import from_number, from_pair, jsonable
 from .roots import RootSet
 
 _WELZL_EPS = 1.0 + 1e-14
@@ -59,11 +59,11 @@ class Region:
     def to_dict(self) -> dict:
         out = {
             "kind": self.kind,
-            "center": [self.center.real, self.center.imag],
+            "center": jsonable(self.center),
             "closed": self.closed,
         }
         if self.kind == "half_plane":
-            out["normal"] = [self.normal.real, self.normal.imag]
+            out["normal"] = jsonable(self.normal)
         else:
             out["radius"] = self.radius
         return out
@@ -111,14 +111,6 @@ class Witness:
     quotient: complex
     margin: float
 
-    def to_dict(self) -> dict:
-        return {
-            "zero": [self.zero.real, self.zero.imag],
-            "beta": [self.beta.real, self.beta.imag],
-            "quotient": [self.quotient.real, self.quotient.imag],
-            "margin": self.margin,
-        }
-
 
 @dataclass(frozen=True)
 class LocalizationReport:
@@ -126,14 +118,6 @@ class LocalizationReport:
     witnesses: tuple[Witness, ...]
     max_violation: float
     tol: float
-
-    def to_dict(self) -> dict:
-        return {
-            "contained": self.contained,
-            "max_violation": self.max_violation,
-            "tol": self.tol,
-            "witnesses": [w.to_dict() for w in self.witnesses],
-        }
 
 
 def region_contains(region: Region, z):
@@ -274,7 +258,7 @@ def localization_check(
     for b in s_zeros.roots:
         if abs(b) <= 1e-14:
             raise SZeroAtOriginError(
-                "a zero of S sits at the origin", beta=[b.real, b.imag]
+                "a zero of S sits at the origin", beta=b
             )
     if not q_zeros.roots:
         raise EmptyRootSetError("Q has no zeros to check")

@@ -96,18 +96,19 @@ def _hull_starts(a: np.ndarray) -> np.ndarray:
     return np.concatenate(starts)
 
 
-def _oriented(a: np.ndarray, z: np.ndarray):
-    # Coefficients (one column per point if the sides mix) and points
-    # to evaluate at: a at z where |z| <= 1, the reversed a at x = 1/z
-    # beyond, where rev(x) = z^-n p(z); and which points are far (False
-    # or True for none or all).
+def _oriented(z: np.ndarray, *arrays: np.ndarray):
+    # Each coefficient array as the points need it (one column per
+    # point if the sides mix), then the points to evaluate at: a at z
+    # where |z| <= 1, the reversed a at x = 1/z beyond, where rev(x) =
+    # z^-n p(z); and which points are far (False or True for none or
+    # all).  Entries are only moved, never recomputed.
     far = np.abs(z) > 1.0
     if not far.any():
-        return a, z, False
+        return *arrays, z, False
     if far.all():
-        return a[::-1], 1.0 / z, True
+        return *(a[::-1] for a in arrays), 1.0 / z, True
     x = np.where(far, 1.0 / z, z)
-    return np.where(far, a[::-1, None], a[:, None]), x, far
+    return *(np.where(far, a[::-1, None], a[:, None]) for a in arrays), x, far
 
 
 def _evaluate(a: np.ndarray, z: np.ndarray):
@@ -116,10 +117,10 @@ def _evaluate(a: np.ndarray, z: np.ndarray):
     # _oriented: beyond |z| = 1 all three are those of z^-deg p(z), and
     # there p'(z) z^-deg = (deg rev(x) - x rev'(x)) x with x = 1/z.
     # |p| values below the noise floor are indistinguishable from zero
-    # in doubles.
-    coeffs, x, far = _oriented(a, z)
+    # in doubles.  The sizes |a_i| are taken of a itself, before it is
+    # oriented, so they do not depend on the other points in z.
+    coeffs, sizes, x, far = _oriented(z, a, np.abs(a))
     ax = np.abs(x)
-    sizes = np.abs(coeffs)
     p = np.zeros_like(x) + coeffs[-1]
     d = np.zeros_like(x)
     size = np.zeros_like(ax) + sizes[-1]
@@ -308,7 +309,7 @@ def find_roots(
     def compensated(v):
         # p from compensated Horner, p' and the noise floor as above.
         _, dv, noise = _evaluate(a, v)
-        return _horner_comp(*_oriented(a, v)[:2]), dv, noise
+        return _horner_comp(*_oriented(v, a)[:2]), dv, noise
 
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         z, converged = _aberth(_hull_starts(a), evaluate, tol, max_iter)

@@ -34,14 +34,13 @@ from .polynomial import (
     derivative_k,
     from_pair,
     from_pairs,
+    jsonable,
     max_coeff_diff,
     poly_from_roots,
     poly_mul,
-    poly_to_pairs,
     rising_factorial,
     sup_norm,
     taylor_shift,
-    to_pairs,
 )
 from .regions import enclosing_disk, localization_check, polar_zero_bound
 from .roots import RootSet, find_roots, max_modulus
@@ -93,19 +92,6 @@ class SuiteConfig:
         if self.zero_sampler == "grid" and not self.grid_points:
             raise ValueError("grid sampler needs at least one point")
 
-    def to_dict(self) -> dict:
-        return {
-            "n_range": list(self.n_range),
-            "k_range": list(self.k_range),
-            "cases": self.cases,
-            "seed": self.seed,
-            "zero_sampler": self.zero_sampler,
-            "grid_points": to_pairs(self.grid_points),
-            "residual_tol": self.residual_tol,
-            "equivalence_tol": self.equivalence_tol,
-            "containment_tol": self.containment_tol,
-        }
-
 
 @dataclass(frozen=True)
 class CaseInstance:
@@ -119,14 +105,6 @@ class CaseInstance:
     @property
     def P(self) -> Polynomial:
         return poly_from_roots(self.zeros)
-
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "k": self.k,
-            "zeros": to_pairs(self.zeros),
-            "xi": [self.xi.real, self.xi.imag],
-        }
 
     @classmethod
     def from_dict(cls, data: dict) -> "CaseInstance":
@@ -171,19 +149,6 @@ class PropertyResult:
                 }
             )
 
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "tolerance": self.tolerance,
-            "sense": self.sense,
-            "cases": self.cases,
-            "passes": self.passes,
-            "failures": self.failures,
-            "worst": self.worst,
-            "notes": self.notes,
-            "failing": self.failing,
-        }
-
 
 @dataclass
 class SuiteReport:
@@ -203,13 +168,7 @@ class SuiteReport:
         raise KeyError(name)
 
     def to_dict(self) -> dict:
-        return {
-            "generator": self.generator,
-            "seed": self.seed,
-            "config": self.config,
-            "all_passed": self.all_passed,
-            "properties": [p.to_dict() for p in self.properties],
-        }
+        return {**jsonable(self), "all_passed": self.all_passed}
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
@@ -311,11 +270,7 @@ def case_metrics(
         "s_radius_excess": s_radius_excess,
         "factorize_error": factorize_error,
         "factorize_impossible": factorize_impossible,
-        "artifacts": {
-            "P": poly_to_pairs(P),
-            "Q": poly_to_pairs(Q),
-            "Q_roots": to_pairs(q_roots.roots),
-        },
+        "artifacts": jsonable({"P": P, "Q": Q, "Q_roots": q_roots.roots}),
     }
 
 
@@ -356,7 +311,7 @@ def run_property_suite(cfg: SuiteConfig | None = None) -> SuiteReport:
     for _ in range(cfg.cases):
         inst = sample_case(rng, cfg)
         m = case_metrics(inst, s_cache, cfg.containment_tol)
-        dump = {**inst.to_dict(), **m["artifacts"]}
+        dump = {**jsonable(inst), **m["artifacts"]}
 
         for name, key, tol, sense in table:
             # A FactorizationImpossible case has no factorize_error and
@@ -381,7 +336,7 @@ def run_property_suite(cfg: SuiteConfig | None = None) -> SuiteReport:
     return SuiteReport(
         generator=GENERATOR_NAME,
         seed=cfg.seed,
-        config=cfg.to_dict(),
+        config=jsonable(cfg),
         properties=list(props.values()),
     )
 

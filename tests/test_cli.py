@@ -7,10 +7,12 @@ import os
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from polarpoly import cli
 from polarpoly.cli import main, parse_complex
+from polarpoly.polynomial import jsonable, poly_from_roots
 from polarpoly.regions import enclosing_disk
 
 from oracles import s_zeros_k1, sort_roots
@@ -185,6 +187,34 @@ class TestSolve:
         }
         assert "Traceback" not in out.stderr
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["solve", "--xi", "0.5", "--k"],
+            ["solve", "--R"],
+            ["localize", "--xi", "0.5", "--k"],
+        ],
+    )
+    def test_operator_scale_limit(self, capsys, flags):
+        # (n+1)_k = (k+1)! for P = z: 170! fits a double, 171! does not.
+        def run(k):
+            R = json.dumps([[0, 0]] * k + [[1, 0]])
+            argv = [flags[0], "--P", "[[0,0],[1,0]]", *flags[1:]]
+            code = main(argv + [R if flags[-1] == "--R" else str(k)])
+            return code, json.loads(capsys.readouterr().out)
+
+        code, payload = run(169)
+        assert code == 0 and payload["n"] == 1
+        code, payload = run(170)
+        assert code == 1
+        assert payload["error"] == "DegreeTooLarge"
+        assert (payload["n"], payload["k"]) == (1, 170)
+
+    def test_constant_p_refused_before_scale(self, capsys):
+        argv = ["solve", "--P", "[[1,0]]", "--xi", "0", "--k", "4000"]
+        assert main(argv) == 1
+        assert json.loads(capsys.readouterr().out)["error"] == "DegreeZero"
+
     def test_csv_format(self, run_cli):
         out = run_cli(
             "solve", "--P", "[[-0.25,0],[0,0],[1,0]]",
@@ -338,6 +368,27 @@ class TestLocalize:
         assert payload["K"] == want
         assert payload["contained"] is True
 
+    def test_default_region_same_for_coefficients_and_zeros(self, capsys):
+        # K comes from the zeros of P, given or found, and not from the
+        # zeros of the shifted P, which lose accuracy like (1+|xi|)^n.
+        rng = np.random.default_rng(0)
+        zeros = np.sqrt(rng.random(40)) * np.exp(2j * np.pi * rng.random(40))
+        regions = []
+        for flag, value in (
+            ("--P", jsonable(poly_from_roots(zeros))),
+            ("--P-roots", jsonable(list(zeros))),
+        ):
+            argv = ["localize", flag, json.dumps(value), "--xi", "1.9"]
+            assert main(argv + ["--k", "2"]) == 0
+            regions.append(json.loads(capsys.readouterr().out)["K"])
+        by_coeffs, by_zeros = regions
+        assert by_coeffs["radius"] == pytest.approx(
+            by_zeros["radius"], rel=1e-9
+        )
+        assert complex(*by_coeffs["center"]) == pytest.approx(
+            complex(*by_zeros["center"]), abs=1e-9
+        )
+
     def test_s_roots_at_degree_64(self, run_cli):
         # S(64, 1) = ((1+w)^65 - 1)/w: its zeros are exp(2 pi i m/65) - 1.
         zeros = [
@@ -467,19 +518,62 @@ class TestSuiteCommands:
         assert run_cli("frobnicate").returncode == 2
 
 
-@pytest.mark.parametrize(
-    ("argv", "golden"),
-    [
-        (["verify", "--seed", "42"], "verify_seed42.json"),
-        (["paper-examples"], "paper_examples.json"),
-    ],
-)
+P2 = "[[-0.25,0],[0,0],[1,0]]"
+ZEROS4 = "[[0.5,0],[-0.25,0.25],[0.1,-0.3],[0,0.7]]"
+LOCALIZE = ["localize", "--P-roots", ZEROS4, "--xi", "0.5-0.5i", "--k", "2"]
+
+# (argv, golden file under tests/data); an "error_" golden exits 1.
+GOLDENS = [
+    (["verify", "--seed", "42"], "verify_seed42.json"),
+    (["paper-examples"], "paper_examples.json"),
+    (["solve", "--P", P2, "--xi", "0.5-0.5i", "--k", "2"], "solve.json"),
+    (
+        ["solve", "--P", P2, "--xi", "0.5-0.5i", "--k", "2", "--format",
+         "csv"],
+        "solve.csv",
+    ),
+    (
+        ["solve", "--P-roots", ZEROS4, "--R", "[[0.25,0.5],[-1,0.5],[1,0]]"],
+        "solve_general.json",
+    ),
+    (["spoly", "--n", "5", "--k", "3"], "spoly.json"),
+    (["bound", "--xi", "1+0.5i", "--k", "3"], "bound.json"),
+    (["roots", "--P-roots", ZEROS4], "roots.json"),
+    (["roots", "--P-roots", ZEROS4, "--format", "csv"], "roots.csv"),
+    (LOCALIZE, "localize.json"),
+    (
+        LOCALIZE
+        + ["--K", '{"kind": "half_plane", "center": [0.25, 0], '
+           '"normal": [-1, 0.5], "closed": false}'],
+        "localize_half_plane.json",
+    ),
+    (LOCALIZE + ["--format", "csv"], "localize.csv"),
+    (
+        ["factorize", "--P", P2, "--Q", "[[-0.75,0],[0,0],[1,0]]", "--xi",
+         "0.5-0.5i"],
+        "factorize.json",
+    ),
+    (
+        ["factorize", "--P", "[[0,0],[0,0],[1,0]]", "--Q",
+         "[[0,0],[1,0],[1,0]]", "--xi", "0"],
+        "error_factorization_impossible.json",
+    ),
+    (["solve", "--P", "[[1,0],[2,0]]", "--xi", "0", "--k", "1"],
+     "error_not_monic.json"),
+    (["spoly", "--n", "1100", "--k", "1"], "error_degree_too_large.json"),
+]
+
+
+@pytest.mark.parametrize(("argv", "golden"), GOLDENS)
 def test_report_bytes_unchanged(capsys, argv, golden):
-    # The checked-in stdout of these two commands; an output change
-    # must regenerate the file on purpose, from the root of the repo:
-    #   PYTHONPATH=src python -m polarpoly verify --seed 42 \
-    #       > tests/data/verify_seed42.json
-    #   PYTHONPATH=src python -m polarpoly paper-examples \
-    #       > tests/data/paper_examples.json
-    assert main(argv) == 0
+    # The checked-in stdout of each command; an output change must
+    # regenerate its file on purpose, from the root of the repo:
+    #   PYTHONPATH=src:tests python -c '
+    #   import contextlib; from polarpoly.cli import main
+    #   from test_cli import DATA, GOLDENS
+    #   for argv, golden in GOLDENS:
+    #       with open(DATA / golden, "w") as fh:
+    #           with contextlib.redirect_stdout(fh):
+    #               main(argv)'
+    assert main(argv) == (1 if golden.startswith("error_") else 0)
     assert capsys.readouterr().out.encode() == (DATA / golden).read_bytes()

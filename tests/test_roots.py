@@ -284,7 +284,7 @@ class TestCompensatedHorner:
         # form (forward or reversed, per point) that find_roots uses.
         a = np.array(coeffs, dtype=np.complex128)
         n = len(a) - 1
-        cols, xs = _oriented(a, np.array(points, dtype=np.complex128))[:2]
+        cols, xs = _oriented(np.array(points, dtype=np.complex128), a)[:2]
         got = _horner_comp(cols, xs)
         cols = np.broadcast_to(cols.reshape(n + 1, -1), (n + 1, len(xs)))
         for g, col, x in zip(got, cols.T, xs):
@@ -340,13 +340,11 @@ class TestSharedPipeline:
             rel = np.abs(dp / p - want) / np.abs(want)
             assert rel.max() <= 1e-10
         assert (noise > 0).all()
-        # Mixed sides in one call give the values of one point per call
-        # (the noise floor up to its last bits: np.abs may round a
-        # strided array differently).
+        # Mixed sides in one call give the values of one point per call,
+        # the noise floor to the last bit.
         for i in range(len(z)):
             one = _evaluate(a, z[i : i + 1])
-            assert (one[0][0], one[1][0]) == (p[i], dp[i])
-            assert one[2][0] == pytest.approx(noise[i], rel=4 * EPS)
+            assert (one[0][0], one[1][0], one[2][0]) == (p[i], dp[i], noise[i])
 
     def test_polish_rejects_step_that_raises_normwise_residual(self):
         # The step from 0 lands at 1, where |p| halves but the noise

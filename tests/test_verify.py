@@ -4,6 +4,7 @@ import pytest
 
 from polarpoly.polynomial import (
     Polynomial,
+    jsonable,
     poly_from_roots,
     rising_factorial,
     sup_norm,
@@ -170,9 +171,21 @@ class TestCaseMetrics:
         assert metrics["remark_excess"] <= -1.0
         assert not metrics["factorize_impossible"]
 
+    def test_artifacts_are_pair_lists(self):
+        # The contract of the suite judge in bench/workloads.py: every
+        # artifact is a list of [re, im] lists of two floats.
+        inst = CaseInstance(n=3, k=2, zeros=(0.5, -0.5j, 0.25 + 0.25j), xi=1j)
+        artifacts = case_metrics(inst)["artifacts"]
+        assert set(artifacts) == {"P", "Q", "Q_roots"}
+        for pairs in artifacts.values():
+            assert isinstance(pairs, list) and pairs
+            for pair in pairs:
+                assert isinstance(pair, list) and len(pair) == 2
+                assert all(isinstance(x, float) for x in pair)
+
     def test_round_trip_through_dict(self):
         inst = CaseInstance(n=2, k=2, zeros=(0.1 + 0.2j, -0.3j), xi=1 - 1j)
-        again = CaseInstance.from_dict(inst.to_dict())
+        again = CaseInstance.from_dict(jsonable(inst))
         assert again == inst
 
 
