@@ -32,16 +32,12 @@ from .polar import (
 )
 from .polynomial import (
     Polynomial,
-    binomial_coeffs,
     derivative_k,
-    from_binomial,
     jsonable,
-    max_coeff_diff,
     poly_from_pairs,
     poly_from_roots,
     poly_mul,
     rising_factorial,
-    sup_norm,
     taylor_shift,
 )
 from .regions import (
@@ -86,16 +82,13 @@ __all__ = [
     "SuiteReport",
     "Witness",
     "apply_tr",
-    "binomial_coeffs",
     "derivative_k",
     "enclosing_disk",
     "find_roots",
-    "from_binomial",
     "grace_convolve",
     "grace_factorize",
     "jsonable",
     "localization_check",
-    "max_coeff_diff",
     "max_modulus",
     "polar_zero_bound",
     "poly_from_pairs",
@@ -110,7 +103,6 @@ __all__ = [
     "s_poly",
     "s_zeros",
     "solve_polar",
-    "sup_norm",
     "taylor_shift",
     "vieta_residuals",
 ]

@@ -34,9 +34,10 @@ from .errors import (
 from .polynomial import (
     Polynomial,
     binomial_coeffs,
+    binomial_row,
+    coeff_diff,
     derivative_k,
     from_binomial,
-    max_coeff_diff,
     poly_from_roots,
     poly_mul,
     rising_factorial,
@@ -120,7 +121,7 @@ class PolarProblem:
         return self.R.degree
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GraceFactorization:
     """A factor S_R with P(xi+w) convolved with S_R equal to Q(xi+w).
 
@@ -130,7 +131,7 @@ class GraceFactorization:
     """
 
     s_r: Polynomial
-    c: tuple[complex, ...]
+    c: np.ndarray
     exact_match_error: float
 
 
@@ -139,50 +140,46 @@ def apply_tr(R: Polynomial, Q: Polynomial) -> Polynomial:
     return derivative_k(poly_mul(R, Q), R.degree)
 
 
-def _operator_band(R: Polynomial, n: int) -> list[list[complex]]:
-    # Row i holds the entries (i, i), .., (i, min(i+k, n)) of the
-    # operator matrix, the only ones that can be nonzero: the image of
-    # z^j has degree j and lowest term z^(j-k).  Entry (i, i+d) is the
-    # coefficient of z^i in d^k/dz^k(R * z^(i+d)), R_(k-d) * (i+1)_k.
+def _operator_band(R: Polynomial, n: int) -> np.ndarray:
+    # Row i holds the entries (i, i), .., (i, i+k) of the operator
+    # matrix, the only ones that can be nonzero: the image of z^j has
+    # degree j and lowest term z^(j-k).  Entry (i, i+d) is the
+    # coefficient of z^i in d^k/dz^k(R * z^(i+d)), (i+1)_k * R_(k-d);
+    # those of columns beyond n are never read, and may overflow.
     k = R.degree
-    band = []
-    for i in range(n + 1):
-        scale = float(rising_factorial(i + 1, k))
-        band.append(
-            [R.coeffs[k - d] * scale for d in range(min(k, n - i) + 1)]
-        )
-    return band
+    scale = [float(rising_factorial(i + 1, k)) for i in range(n + 1)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.outer(scale, R.coeffs[::-1])
 
 
 def _band_back_substitute(
-    band: list[list[complex]], rhs: list[complex], top: float | None = None
-) -> list[complex]:
+    band: np.ndarray, rhs: np.ndarray, top: float | None = None
+) -> np.ndarray:
     # Solves the banded triangular system from the top degree down,
-    # O(n*k).  With ``top`` set, the top unknown is fixed to it instead
-    # of being solved for.
+    # O(n*k) sequential steps on Python scalars.  With ``top`` set, the
+    # top unknown is fixed to it instead of being solved for.
+    rows, rhs = band.tolist(), rhs.tolist()
     n = len(rhs) - 1
     out = [0j] * (n + 1)
     start = n
     if top is not None:
         out[n], start = top, n - 1
     for i in range(start, -1, -1):
-        row = band[i]
+        row = rows[i]
         acc = rhs[i]
-        for d in range(1, len(row)):
+        for d in range(1, min(len(row), n + 1 - i)):
             acc -= row[d] * out[i + d]
         out[i] = acc / row[0]
-    return out
+    return np.array(out)
 
 
 def _operator_residual(
-    R: Polynomial, q: list[complex], P: Polynomial, rhs_scale: float
-) -> list[complex]:
-    # rhs_scale * P - T_R(q), padded to length deg P + 1.
-    image = apply_tr(R, Polynomial(q))
-    out = [rhs_scale * c for c in P.coeffs]
-    for i, c in enumerate(image.coeffs):
-        if i < len(out):
-            out[i] -= c
+    R: Polynomial, q: np.ndarray, rhs: np.ndarray
+) -> np.ndarray:
+    # rhs - T_R(q); the image has degree at most that of rhs.
+    image = apply_tr(R, Polynomial(q)).coeffs
+    out = rhs.copy()
+    out[: image.size] -= image
     return out
 
 
@@ -202,12 +199,9 @@ def solve_polar(problem: PolarProblem) -> Polynomial:
     P, R = problem.P, problem.R
     n, k = problem.n, problem.k
     band = _operator_band(R, n)
-    rhs_scale = float(rising_factorial(n + 1, k))
-    b = _band_back_substitute(band, [rhs_scale * c for c in P.coeffs], top=1.0)
-    correction = _band_back_substitute(
-        band, _operator_residual(R, b, P, rhs_scale)
-    )
-    b = [bi + ci for bi, ci in zip(b, correction)]
+    rhs = float(rising_factorial(n + 1, k)) * P.coeffs
+    b = _band_back_substitute(band, rhs, top=1.0)
+    b += _band_back_substitute(band, _operator_residual(R, b, rhs))
     b[n] = 1.0
     return Polynomial(b)
 
@@ -217,23 +211,27 @@ def solve_polar_shifted(P, xi, k):
     return solve_polar(PolarProblem.centered(P, xi, k))
 
 
+def _check_binomial_row(what: str, size: str, value: int, **details):
+    # ``what`` needs the whole binomial row of ``value`` (named ``size``
+    # in the message), which fits a double up to 1029, where its middle
+    # C(1029, 514) is 1.4e308.
+    try:
+        binomial_row(value)
+    except OverflowError:
+        raise DegreeTooLargeError(
+            f"{what} needs binomial coefficients of {size} = {value}, "
+            f"which exceed the double range from {size} = 1030 on",
+            **details,
+        ) from None
+
+
 def _check_s_degree(n: int, k: int) -> None:
     # S is the part of (1+w)^(n+k) of degree >= k, divided by w^k, and
     # s_zeros evaluates it through the whole binomial row of n+k, so
-    # s_poly and s_zeros accept n+k as long as that row fits a double:
-    # up to 1029, where its middle C(1029, 514) is 1.4e308.
+    # s_poly and s_zeros accept n+k as long as that row fits a double.
     if n < 1 or k < 1:
         raise ValueError("n and k must be positive integers")
-    big_n = n + k
-    try:
-        float(math.comb(big_n, big_n // 2))
-    except OverflowError:
-        raise DegreeTooLargeError(
-            f"S({n}, {k}) needs binomial coefficients of n + k = {big_n}, "
-            "which exceed the double range from n + k = 1030 on",
-            n=n,
-            k=k,
-        ) from None
+    _check_binomial_row(f"S({n}, {k})", "n + k", n + k, n=n, k=k)
 
 
 def s_poly(n: int, k: int) -> Polynomial:
@@ -246,7 +244,7 @@ def s_poly(n: int, k: int) -> Polynomial:
     k <= n, the middle coefficients of S itself).
     """
     _check_s_degree(n, k)
-    return Polynomial([float(math.comb(n + k, j + k)) for j in range(n + 1)])
+    return Polynomial(binomial_row(n + k)[k:])
 
 
 def _s_form(n: int, k: int):
@@ -332,14 +330,12 @@ def grace_convolve(p: Polynomial, q: Polynomial) -> Polynomial:
 
     The working size is n = max(deg p, deg q); output coefficient j is
     C(n, j) * alpha_j * beta_j.  The polynomial (1+w)^n is the identity
-    element for this product.
+    element for this product.  Raises DegreeTooLargeError from n = 1030
+    on, where C(n, j) exceeds the double range.
     """
     n = max(p.degree, q.degree)
-    alpha = binomial_coeffs(p, n)
-    beta = binomial_coeffs(q, n)
-    return Polynomial(
-        float(math.comb(n, j)) * alpha[j] * beta[j] for j in range(n + 1)
-    )
+    _check_binomial_row("the Grace convolution", "n", n, n=n)
+    return from_binomial(binomial_coeffs(p, n) * binomial_coeffs(q, n))
 
 
 def grace_factorize(
@@ -355,44 +351,39 @@ def grace_factorize(
 
     Vanishing is judged relative to the largest coefficient of the
     respective polynomial (threshold ``VANISHING_RTOL``), which keeps
-    the test independent of an overall scale.
+    the test independent of an overall scale.  Raises
+    DegreeTooLargeError where ``grace_convolve`` does, before shifting.
     """
     if P.degree != Q.degree:
         raise ValueError("P and Q must have the same degree")
     n = P.degree
+    _check_binomial_row("the Grace convolution", "n", n, n=n)
     xi = complex(xi)
     ps = taylor_shift(P, xi)
     qs = taylor_shift(Q, xi)
     alpha = binomial_coeffs(ps, n)
     beta = binomial_coeffs(qs, n)
-    alpha_cut = VANISHING_RTOL * max(abs(a) for a in alpha)
-    beta_cut = VANISHING_RTOL * max(abs(b) for b in beta)
-    c = []
-    for j in range(n + 1):
-        if abs(alpha[j]) <= alpha_cut:
-            if abs(beta[j]) > beta_cut:
-                raise FactorizationImpossible(
-                    f"coefficient {j} vanishes in P(xi+w) but not in Q(xi+w)",
-                    index=j,
-                    alpha=alpha[j],
-                    beta=beta[j],
-                )
-            c.append(0j)
-        else:
-            c.append(beta[j] / alpha[j])
+    size_a, size_b = np.abs(alpha), np.abs(beta)
+    vanishing = size_a <= VANISHING_RTOL * size_a.max()
+    unmatched = vanishing & (size_b > VANISHING_RTOL * size_b.max())
+    if unmatched.any():
+        j = int(unmatched.argmax())
+        raise FactorizationImpossible(
+            f"coefficient {j} vanishes in P(xi+w) but not in Q(xi+w)",
+            index=j,
+            alpha=complex(alpha[j]),
+            beta=complex(beta[j]),
+        )
+    c = np.divide(beta, alpha, out=np.zeros_like(beta), where=~vanishing)
     s_r = from_binomial(c)
-    rebuilt = grace_convolve(ps, s_r)
-    error = max_coeff_diff(rebuilt, qs) / sup_norm(qs)
+    diffs = np.abs(coeff_diff(grace_convolve(ps, s_r), qs))
+    error = float(diffs.max()) / sup_norm(qs)
     if error > RECONSTRUCTION_RTOL:
-        def coeff(p: Polynomial, j: int) -> complex:
-            return p.coeffs[j] if j <= p.degree else 0j
-
-        diffs = [abs(coeff(rebuilt, j) - coeff(qs, j)) for j in range(n + 1)]
-        worst = diffs.index(max(diffs))
+        worst = int(diffs.argmax())
         raise FactorizationImpossible(
             "recovered factor does not reproduce Q(xi+w)",
             index=worst,
-            alpha=alpha[worst],
-            beta=beta[worst],
+            alpha=complex(alpha[worst]),
+            beta=complex(beta[worst]),
         )
-    return GraceFactorization(s_r=s_r, c=tuple(c), exact_match_error=error)
+    return GraceFactorization(s_r=s_r, c=c, exact_match_error=error)

@@ -1,11 +1,16 @@
 """Dense complex polynomial arithmetic.
 
 Coefficients live in ascending powers: ``Polynomial([a0, a1, a2])`` is
-``a0 + a1*z + a2*z**2``.  Construction trims trailing entries that are
-exactly zero and nothing else, so a leading coefficient is kept however
-small it is against the others; the zero polynomial is the single entry
+``a0 + a1*z + a2*z**2``.  They are held as one read-only complex128
+array, ``coeffs``, which every layer computes on directly.  Construction
+copies its input, so a caller's array can change afterwards without
+touching the polynomial, and trims trailing entries that are exactly
+zero and nothing else: a leading coefficient is kept however small it
+is against the others, and the zero polynomial is the single entry
 ``0``.  Callers that judge a coefficient as vanishing do so with their
-own tolerance (``polar.grace_factorize``).
+own tolerance (``polar.grace_factorize``).  Two polynomials are equal
+when their coefficients are equal as numbers, so ``-0.0`` and ``0.0``
+compare, and hash, alike.
 
 Combinatorial scalars (binomial coefficients, rising factorials) are
 computed in exact integer arithmetic and converted to floating point at
@@ -21,9 +26,11 @@ and its one writer, ``jsonable``, writes every result in it.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
-from itertools import zip_longest
-from typing import Iterable, Sequence
+
+import numpy as np
+from numpy.typing import ArrayLike
 
 MONIC_TOL = 1e-12
 
@@ -33,26 +40,26 @@ class Polynomial:
 
     __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs: Iterable[complex]):
-        entries = [complex(c) for c in coeffs]
-        if not entries:
-            raise ValueError("a polynomial needs at least one coefficient")
-        while len(entries) > 1 and entries[-1] == 0:
-            entries.pop()
-        self.coeffs: tuple[complex, ...] = (
-            (0j,) if entries == [0] else tuple(entries)
-        )
+    def __init__(self, values: ArrayLike):
+        a = np.array(values, dtype=np.complex128)
+        if a.ndim != 1 or not a.size:
+            raise ValueError("coefficients must be a non-empty 1-D list")
+        if a[-1] == 0:
+            nonzero = a.nonzero()[0]
+            a = a[: nonzero[-1] + 1] if nonzero.size else np.zeros(1, complex)
+        a.setflags(write=False)
+        self.coeffs: np.ndarray = a
 
     @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return self.coeffs.size - 1
 
     @property
     def leading(self) -> complex:
-        return self.coeffs[-1]
+        return complex(self.coeffs[-1])
 
     def is_zero(self) -> bool:
-        return self.coeffs == (0j,)
+        return self.degree == 0 and self.leading == 0
 
     def is_monic(self) -> bool:
         return abs(self.leading - 1.0) <= MONIC_TOL
@@ -60,13 +67,16 @@ class Polynomial:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return self.coeffs == other.coeffs
+        a, b = self.coeffs, other.coeffs
+        return a.size == b.size and bool((a == b).all())
 
     def __hash__(self) -> int:
-        return hash(self.coeffs)
+        # Adding 0.0 turns -0.0 into 0.0 and changes no other value, so
+        # polynomials that compare equal hash alike.
+        return hash((self.coeffs + 0.0).tobytes())
 
     def __repr__(self) -> str:
-        return f"Polynomial({list(self.coeffs)!r})"
+        return f"Polynomial({[complex(c) for c in self.coeffs]!r})"
 
 
 def poly_mul(p: Polynomial, q: Polynomial) -> Polynomial:
@@ -75,42 +85,18 @@ def poly_mul(p: Polynomial, q: Polynomial) -> Polynomial:
     The product of two nonzero factors has degree deg p + deg q: its
     leading coefficient is the product of theirs.
     """
-    if p.is_zero() or q.is_zero():
-        return Polynomial([0])
-    out = [0j] * (p.degree + q.degree + 1)
-    for i, a in enumerate(p.coeffs):
-        if a == 0:
-            continue
-        for j, b in enumerate(q.coeffs):
-            out[i + j] += a * b
-    return Polynomial(out)
+    return Polynomial(np.convolve(p.coeffs, q.coeffs))
 
 
 def derivative_k(p: Polynomial, k: int) -> Polynomial:
     """k-fold formal derivative; zero polynomial once k exceeds the degree."""
     if k < 0:
         raise ValueError("derivative order must be nonnegative")
-    if k == 0:
-        return p
     if k > p.degree:
         return Polynomial([0])
-    out = [
-        p.coeffs[j + k] * float(rising_factorial(j + 1, k))
-        for j in range(p.degree - k + 1)
-    ]
-    return Polynomial(out)
-
-
-def _shift_coeffs(coeffs: Sequence[complex], xi: complex) -> list[complex]:
-    # Repeated synthetic division (Horner shift): after the sweep the
-    # list holds the Taylor coefficients of p about xi.  O(n^2), exact
-    # in structure, and it never touches the leading coefficient.
-    b = list(coeffs)
-    n = len(b) - 1
-    for j in range(n):
-        for i in range(n - 1, j - 1, -1):
-            b[i] += xi * b[i + 1]
-    return b
+    n = p.degree
+    scale = [float(rising_factorial(j + 1, k)) for j in range(n - k + 1)]
+    return Polynomial(p.coeffs[k:] * scale)
 
 
 def taylor_shift(p: Polynomial, xi: complex) -> Polynomial:
@@ -118,12 +104,27 @@ def taylor_shift(p: Polynomial, xi: complex) -> Polynomial:
     xi = complex(xi)
     if xi == 0:
         return p
-    return Polynomial(_shift_coeffs(p.coeffs, xi))
+    # Repeated synthetic division (Horner shift), O(n^2) scalar steps:
+    # after the sweep the list holds the Taylor coefficients of p about
+    # xi, and the leading coefficient is never touched.
+    b = p.coeffs.tolist()
+    n = len(b) - 1
+    for j in range(n):
+        for i in range(n - 1, j - 1, -1):
+            b[i] += xi * b[i + 1]
+    return Polynomial(b)
 
 
-def binomial_coeffs(
-    p: Polynomial, n: int | None = None
-) -> tuple[complex, ...]:
+@functools.lru_cache(maxsize=64)
+def binomial_row(n: int) -> np.ndarray:
+    """Read-only C(n, j), j = 0..n, each rounded once from the exact
+    integer; OverflowError from n = 1030 on."""
+    row = np.array([float(math.comb(n, j)) for j in range(n + 1)])
+    row.setflags(write=False)
+    return row
+
+
+def binomial_coeffs(p: Polynomial, n: int | None = None) -> np.ndarray:
     """Binomial-basis coefficients gamma_j = coeff_j / C(n, j), j = 0..n.
 
     They are those of ``p(w) = sum_j C(n, j) * gamma_j * w**j``.  ``n``
@@ -135,16 +136,14 @@ def binomial_coeffs(
     size = deg if n is None else n
     if size < deg:
         raise ValueError("binomial form size cannot be below the degree")
-    return tuple(
-        p.coeffs[j] / float(math.comb(size, j)) if j <= deg else 0j
-        for j in range(size + 1)
-    )
+    gamma = np.zeros(size + 1, np.complex128)
+    gamma[: deg + 1] = p.coeffs / binomial_row(size)[: deg + 1]
+    return gamma
 
 
-def from_binomial(gamma: Sequence[complex]) -> Polynomial:
+def from_binomial(gamma: np.ndarray) -> Polynomial:
     """Inverse of :func:`binomial_coeffs`, with n = len(gamma) - 1."""
-    n = len(gamma) - 1
-    return Polynomial(gamma[j] * float(math.comb(n, j)) for j in range(n + 1))
+    return Polynomial(gamma * binomial_row(len(gamma) - 1))
 
 
 def rising_factorial(a: int, k: int) -> int:
@@ -153,35 +152,36 @@ def rising_factorial(a: int, k: int) -> int:
         raise ValueError("rising factorial base must be >= 1")
     if k < 0:
         raise ValueError("rising factorial order must be >= 0")
-    out = 1
-    for m in range(a, a + k):
-        out *= m
-    return out
+    return math.perm(a + k - 1, k)
 
 
-def poly_from_roots(roots: Iterable[complex]) -> Polynomial:
+def poly_from_roots(roots: ArrayLike) -> Polynomial:
     """Monic polynomial with the given zeros (with multiplicity)."""
-    acc = [1 + 0j]
-    for r in roots:
-        r = complex(r)
-        nxt = [0j] * (len(acc) + 1)
-        for i, c in enumerate(acc):
-            nxt[i] -= r * c
-            nxt[i + 1] += c
-        acc = nxt
-    return Polynomial(acc)
+    roots = np.asarray(roots, dtype=np.complex128)
+    # acc[i + 1] holds the coefficient of z^i; acc[0] stays 0, so each
+    # factor (z - r) is one slice update, c_i <- c_(i-1) - r c_i.
+    acc = np.zeros(roots.size + 2, np.complex128)
+    acc[1] = 1.0
+    for m, r in enumerate(roots, start=2):
+        acc[1 : m + 1] = acc[:m] - r * acc[1 : m + 1]
+    return Polynomial(acc[1:])
 
 
 def sup_norm(p: Polynomial) -> float:
-    return max(abs(c) for c in p.coeffs)
+    return float(np.abs(p.coeffs).max())
+
+
+def coeff_diff(p: Polynomial, q: Polynomial) -> np.ndarray:
+    """Coefficient-wise p - q, the shorter one padded with zeros."""
+    out = np.zeros(max(p.coeffs.size, q.coeffs.size), np.complex128)
+    out[: p.coeffs.size] = p.coeffs
+    out[: q.coeffs.size] -= q.coeffs
+    return out
 
 
 def max_coeff_diff(p: Polynomial, q: Polynomial) -> float:
     """Infinity norm of the coefficient-wise difference."""
-    return max(
-        abs(a - b)
-        for a, b in zip_longest(p.coeffs, q.coeffs, fillvalue=0j)
-    )
+    return float(np.abs(coeff_diff(p, q)).max())
 
 
 def from_number(value, what: str) -> float:
@@ -219,18 +219,20 @@ def jsonable(value):
     """The JSON form of a result, the inverse of the readers above.
 
     A complex number becomes an ``[re, im]`` pair, a Polynomial its
-    ascending pairs, a dataclass the dict of its fields, and lists,
-    tuples and dicts are converted item by item; every other value is
-    returned as it is.
+    ascending pairs, a dataclass the dict of its fields, and arrays,
+    lists, tuples and dicts are converted item by item; every other
+    value is returned as it is.
     """
+    if isinstance(value, Polynomial):
+        value = value.coeffs
+    if isinstance(value, np.ndarray):
+        value = value.tolist()
     if isinstance(value, complex):
         return [value.real, value.imag]
     if isinstance(value, (list, tuple)):
         return [jsonable(item) for item in value]
     if isinstance(value, dict):
         return {key: jsonable(item) for key, item in value.items()}
-    if isinstance(value, Polynomial):
-        return jsonable(value.coeffs)
     if dataclasses.is_dataclass(value):
         fields = dataclasses.fields(value)
         return {f.name: jsonable(getattr(value, f.name)) for f in fields}

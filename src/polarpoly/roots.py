@@ -296,10 +296,9 @@ def find_roots(
     n = p.degree
     if n < 1:
         raise DegreeZeroError("cannot find roots of a constant polynomial")
-    coeffs = np.array(p.coeffs, dtype=np.complex128)
     # a_0 = ... = a_(m-1) = 0: z = 0 is an exact zero of multiplicity m.
-    m = int(np.flatnonzero(coeffs)[0])
-    a = coeffs[m:]
+    m = int(np.flatnonzero(p.coeffs)[0])
+    a = p.coeffs[m:]
     if m == n:
         return RootSet(roots=(0j,) * n, max_residual=0.0, converged=True)
 
@@ -339,14 +338,10 @@ def vieta_residuals(p: Polynomial, rs: RootSet) -> tuple[float, float]:
     """
     n = p.degree
     a = p.coeffs
-    root_sum = sum(rs.roots)
-    root_prod = 1 + 0j
-    prod_scale = 1.0
-    for r in rs.roots:
-        root_prod *= r
-        prod_scale *= 1.0 + abs(r)
-    sum_err = abs(root_sum + a[n - 1] / a[n]) / (
-        1.0 + sum(abs(r) for r in rs.roots)
+    roots = np.array(rs.roots)
+    sizes = np.abs(roots)
+    sum_err = abs(roots.sum() + a[n - 1] / a[n]) / (1.0 + sizes.sum())
+    prod_err = abs(roots.prod() - (-1) ** n * a[0] / a[n]) / (
+        1.0 + np.prod(1.0 + sizes)
     )
-    prod_err = abs(root_prod - (-1) ** n * a[0] / a[n]) / (1.0 + prod_scale)
-    return (sum_err, prod_err)
+    return (float(sum_err), float(prod_err))

@@ -17,6 +17,29 @@ def eval_poly(coeffs, z):
     return acc
 
 
+def convolve(a, b):
+    """Product of two ascending coefficient lists, one scalar step per
+    pair of terms, in CPython's complex arithmetic."""
+    out = [0j] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += complex(x) * complex(y)
+    return out
+
+
+def expand_roots(roots):
+    """Ascending coefficients of prod (z - r), one factor at a time, in
+    CPython's complex arithmetic."""
+    acc = [1 + 0j]
+    for r in roots:
+        nxt = [0j] * (len(acc) + 1)
+        for i, c in enumerate(acc):
+            nxt[i] -= complex(r) * c
+            nxt[i + 1] += c
+        acc = nxt
+    return acc
+
+
 def sort_roots(roots):
     """Order by (modulus, argument in (-pi, pi])."""
 
@@ -150,10 +173,7 @@ def polar_backward_error(p, r, q):
     """
     p, r, q = ([complex(c) for c in seq] for seq in (p, r, q))
     n, k = len(p) - 1, len(r) - 1
-    prod = [0j] * (len(r) + len(q) - 1)
-    for i, a in enumerate(r):
-        for j, b in enumerate(q):
-            prod[i + j] += a * b
+    prod = convolve(r, q)
     lhs = [prod[m] * float(math.perm(m, k)) for m in range(k, len(prod))]
     scale = float(math.perm(n + k, k))
     size = max(len(lhs), len(p))

@@ -312,6 +312,21 @@ class TestFactorize:
         assert payload["exact_match_error"] <= 1e-10
 
 
+    def test_degree_limit(self, capsys):
+        # C(n, j) fits a double up to n = 1029; beyond, DegreeTooLarge
+        # (was an OverflowError traceback from n = 1030 on).
+        def run(n):
+            top = json.dumps([[0, 0]] * n + [[1, 0]])
+            code = main(["factorize", "--P", top, "--Q", top, "--xi", "0"])
+            return code, json.loads(capsys.readouterr().out)
+
+        code, payload = run(1029)
+        assert code == 0 and payload["exact_match_error"] == 0.0
+        code, payload = run(1030)
+        assert code == 1
+        assert payload["error"] == "DegreeTooLarge"
+        assert payload["n"] == 1030
+
     def test_unequal_degrees_usage_error(self, run_cli):
         out = run_cli(
             "factorize", "--P", "[[1,0],[1,0]]",

@@ -82,7 +82,7 @@ class TestProblem:
         prob = PolarProblem.centered(Polynomial([0, 1]), 1.0, 2)
         assert prob.k == 2
         # (z - 1)^2 = 1 - 2z + z^2
-        assert prob.R.coeffs == (1 + 0j, -2 + 0j, 1 + 0j)
+        assert prob.R.coeffs.tolist() == [1 + 0j, -2 + 0j, 1 + 0j]
         with pytest.raises(ValueError):
             PolarProblem.centered(Polynomial([0, 1]), 0.0, 0)
 
@@ -90,12 +90,12 @@ class TestProblem:
 class TestApplyTr:
     def test_single_derivative_of_cube(self):
         out = apply_tr(Polynomial([0, 1]), Polynomial([0, 0, 1]))
-        assert out.coeffs == (0j, 0j, 3 + 0j)
+        assert out.coeffs.tolist() == [0j, 0j, 3 + 0j]
 
     def test_monomial_family(self):
         # R = z^k on Q = z^n gives (n+1)_k z^n; n=3, k=1 gives 4z^3.
         out = apply_tr(Polynomial([0, 1]), Polynomial([0, 0, 0, 1]))
-        assert out.coeffs == (0j, 0j, 0j, 4 + 0j)
+        assert out.coeffs.tolist() == [0j, 0j, 0j, 4 + 0j]
         for n in range(1, 6):
             for k in range(1, 5):
                 r = Polynomial([0] * k + [1])
@@ -105,7 +105,7 @@ class TestApplyTr:
     def test_second_derivative_example(self):
         # R*Q = (z^2 - z)(z + 1) = z^3 - z, second derivative 6z.
         out = apply_tr(Polynomial([0, -1, 1]), Polynomial([1, 1]))
-        assert out.coeffs == (0j, 6 + 0j)
+        assert out.coeffs.tolist() == [0j, 6 + 0j]
 
     def test_degree_preserved(self):
         rng = np.random.default_rng(2)
@@ -206,7 +206,7 @@ class TestSolveShifted:
 
     def test_free_case_fixed(self):
         q = solve_polar(PolarProblem.centered(Polynomial([0, 0, 1]), 0.0, 3))
-        assert q.coeffs == (0j, 0j, 1 + 0j)
+        assert q.coeffs.tolist() == [0j, 0j, 1 + 0j]
 
     def test_matches_general_path_on_example(self):
         p = Polynomial([-0.25, 0, 1])
@@ -215,7 +215,7 @@ class TestSolveShifted:
 
     def test_degree_one(self):
         q = solve_polar(PolarProblem.centered(Polynomial([0, 1]), 0.0, 1))
-        assert q.coeffs == (0j, 1 + 0j)
+        assert q.coeffs.tolist() == [0j, 1 + 0j]
 
     def test_validation(self):
         with pytest.raises(NotMonicError):
@@ -245,9 +245,9 @@ class TestSolveShifted:
 
 class TestSPoly:
     def test_small_tables(self):
-        assert s_poly(2, 1).coeffs == (3 + 0j, 3 + 0j, 1 + 0j)
-        assert s_poly(1, 1).coeffs == (2 + 0j, 1 + 0j)
-        assert s_poly(2, 2).coeffs == (6 + 0j, 4 + 0j, 1 + 0j)
+        assert s_poly(2, 1).coeffs.tolist() == [3 + 0j, 3 + 0j, 1 + 0j]
+        assert s_poly(1, 1).coeffs.tolist() == [2 + 0j, 1 + 0j]
+        assert s_poly(2, 2).coeffs.tolist() == [6 + 0j, 4 + 0j, 1 + 0j]
 
     def test_binomial_table_oracle(self):
         for n in range(1, 12):
@@ -377,11 +377,11 @@ class TestGraceConvolve:
     def test_pure_square_projects_top_coefficient(self):
         s_r = Polynomial([3, 4, 1])  # c-form (3, 2, 1)
         out = grace_convolve(Polynomial([0, 0, 1]), s_r)
-        assert out.coeffs == (0j, 0j, 1 + 0j)
+        assert out.coeffs.tolist() == [0j, 0j, 1 + 0j]
 
     def test_quarter_example(self):
         out = grace_convolve(Polynomial([-0.25, 0, 1]), Polynomial([3, 0, 1]))
-        assert out.coeffs == (-0.75 + 0j, 0j, 1 + 0j)
+        assert out.coeffs.tolist() == [-0.75 + 0j, 0j, 1 + 0j]
 
     def test_convolution_identity_with_solver(self):
         rng = np.random.default_rng(29)
@@ -402,6 +402,21 @@ class TestGraceConvolve:
             assert max_coeff_diff(lhs, rhs) <= 1e-9 * sup_norm(lhs)
 
 
+    def test_degree_limit(self):
+        # Every C(n, j) fits a double up to n = N_MAX.
+        p = Polynomial([0.5] * N_MAX + [1])
+        out = grace_convolve(p, poly_from_roots([-1.0] * N_MAX))
+        assert out.degree == N_MAX
+        assert np.isfinite(out.coeffs).all()
+        assert rel_diff(out, p) <= 1e-12
+        with pytest.raises(DegreeTooLargeError) as err:
+            grace_convolve(Polynomial([0] * (N_MAX + 1) + [1]), p)
+        assert err.value.details == {"n": N_MAX + 1}
+        with pytest.raises(DegreeTooLargeError):
+            grace_factorize(Polynomial([0] * (N_MAX + 1) + [1]),
+                            Polynomial([1] * (N_MAX + 1) + [1]), 0.5)
+
+
 class TestGraceFactorize:
     def test_counterexample_pair_has_no_factor(self):
         with pytest.raises(FactorizationImpossible) as exc_info:
@@ -415,7 +430,7 @@ class TestGraceFactorize:
         p = Polynomial([-0.25, 0, 1])
         q = Polynomial([-0.75, 0, 1])
         fact = grace_factorize(p, q, 0.0)
-        assert fact.c == (3 + 0j, 0j, 1 + 0j)
+        assert fact.c.tolist() == [3 + 0j, 0j, 1 + 0j]
         assert rel_diff(fact.s_r, Polynomial([3, 0, 1])) <= 1e-12
         rebuilt = grace_convolve(p, fact.s_r)
         assert max_coeff_diff(rebuilt, q) <= 1e-10 * sup_norm(q)
@@ -456,17 +471,18 @@ class TestGraceFactorize:
 
 class TestOperatorMatrix:
     def test_triangular_structure(self):
-        # Row i of the band holds the entries (i, i), .., (i, min(i+k, n))
-        # of the upper triangular matrix with bandwidth k; entry (i, j)
-        # is r_(k-(j-i)) * (i+1)_k, the z^i coefficient of (r z^j)^(k),
-        # and every entry outside the band is zero.
+        # Row i of the band holds the entries (i, i), .., (i, i+k) of the
+        # upper triangular matrix with bandwidth k (those of columns
+        # beyond n unused); entry (i, j) is r_(k-(j-i)) * (i+1)_k, the
+        # z^i coefficient of (r z^j)^(k), and every entry outside the
+        # band is zero.
         rng = np.random.default_rng(41)
         r = sample_monic(rng, 3)
         n, k = 6, 3
         band = _operator_band(r, n)
-        assert [len(row) for row in band] == [4, 4, 4, 4, 3, 2, 1]
+        assert band.shape == (n + 1, k + 1)
         for i, row in enumerate(band):
-            for d, entry in enumerate(row):
+            for d, entry in enumerate(row[: n + 1 - i]):
                 scale = rising_factorial(i + 1, k)
                 assert entry == r.coeffs[k - d] * scale
         # Outside the band: the image of z^j has degree j and lowest

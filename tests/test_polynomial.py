@@ -22,7 +22,9 @@ from polarpoly.polynomial import (
 )
 from polarpoly.roots import _evaluate
 
-from oracles import eval_poly
+from oracles import convolve, eval_poly, expand_roots
+
+EPS = 2.0**-52
 
 
 def coeffs_close(p, q, tol=1e-12):
@@ -35,13 +37,21 @@ class TestConstruction:
         with pytest.raises(ValueError):
             Polynomial([])
 
+    def test_rejects_non_vector(self):
+        with pytest.raises(ValueError):
+            Polynomial([[1, 2], [3, 4]])
+        with pytest.raises(ValueError):
+            Polynomial(np.empty((0, 2)))
+        with pytest.raises(ValueError):
+            Polynomial(np.array(1.0))
+
     def test_zero_polynomial_is_single_entry(self):
-        assert Polynomial([0, 0, 0]).coeffs == (0j,)
+        assert Polynomial([0, 0, 0]).coeffs.tolist() == [0j]
         assert Polynomial([0]).degree == 0
         assert Polynomial([0]).is_zero()
 
     def test_trailing_trim_exact_zeros_only(self):
-        assert Polynomial([1.0, 2.0, 0.0, -0.0, 0j]).coeffs == (1 + 0j, 2 + 0j)
+        assert Polynomial([1.0, 2.0, 0.0, -0.0, 0j]).coeffs.tolist() == [1 + 0j, 2 + 0j]
         # a tiny leading coefficient is kept, however large the others
         assert Polynomial([1.0, 1e-20]).degree == 1
         assert Polynomial([1e13, 0, 1]).degree == 2
@@ -59,7 +69,7 @@ class TestConstruction:
     def test_evaluation(self):
         # The one Horner evaluator, roots._evaluate: p itself inside the
         # unit circle, z^-2 p(z) beyond it.
-        a = np.array(Polynomial([1, 0, 1]).coeffs)  # 1 + z^2
+        a = Polynomial([1, 0, 1]).coeffs  # 1 + z^2
         p, dp, _ = _evaluate(a, np.array([1j, 0.5]))
         assert list(p) == [0, 1.25]
         assert list(dp) == [2j, 1]
@@ -67,19 +77,102 @@ class TestConstruction:
         assert p[0] == 5 / 4 and dp[0] == 4 / 4
 
 
+class TestRepresentation:
+    # The coefficients are one read-only complex128 vector that no caller
+    # can change, and equality is equality of the numbers.
+    def test_read_only_complex_vector(self):
+        p = Polynomial([1, 2, 3])
+        assert isinstance(p.coeffs, np.ndarray)
+        assert p.coeffs.dtype == np.complex128 and p.coeffs.ndim == 1
+        with pytest.raises(ValueError):
+            p.coeffs[0] = 5
+        assert p.coeffs.tolist() == [1, 2, 3]
+
+    def test_input_is_copied(self):
+        a = np.array([1.0, 2.0, 3.0 + 1j])
+        p = Polynomial(a)
+        a[0] = 7.0
+        assert p.coeffs.tolist() == [1, 2, 3 + 1j]
+        assert a.flags.writeable
+
+    def test_signed_zero_equal_and_same_hash(self):
+        negative, positive = Polynomial([-0.0, 1]), Polynomial([0.0, 1])
+        assert negative == positive
+        assert hash(negative) == hash(positive)
+        assert Polynomial([complex(0.0, -0.0), 1]) == positive
+        assert hash(Polynomial([complex(-0.0, -0.0), 1])) == hash(positive)
+        # The sign is kept, though: it is part of the written output.
+        assert math.copysign(1.0, negative.coeffs[0].real) == -1.0
+
+    def test_equality_is_by_value(self):
+        p = Polynomial([1, 2j, 3])
+        assert p == Polynomial(np.array([1, 2j, 3, 0]))
+        assert p != Polynomial([1, 2j, 3.0000000000000004])
+        assert p != Polynomial([1, 2j])
+        assert len({p, Polynomial([1, 2j, 3])}) == 1
+
+    def test_repr_prints_python_complex(self):
+        assert repr(Polynomial([1, 2.5 - 0.5j])) == "Polynomial([(1+0j), (2.5-0.5j)])"
+
+    def test_json_pairs(self):
+        p = Polynomial([-0.0, 1 + 2j, 1e-300])
+        assert jsonable(p) == [[-0.0, 0.0], [1.0, 2.0], [1e-300, 0.0]]
+        assert all(type(x) is float for pair in jsonable(p) for x in pair)
+        assert math.copysign(1.0, jsonable(p)[0][0]) == -1.0
+
+
+class TestAgainstScalarLoops:
+    # numpy rounds complex products and orders sums differently from
+    # CPython, so the array layers match the scalar loops within a bound
+    # fixed from eps and the sizes of the terms, and exactly where the
+    # arithmetic is the same.
+    def test_poly_mul(self):
+        rng = np.random.default_rng(61)
+        for dp, dq in [(0, 3), (1, 1), (5, 12), (64, 64), (3, 200)]:
+            a = rng.normal(size=dp + 1) + 1j * rng.normal(size=dp + 1)
+            b = rng.normal(size=dq + 1) + 1j * rng.normal(size=dq + 1)
+            got = poly_mul(Polynomial(a), Polynomial(b)).coeffs
+            want = np.array(convolve(a, b))
+            size = np.array(convolve(np.abs(a), np.abs(b))).real
+            bound = 4 * (min(dp, dq) + 2) * EPS * size
+            assert (np.abs(got - want) <= bound).all()
+
+    def test_poly_from_roots(self):
+        rng = np.random.default_rng(67)
+        for n in (1, 2, 7, 12, 64, 256):
+            roots = np.sqrt(rng.random(n)) * np.exp(2j * np.pi * rng.random(n))
+            got = poly_from_roots(roots).coeffs
+            want = np.array(expand_roots(roots))
+            # The coefficients of prod (z + |r|) bound every partial sum.
+            size = np.array(expand_roots(-np.abs(roots))).real
+            assert (np.abs(got - want) <= 8 * n * EPS * size).all()
+            assert got[-1] == 1
+
+    def test_derivative_exact(self):
+        rng = np.random.default_rng(71)
+        for deg, k in [(1, 1), (12, 3), (40, 5), (100, 0)]:
+            a = rng.normal(size=deg + 1) + 1j * rng.normal(size=deg + 1)
+            got = derivative_k(Polynomial(a), k).coeffs.tolist()
+            want = [
+                complex(a[j + k]) * float(rising_factorial(j + 1, k))
+                for j in range(deg - k + 1)
+            ]
+            assert got == want
+
+
 class TestMul:
     def test_difference_of_squares(self):
         out = poly_mul(Polynomial([1, 1]), Polynomial([-1, 1]))
-        assert out.coeffs == (-1 + 0j, 0j, 1 + 0j)
+        assert out.coeffs.tolist() == [-1 + 0j, 0j, 1 + 0j]
 
     def test_multiplicative_identity(self):
         p = Polynomial([3, -2, 1j])
-        assert poly_mul(p, Polynomial([1])).coeffs == p.coeffs
+        assert poly_mul(p, Polynomial([1])) == p
 
     def test_small_case_with_pointwise_oracle(self):
         p, q = Polynomial([1, 2]), Polynomial([3, 4])
         out = poly_mul(p, q)
-        assert out.coeffs == (3 + 0j, 10 + 0j, 8 + 0j)
+        assert out.coeffs.tolist() == [3 + 0j, 10 + 0j, 8 + 0j]
         for z in (0, 1, -1):
             assert eval_poly(out.coeffs, z) == eval_poly(
                 p.coeffs, z
@@ -102,7 +195,7 @@ class TestMul:
         # constant term and must still not be trimmed.
         out = poly_mul(Polynomial([1e11, 1]), Polynomial([1e11, 1]))
         assert out.degree == 2
-        assert out.coeffs == (1e22 + 0j, 2e11 + 0j, 1 + 0j)
+        assert out.coeffs.tolist() == [1e22 + 0j, 2e11 + 0j, 1 + 0j]
 
     def test_matches_pointwise_on_unit_circle(self):
         rng = np.random.default_rng(5)
@@ -122,11 +215,11 @@ class TestMul:
 
 class TestDerivative:
     def test_power_rule(self):
-        assert derivative_k(Polynomial([0, 0, 0, 1]), 1).coeffs == (
+        assert derivative_k(Polynomial([0, 0, 0, 1]), 1).coeffs.tolist() == [
             0j,
             0j,
             3 + 0j,
-        )
+        ]
 
     def test_order_exceeding_degree_gives_zero(self):
         assert derivative_k(Polynomial([0, 0, 1]), 3).is_zero()
@@ -135,7 +228,7 @@ class TestDerivative:
         # k-fold derivative of z^(n+k) is (n+1)_k z^n; at n=2, k=2 the
         # factor is 3*4 = 12.
         out = derivative_k(Polynomial([0, 0, 0, 0, 1]), 2)
-        assert out.coeffs == (0j, 0j, 12 + 0j)
+        assert out.coeffs.tolist() == [0j, 0j, 12 + 0j]
         for n in range(1, 7):
             for k in range(1, 5):
                 mono = Polynomial([0] * (n + k) + [1])
@@ -151,7 +244,7 @@ class TestDerivative:
         # (1e15 z^2 + z^4)'' = 2e15 + 12 z^2: the top is 6e-15 of the
         # constant term and still the leading coefficient.
         out = derivative_k(Polynomial([0, 0, 1e15, 0, 1]), 2)
-        assert out.coeffs == (2e15 + 0j, 0j, 12 + 0j)
+        assert out.coeffs.tolist() == [2e15 + 0j, 0j, 12 + 0j]
 
     def test_linearity(self):
         rng = np.random.default_rng(17)
@@ -180,7 +273,7 @@ class TestDerivative:
 class TestTaylorShift:
     def test_binomial_square(self):
         out = taylor_shift(Polynomial([0, 0, 1]), 1)
-        assert out.coeffs == (1 + 0j, 2 + 0j, 1 + 0j)
+        assert out.coeffs.tolist() == [1 + 0j, 2 + 0j, 1 + 0j]
 
     def test_zero_shift_is_identity(self):
         p = Polynomial([2, -1, 3])
@@ -189,7 +282,7 @@ class TestTaylorShift:
     def test_complex_center_with_pointwise_oracle(self):
         p = Polynomial([1, 0, 1])
         out = taylor_shift(p, 1j)
-        assert out.coeffs == (0j, 2j, 1 + 0j)
+        assert out.coeffs.tolist() == [0j, 2j, 1 + 0j]
         for w in (0, 1, 1j):
             assert abs(eval_poly(out.coeffs, w) - eval_poly(p.coeffs, 1j + w)) <= 1e-12
 
@@ -215,10 +308,10 @@ class TestTaylorShift:
 
 class TestBinomialForm:
     def test_half_coefficient_example(self):
-        assert binomial_coeffs(Polynomial([0, 1, 1])) == (0j, 0.5 + 0j, 1 + 0j)
+        assert binomial_coeffs(Polynomial([0, 1, 1])).tolist() == [0j, 0.5 + 0j, 1 + 0j]
 
     def test_pure_square_example(self):
-        assert binomial_coeffs(Polynomial([0, 0, 1])) == (0j, 0j, 1 + 0j)
+        assert binomial_coeffs(Polynomial([0, 0, 1])).tolist() == [0j, 0j, 1 + 0j]
 
     def test_binomial_power_has_unit_coefficients(self):
         for n in range(1, 9):
@@ -227,7 +320,7 @@ class TestBinomialForm:
 
     def test_padding_to_larger_size(self):
         gamma = binomial_coeffs(Polynomial([1, 1]), n=3)
-        assert gamma == (1 + 0j, (1 / 3) + 0j, 0j, 0j)
+        assert gamma.tolist() == [1 + 0j, (1 / 3) + 0j, 0j, 0j]
         with pytest.raises(ValueError):
             binomial_coeffs(Polynomial([0, 0, 1]), n=1)
 
@@ -294,7 +387,7 @@ class TestJsonForm:
 
 def test_poly_from_roots_expands_exactly():
     p = poly_from_roots([0.5, -0.5])
-    assert p.coeffs == (-0.25 + 0j, 0j, 1 + 0j)
+    assert p.coeffs.tolist() == [-0.25 + 0j, 0j, 1 + 0j]
     rng = np.random.default_rng(3)
     for _ in range(10):
         roots = rng.normal(size=5) + 1j * rng.normal(size=5)

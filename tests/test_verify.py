@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from polarpoly.polynomial import (
@@ -18,6 +19,7 @@ from polarpoly.verify import (
     reproduce_paper_examples,
     residual_norm,
     run_property_suite,
+    sample_case,
 )
 
 
@@ -156,6 +158,31 @@ class TestRunPropertySuite:
         dump = report.property_by_name("residual").failing[0]["instance"]
         for key in ("n", "k", "zeros", "xi", "P", "Q", "Q_roots"):
             assert key in dump
+
+    def test_dump_built_for_failing_cases_only(self):
+        # residual_tol = 0 fails "residual" and "convolution_identity" on
+        # every case; both entries of a case carry the same dump, equal
+        # to the instance and artifacts of case_metrics, and no passing
+        # property keeps one.
+        cfg = SuiteConfig(cases=4, seed=13, residual_tol=0.0)
+        report = run_property_suite(cfg)
+        rng = np.random.Generator(np.random.PCG64(cfg.seed))
+        cache = {}
+        want = []
+        for _ in range(cfg.cases):
+            inst = sample_case(rng, cfg)
+            metrics = case_metrics(inst, cache, cfg.containment_tol)
+            want.append({**jsonable(inst), **metrics["artifacts"]})
+        residual = report.property_by_name("residual").failing
+        convolution = report.property_by_name("convolution_identity").failing
+        assert [f["instance"] for f in residual] == want
+        assert [f["instance"] for f in convolution] == want
+        assert all(
+            a["instance"] is b["instance"]
+            for a, b in zip(residual, convolution)
+        )
+        for name in ("path_equivalence", "localization", "s_radius"):
+            assert report.property_by_name(name).failing == []
 
 
 class TestCaseMetrics:
