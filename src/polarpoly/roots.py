@@ -9,8 +9,18 @@ Vieta diagnostics are the arbiters of quality in that case.
 Vanishing low coefficients give exact zeros at 0.  The starts come
 from the Newton polygon of the coefficients (Bini 1996; MPSolve).  One
 evaluator, ``_evaluate``, gives p, p' and the noise floor of the
-evaluation; it runs Horner's rule on the reversed coefficients at 1/z
-where |z| > 1, so no power of a large z is formed at any degree.
+evaluation.  It works on the coefficients at z where |z| <= 1 and on
+the reversed coefficients at x = 1/z beyond, so no power of a large
+z is formed at any degree.  Up to 16 coefficients it runs one plain
+Horner sweep.  Beyond, it splits the N coefficients into blocks of b,
+a power of two in [sqrt N, 2 sqrt N), takes every block's value,
+derivative and size against the powers x^0 .. x^(b-1) at once, and
+runs Horner over the blocks in y = x^b (Higham, Accuracy and Stability
+of Numerical Algorithms, 2nd ed., 5.1), so its Python step count
+grows like sqrt N.  The powers are formed in extended precision
+(np.clongdouble) and rounded once, so each is correctly rounded; on a
+platform where np.longdouble is plain double they are not, which
+tests/test_roots.py reports as a failure.
 
 A root counts as settled when its Newton correction |p/p'| drops below
 ``tol`` or when the polynomial value at the iterate is already below
@@ -54,6 +64,9 @@ _DEFAULT_MAX_ITER = 200
 _EPS = float(np.finfo(np.float64).eps)
 _SPLITTER = 134217729.0  # 2^27 + 1, Veltkamp-Dekker's for doubles
 
+# Up to this many coefficients _evaluate runs one plain Horner sweep.
+_ONE_BLOCK = 16
+
 
 @dataclass(frozen=True)
 class RootSet:
@@ -76,24 +89,27 @@ class RootSet:
 def _hull_starts(a: np.ndarray) -> np.ndarray:
     # Bini's starts from the Newton polygon, the upper convex hull of
     # (j, log|a_j|) over a_j != 0: an edge i -> j gets j - i starts
-    # evenly on the circle of radius (|a_i| / |a_j|)^(1/(j - i)).
+    # evenly on the circle of radius (|a_i| / |a_j|)^(1/(j - i)), at
+    # angles 2 pi (m / (j - i) + i / n) for m = 0 .. j - i - 1.
     n = len(a) - 1
-    logs = np.log(np.abs(a))
+    logs = np.log(np.abs(a)).tolist()
     hull: list[int] = []
-    for j in np.flatnonzero(a):
+    for j in np.flatnonzero(a).tolist():
         while len(hull) >= 2:
             h0, h1 = hull[-2], hull[-1]
             rise = (logs[h1] - logs[h0]) * (j - h0)
             if rise > (logs[j] - logs[h0]) * (h1 - h0):
                 break
             hull.pop()
-        hull.append(int(j))
-    starts = []
-    for i, j in zip(hull, hull[1:]):
-        radius = math.exp((logs[i] - logs[j]) / (j - i))
-        angles = 2.0 * math.pi * (np.arange(j - i) / (j - i) + i / n)
-        starts.append(radius * np.exp(1j * (angles + _ANGLE_TWIST)))
-    return np.concatenate(starts)
+        hull.append(j)
+    radius = [
+        math.exp((logs[i] - logs[j]) / (j - i)) for i, j in zip(hull, hull[1:])
+    ]
+    width = np.diff(hull)
+    start = np.repeat(hull[:-1], width)
+    m = np.arange(hull[0], hull[-1]) - start
+    angles = 2.0 * math.pi * (m / np.repeat(width, width) + start / n)
+    return np.repeat(radius, width) * np.exp(1j * (angles + _ANGLE_TWIST))
 
 
 def _oriented(z: np.ndarray, *arrays: np.ndarray):
@@ -113,12 +129,34 @@ def _oriented(z: np.ndarray, *arrays: np.ndarray):
 
 def _evaluate(a: np.ndarray, z: np.ndarray):
     # p, p' and the noise floor 4 eps sum_i |a_i| |z|^i of the ascending
-    # coefficients a at z, in one Horner sweep and in the scale of
-    # _oriented: beyond |z| = 1 all three are those of z^-deg p(z), and
-    # there p'(z) z^-deg = (deg rev(x) - x rev'(x)) x with x = 1/z.
-    # |p| values below the noise floor are indistinguishable from zero
-    # in doubles.  The sizes |a_i| are taken of a itself, before it is
-    # oriented, so they do not depend on the other points in z.
+    # coefficients a at z, in the scale of _oriented: beyond |z| = 1 all
+    # three are those of z^-deg p(z), and there p'(z) z^-deg =
+    # (deg rev(x) - x rev'(x)) x with x = 1/z.  |p| values below the
+    # noise floor are indistinguishable from zero in doubles.  Each
+    # point's values do not depend on the other points in z.
+    if len(a) <= _ONE_BLOCK:
+        p, d, size = _horner(a, z)
+        return p, d, 4.0 * _EPS * size
+    # Each side on its own coefficients: a at z, the reversed a at 1/z.
+    far = np.abs(z) > 1.0
+    p = np.empty(z.shape, np.complex128)
+    d = np.empty_like(p)
+    size = np.empty(z.shape)
+    near = ~far
+    if near.any():
+        p[near], d[near], size[near] = _blocked(a, z[near])
+    if far.any():
+        x = 1.0 / z[far]
+        pf, df, size[far] = _blocked(a[::-1], x)
+        p[far] = pf
+        d[far] = ((len(a) - 1) * pf - x * df) * x
+    return p, d, 4.0 * _EPS * size
+
+
+def _horner(a: np.ndarray, z: np.ndarray):
+    # _evaluate for one block: one Horner sweep on the coefficients as
+    # _oriented gives them.  The sizes |a_i| are taken of a itself,
+    # before it is oriented, so they do not depend on the other points.
     coeffs, sizes, x, far = _oriented(z, a, np.abs(a))
     ax = np.abs(x)
     p = np.zeros_like(x) + coeffs[-1]
@@ -130,7 +168,54 @@ def _evaluate(a: np.ndarray, z: np.ndarray):
         size = size * ax + s
     if far is not False:
         d = np.where(far, ((len(a) - 1) * p - x * d) * x, d)
-    return p, d, 4.0 * _EPS * size
+    return p, d, size
+
+
+def _powers(x: np.ndarray, b: int) -> np.ndarray:
+    # x^0 .. x^b for b a power of two, one row per point.  Each power is
+    # a product of two lower ones (x^(k+j) = x^k x^j) in extended
+    # precision, rounded once: a relative error in y = x^b acts on p
+    # like a moved point, which in doubles reaches a noise floor at
+    # n = 256.  Where np.longdouble is plain double this rounding is
+    # lost; tests/test_roots.py checks it.
+    pw = np.empty((b + 1, len(x)), np.clongdouble)
+    pw[0] = 1.0
+    pw[1] = x
+    k = 1
+    while k < b:
+        np.multiply(pw[1 : k + 1], pw[k], out=pw[k + 1 : 2 * k + 1])
+        k *= 2
+    return pw.T.astype(np.complex128, order="C")
+
+
+def _blocked(c: np.ndarray, x: np.ndarray):
+    # p, p' and sum_i |c_i| |x|^i of the ascending coefficients c at
+    # |x| <= 1, by Horner in y = x^b over blocks B_j of b coefficients,
+    # the top block padded with zeros, b the power of two in
+    # [sqrt N, 2 sqrt N) for N coefficients.  einsum, not a BLAS
+    # product, so that a point's summation order does not depend on how
+    # many points there are.
+    b = 1 << ((len(c) - 1).bit_length() + 1) // 2
+    m = -(-len(c) // b)
+    # Rows 0..m-1 hold the blocks B_j, rows m.. the coefficients of B_j'.
+    rows = np.zeros((2 * m, b), np.complex128)
+    rows[:m].reshape(-1)[: len(c)] = c
+    rows[m:, :-1] = rows[:m, 1:] * np.arange(1, b)
+    pw = _powers(x, b)
+    both = np.einsum("pi,ji->jp", pw[:, :b], rows)
+    val, der = both[:m], both[m:]
+    siz = np.einsum("pi,ji->jp", np.abs(pw[:, :b]), np.abs(rows[:m]))
+    y = pw[:, b]
+    ay = np.abs(y)
+    p, dx, size = val[-1], der[-1], siz[-1]
+    dy = np.zeros_like(x)
+    for j in range(m - 2, -1, -1):
+        dy = dy * y + p
+        p = p * y + val[j]
+        dx = dx * y + der[j]
+        size = size * ay + siz[j]
+    # p' = sum_j B_j' y^j + b x^(b-1) sum_j j B_j y^(j-1).
+    return p, dx + b * pw[:, b - 1] * dy, size
 
 
 def _split(v: np.ndarray):
@@ -179,19 +264,25 @@ def _newton_polish(evaluate, z: np.ndarray, steps: int = 3):
     # Up to ``steps`` Newton steps, each kept only where it lowers the
     # normwise residual |p|/noise, so never from p' = 0.  ``evaluate``
     # gives p, p' and the noise floor in any per-point scale that varies
-    # smoothly with z; returns z and those three at z.
+    # smoothly with z; returns z and those three at z.  A point whose
+    # step was refused would take the same step again, so only points
+    # whose last step was kept are stepped.
+    z = np.array(z, np.complex128)
     pv, dv, noise = evaluate(z)
+    live = np.arange(len(z))
     for _ in range(steps):
-        dv_safe = np.where(dv == 0, 1.0, dv)
-        cand = np.where(dv == 0, z, z - pv / dv_safe)
+        zl, pl, dl = z[live], pv[live], dv[live]
+        dv_safe = np.where(dl == 0, 1.0, dl)
+        cand = np.where(dl == 0, zl, zl - pl / dv_safe)
         pc, dc, nc = evaluate(cand)
-        improved = np.abs(pc) * noise < np.abs(pv) * nc
-        if not improved.any():
+        improved = np.abs(pc) * noise[live] < np.abs(pl) * nc
+        live = live[improved]
+        if not live.size:
             break
-        z = np.where(improved, cand, z)
-        pv = np.where(improved, pc, pv)
-        dv = np.where(improved, dc, dv)
-        noise = np.where(improved, nc, noise)
+        z[live] = cand[improved]
+        pv[live] = pc[improved]
+        dv[live] = dc[improved]
+        noise[live] = nc[improved]
     return z, pv, dv, noise
 
 
@@ -234,8 +325,8 @@ def _aberth(
             # Coincident approximations exert no repulsion on each
             # other; they then merge into a cluster, which the
             # diagnostics accept.
-            diff = np.where(diff == 0, np.inf, diff)
-            s = (1.0 / diff).sum(axis=1)
+            diff[diff == 0] = np.inf
+            s = np.divide(1.0, diff, out=diff).sum(axis=1)
             denom = 1.0 - w * s
             denom = np.where(denom == 0, 1.0, denom)
             delta = np.where(at_root, 0.0, w / denom)

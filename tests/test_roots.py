@@ -19,6 +19,7 @@ from polarpoly.roots import (
     _horner_comp,
     _newton_polish,
     _oriented,
+    _powers,
     _root_set,
     find_roots,
     max_modulus,
@@ -319,10 +320,107 @@ class TestCompensatedHorner:
             self.assert_accurate(coeffs, points)
 
 
+def centered_q(n, seed):
+    """Q = solve_polar for R = (z - xi)^3 with |xi| = 1.5 and P with n
+    zeros uniform in the unit disk, drawn from ``seed``."""
+    rng = np.random.default_rng(seed)
+    zeros = np.sqrt(rng.random(n)) * np.exp(2j * np.pi * rng.random(n))
+    xi = 1.5 * cmath.exp(2j * math.pi * rng.random())
+    return solve_polar(PolarProblem.centered(poly_from_roots(zeros), xi, 3))
+
+
+def exact_derivative(coeffs, z):
+    """p'(z) of the ascending coefficients in 60-digit mpmath, times
+    z^-deg beyond |z| = 1: the scale in which _evaluate reports it."""
+    import mpmath
+
+    with mpmath.workdps(60):
+        w = mpmath.mpc(z)
+        p = dp = mpmath.mpc(0)
+        for c in coeffs[::-1]:
+            dp = dp * w + p
+            p = p * w + mpmath.mpc(c)
+        if abs(z) > 1.0:
+            dp /= w ** (len(coeffs) - 1)
+        return complex(dp)
+
+
+def derivative_floor(coeffs, z):
+    """eps times the sum of the moduli of the terms _evaluate's p' is
+    formed from: i |a_i| |z|^(i-1) inside the unit circle; beyond it,
+    where p' comes from (deg rev(x) - x rev'(x)) x at x = 1/z, |x| times
+    (deg + i) |r_i| |x|^i over the reversed coefficients r."""
+    n = len(coeffs) - 1
+    i = np.arange(n + 1)
+    if abs(z) <= 1.0:
+        return EPS * (i * np.abs(coeffs) * abs(z) ** i).sum() / abs(z)
+    x = 1.0 / abs(z)
+    return EPS * x * ((n + i) * np.abs(coeffs[::-1]) * x**i).sum()
+
+
+class TestBlockedEvaluator:
+    """_evaluate beyond 16 coefficients: Horner in y = x^b over blocks."""
+
+    @pytest.mark.parametrize("n", [64, 128, 256, 512])
+    def test_value_within_a_noise_floor(self, n):
+        # Against compensated Horner (as accurate as twice the working
+        # precision), at the zeros of Q, where the terms cancel to the
+        # rounding level, and 1% off them.
+        q = centered_q(n, n)
+        zeros = np.array(find_roots(q).roots)
+        for z in (zeros, zeros * 1.01, zeros * (1 + 0.01j)):
+            p, _, noise = _evaluate(q.coeffs, z)
+            exact = _horner_comp(*_oriented(z, q.coeffs)[:2])
+            assert (np.abs(p - exact) <= noise).all()
+
+    @pytest.mark.parametrize("n", [200, 512])
+    def test_derivative_at_clustered_zeros(self, n):
+        # p' is small at a cluster; its error is held to the rounding
+        # level of the terms it is formed from.  Six zeros 1e-3 apart
+        # inside the unit circle and six beyond it, the rest spread.
+        rng = np.random.default_rng(n)
+        ring = 1e-3 * np.exp(2j * np.pi * (np.arange(6) / 6 + 0.1))
+        spread = 1.2 * np.sqrt(rng.random(n - 12))
+        spread = spread * np.exp(2j * np.pi * rng.random(n - 12))
+        a = poly_from_roots(
+            np.concatenate([0.5 + ring, 1.4j + ring, spread])
+        ).coeffs
+        zeros = np.array(find_roots(Polynomial(a)).roots)
+        z = np.concatenate(
+            [zeros[np.argsort(np.abs(zeros - c))[:6]] for c in (0.5, 1.4j)]
+        )
+        _, dp, _ = _evaluate(a, z)
+        for got, v in zip(dp, z):
+            err = abs(got - exact_derivative(a, v))
+            assert err <= 4 * derivative_floor(a, v)
+
+    def test_powers_are_correctly_rounded(self):
+        # A correctly rounded x^i is within half an ulp in each part,
+        # so within eps/2 |x^i|; the extended products add about 2^-64
+        # relative.  Fails where np.longdouble is plain double: products
+        # of doubles are off by several ulps by x^32.
+        import mpmath
+
+        rng = np.random.default_rng(5)
+        x = rng.uniform(0.5, 1.0, 200) * np.exp(2j * np.pi * rng.random(200))
+        pw = _powers(x, 32)
+        worst = 0.0
+        with mpmath.workprec(300):
+            for row, v in zip(pw, x):
+                v = mpmath.mpc(v)
+                for i, got in enumerate(row):
+                    exact = v**i
+                    err = abs(mpmath.mpc(got) - exact) / abs(exact)
+                    worst = max(worst, float(err))
+        assert worst <= 0.51 * EPS
+
+
 class TestSharedPipeline:
     """The pieces find_roots and polar.s_zeros both run."""
 
-    @pytest.mark.parametrize("degree", [0, 1, 2, 5, 256])
+    @pytest.mark.parametrize(
+        "degree", [0, 1, 2, 5, 15, 16, 17, 31, 32, 33, 256, 512]
+    )
     def test_evaluate_ratio_matches_polyval(self, degree):
         # p'/p does not depend on the scale _evaluate reports p and p'
         # in, so it must match plain evaluation on both sides of |z| = 1.
@@ -374,6 +472,48 @@ class TestSharedPipeline:
         z, p, _, _ = _newton_polish(evaluate, np.zeros(1, complex))
         assert (z[0], p[0]) == (want, 0.5**want)
 
+    def test_polish_steps_only_points_whose_step_was_kept(self):
+        # Zeros of a degree-40 polynomial, some exact to the last bit
+        # (their first step is refused) and some moved off by 1e-6 to
+        # 1e-3 (kept for a step or more).  A refused point would take
+        # the same step again, so it is not evaluated again, and the
+        # result is that of stepping every point every round.
+        rng = np.random.default_rng(7)
+        a = [1.0, 1j] @ rng.normal(size=(2, 41))
+        zeros = np.array(find_roots(Polynomial(a)).roots)
+        moved = np.arange(40) % 3 != 0
+        off = 10.0 ** -rng.uniform(3, 6, 40)
+        off = off * np.exp(2j * np.pi * rng.random(40))
+        z0 = np.where(moved, zeros + off, zeros)
+        calls = []
+
+        def counting(v):
+            calls.append(v.copy())
+            return _evaluate(a, v)
+
+        # Reference: every point stepped every round.
+        want = z0, *_evaluate(a, z0)
+        stepped = [40]
+        live = 40
+        for _ in range(3):
+            stepped.append(live)
+            z, pv, dv, noise = want
+            cand = np.where(dv == 0, z, z - pv / np.where(dv == 0, 1.0, dv))
+            pc, dc, nc = _evaluate(a, cand)
+            kept = np.abs(pc) * noise < np.abs(pv) * nc
+            want = tuple(
+                np.where(kept, new, old)
+                for new, old in zip((cand, pc, dc, nc), want)
+            )
+            live = int(kept.sum())
+            if not live:
+                break
+        got = _newton_polish(counting, z0)
+        for g, w in zip(got, want):
+            assert (g == w).all()
+        assert 0 < stepped[2] < 40
+        assert [len(v) for v in calls] == stepped
+
     def test_root_set_orders_and_skips_exact_zeros(self):
         # Zeros found exactly have no polish values; the residual is the
         # largest 4 eps |p| / noise of the rest.
@@ -384,3 +524,24 @@ class TestSharedPipeline:
         assert rs.max_residual == 2 * EPS
         assert rs.converged
         assert _root_set(z[:1], [], [], False).max_residual == 0.0
+
+
+class TestTopDegree:
+    def test_s_zeros_at_the_largest_order(self):
+        # t(w) has 515 coefficients here, so it runs blocked.
+        rs = s_zeros(514, 515)
+        assert rs.converged
+        assert rs.max_residual <= 1e-15
+
+    def test_find_roots_at_degree_800(self):
+        # Every zero has residual <= 2e-15 unless it is already the
+        # double nearest its zero (Newton step below eps |z|), where
+        # |p'| |z| eps can exceed that: 1.8e-14 at 7 of these zeros.
+        q = polar_q(800, 0)
+        rs = find_roots(q)
+        assert rs.converged
+        z = np.array(rs.roots)
+        p, dp, noise = _evaluate(q.coeffs, z)
+        residual = 4 * EPS * np.abs(p) / noise
+        grid = np.abs(p / dp) <= EPS * np.abs(z)
+        assert (grid | (residual <= 2e-15)).all()
