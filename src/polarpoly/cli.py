@@ -26,6 +26,7 @@ from .polar import (
 from .polynomial import (
     Polynomial,
     from_pairs,
+    json_text,
     jsonable,
     poly_from_pairs,
     poly_from_roots,
@@ -352,7 +353,7 @@ def main(argv=None) -> int:
         writer.writerow(header)
         writer.writerows(body)
     else:
-        print(json.dumps(jsonable(payload), indent=2, sort_keys=True))
+        print(json_text(jsonable(payload)))
     return code
 
 

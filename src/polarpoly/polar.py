@@ -48,7 +48,7 @@ from .roots import (
     _EPS,
     RootSet,
     _aberth,
-    _evaluate,
+    _Evaluator,
     _newton_polish,
     _root_set,
 )
@@ -257,7 +257,9 @@ def _s_form(n: int, k: int):
     # The coefficients of t, divided by the largest of them, top.
     top = math.comb(big_n, min(k - 1, big_n // 2))
     log_top = math.log(top)
-    fwd = np.array([math.comb(big_n, j) / top for j in range(k)])
+    evaluate_t = _Evaluator(
+        np.array([math.comb(big_n, j) / top for j in range(k)])
+    )
 
     def log_t(w):
         # log t(w), t'(w)/t(w) and sum_j |t_j w^j| / |t(w)|, from the
@@ -265,7 +267,7 @@ def _s_form(n: int, k: int):
         # w^-(k-1) t(w) / top, and their ratio is t'/t on both sides.
         # 4 eps is a power of two, so dividing the noise floor by it
         # gives the sum exactly.
-        p, d, noise = _evaluate(fwd, w)
+        p, d, noise = evaluate_t(w)
         log_w = np.log(np.where(np.abs(w) > 1.0, w, 1.0))
         log_t = log_top + np.log(p) + (k - 1) * log_w
         return log_t, d / p, noise / (4.0 * _EPS) / np.abs(p)

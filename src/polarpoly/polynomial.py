@@ -19,15 +19,19 @@ n + k of about 60.
 
 In JSON a complex number is an ``[re, im]`` pair of finite numbers.
 The codec at the end of this module is the one home of that form: its
-readers (``from_pair``, ``from_pairs``, ``poly_from_pairs``) parse it
-and its one writer, ``jsonable``, writes every result in it.
+readers (``from_pair``, ``from_pairs``, ``poly_from_pairs``) parse it,
+``jsonable`` turns every result into a JSON tree in it, and
+``json_text`` writes a tree as indented JSON text.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import functools
+import itertools
+import json
 import math
+import operator
 
 import numpy as np
 from numpy.typing import ArrayLike
@@ -215,17 +219,44 @@ def poly_from_pairs(data) -> Polynomial:
     return Polynomial(from_pairs(data, "coefficient"))
 
 
+# The leaves of a JSON tree.
+_SCALARS = frozenset({str, float, int, bool, type(None)})
+
+
 def jsonable(value):
     """The JSON form of a result, the inverse of the readers above.
 
     A complex number becomes an ``[re, im]`` pair, a Polynomial its
     ascending pairs, a dataclass the dict of its fields, and arrays,
     lists, tuples and dicts are converted item by item; every other
-    value is returned as it is.
+    value is returned as it is.  Numeric arrays, and lists and tuples
+    of complex numbers only, are converted by numpy in one step, and a
+    list of dataclasses of one type field by field.
     """
     if isinstance(value, Polynomial):
         value = value.coeffs
+    if isinstance(value, (list, tuple)):
+        kinds = set(map(type, value))
+        if kinds <= _SCALARS:
+            return list(value)
+        if kinds == {complex}:
+            value = np.array(value)
+        elif len(kinds) == 1 and dataclasses.is_dataclass(kind := kinds.pop()):
+            names = [f.name for f in dataclasses.fields(kind)]
+            if names:
+                columns = [
+                    jsonable(list(map(operator.attrgetter(name), value)))
+                    for name in names
+                ]
+                rows = map(zip, itertools.repeat(names), zip(*columns))
+                return list(map(dict, rows))
     if isinstance(value, np.ndarray):
+        if value.dtype == np.complex128:
+            # The two parts of each entry side by side, as a view.
+            pairs = np.ascontiguousarray(value).view(np.float64)
+            return pairs.reshape(value.shape + (2,)).tolist()
+        if value.dtype.kind in "biuf":
+            return value.tolist()
         value = value.tolist()
     if isinstance(value, complex):
         return [value.real, value.imag]
@@ -237,3 +268,121 @@ def jsonable(value):
         fields = dataclasses.fields(value)
         return {f.name: jsonable(getattr(value, f.name)) for f in fields}
     return value
+
+
+# Every scalar of a tree in one call; the C encoder escapes any line
+# break inside a string, so its output splits at its separator.
+_scalars_text = json.JSONEncoder(separators=("\n", ":")).encode
+# One scalar, as the key of a dict is written.
+_compact = json.JSONEncoder(separators=(",", ":")).encode
+
+
+def json_text(value) -> str:
+    """``json.dumps(value, indent=2, sort_keys=True)``, byte for byte.
+
+    ``value`` is a JSON tree, as ``jsonable`` gives it.  The standard
+    library serves ``indent`` only from its pure-Python encoder, one
+    Python step per number.  Here the tree is laid out as a template
+    with ``%s`` for every scalar, dict keys included, each list of
+    scalars and each list of ``[re, im]`` pairs in one step, and the
+    scalars are written by the C encoder in one call.
+    """
+    parts: list[str] = []
+    leaves: list = []
+    _layout(value, "\n", parts, leaves)
+    texts = _scalars_text(leaves)[1:-1].split("\n") if leaves else ()
+    return "".join(parts) % tuple(texts)
+
+
+def _layout(value, nl: str, parts: list[str], leaves: list) -> None:
+    # Appends the template of ``value``, at the depth whose line break
+    # and indent is ``nl``, to ``parts``, and its scalars to ``leaves``.
+    inner = nl + "  "
+    if isinstance(value, dict):
+        if not value:
+            parts.append("{}")
+            return
+        head = "{" + inner
+        for key, item in sorted(value.items()):
+            parts.append(head + "%s: ")
+            leaves.append(_key(key))
+            _layout(item, inner, parts, leaves)
+            head = "," + inner
+        parts.append(nl + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            parts.append("[]")
+            return
+        column = _column(value, inner)
+        if column is None and set(map(type, value)) == {dict}:
+            column = _table(value, inner)
+        if column is not None:
+            template, _, flat = column
+            leaves.extend(flat)
+            parts.append(_rows(len(value), template, inner, nl))
+            return
+        head = "[" + inner
+        for item in value:
+            parts.append(head)
+            _layout(item, inner, parts, leaves)
+            head = "," + inner
+        parts.append(nl + "]")
+    else:
+        parts.append("%s")
+        leaves.append(value)
+
+
+def _key(key) -> str:
+    # A dict key as the standard library writes it, before quoting.
+    if key is None or isinstance(key, (int, float)):
+        return _compact(key)
+    if not isinstance(key, str):
+        raise TypeError(
+            "keys must be str, int, float, bool or None, "
+            f"not {type(key).__name__}"
+        )
+    return key
+
+
+def _column(items, nl: str):
+    # If the items are all scalars, or all lists of one length of
+    # scalars: the template of one item at the depth of ``nl``, its
+    # number of scalars and the scalars of all items in order.
+    kinds = set(map(type, items))
+    if kinds <= _SCALARS:
+        return "%s", 1, items
+    if kinds <= {list, tuple}:
+        widths = set(map(len, items))
+        flat = list(itertools.chain.from_iterable(items))
+        if len(widths) == 1 and flat and set(map(type, flat)) <= _SCALARS:
+            width = widths.pop()
+            return _rows(width, "%s", nl + "  ", nl), width, flat
+    return None
+
+
+def _table(rows: list, nl: str):
+    # As _column, for dicts with one set of keys whose values under each
+    # key form a column: the dicts are laid out column by column.
+    if len(set(map(frozenset, rows))) != 1 or not rows[0]:
+        return None
+    inner = nl + "  "
+    items, cells, count = [], [], 0
+    for key in sorted(rows[0]):
+        column = _column(list(map(operator.itemgetter(key), rows)), inner)
+        if column is None:
+            return None
+        template, width, flat = column
+        items.append(inner + "%s: " + template)
+        cells.append(zip(itertools.repeat(_key(key)), *[iter(flat)] * width))
+        count += 1 + width
+    # Row by row, each key followed by its scalars.
+    flat = itertools.chain.from_iterable(
+        itertools.chain.from_iterable(zip(*cells))
+    )
+    return "{" + ",".join(items) + nl + "}", count, flat
+
+
+def _rows(count: int, item: str, inner: str, nl: str) -> str:
+    # ``count`` copies of the template ``item`` in a JSON list, one a
+    # line at the indent ``inner``, closed at ``nl``.
+    return "[" + inner + ("," + inner).join([item] * count) + nl + "]"

@@ -8,7 +8,7 @@ Vieta diagnostics are the arbiters of quality in that case.
 
 Vanishing low coefficients give exact zeros at 0.  The starts come
 from the Newton polygon of the coefficients (Bini 1996; MPSolve).  One
-evaluator, ``_evaluate``, gives p, p' and the noise floor of the
+evaluator, ``_Evaluator``, gives p, p' and the noise floor of the
 evaluation.  It works on the coefficients at z where |z| <= 1 and on
 the reversed coefficients at x = 1/z beyond, so no power of a large
 z is formed at any degree.  Up to 16 coefficients it runs one plain
@@ -20,7 +20,8 @@ of Numerical Algorithms, 2nd ed., 5.1), so its Python step count
 grows like sqrt N.  The powers are formed in extended precision
 (np.clongdouble) and rounded once, so each is correctly rounded; on a
 platform where np.longdouble is plain double they are not, which
-tests/test_roots.py reports as a failure.
+tests/test_roots.py reports as a failure.  The blocks of a polynomial
+are built once per orientation, when its evaluator is made.
 
 A root counts as settled when its Newton correction |p/p'| drops below
 ``tol`` or when the polynomial value at the iterate is already below
@@ -35,7 +36,10 @@ to where every term of p is smaller, while the residual there is far
 larger.  Roots whose attainable plain accuracy is poor (heavy
 coefficient cancellation) get one more such step with the value from
 compensated Horner (Graillat, Langlois and Louvet), which is as
-accurate as evaluation in twice the working precision.
+accurate as evaluation in twice the working precision.  Beyond 16
+coefficients it runs on the same blocks, compensated Horner twice:
+within every block at once, which gives each block as a double-double,
+then over the blocks in y = x^b, formed in double-double arithmetic.
 
 The iteration (``_aberth``) and the polish (``_newton_polish``) take
 the evaluator as an argument, and ``_root_set`` builds the result, so
@@ -64,7 +68,7 @@ _DEFAULT_MAX_ITER = 200
 _EPS = float(np.finfo(np.float64).eps)
 _SPLITTER = 134217729.0  # 2^27 + 1, Veltkamp-Dekker's for doubles
 
-# Up to this many coefficients _evaluate runs one plain Horner sweep.
+# Up to this many coefficients _Evaluator runs one plain Horner sweep.
 _ONE_BLOCK = 16
 
 
@@ -127,37 +131,64 @@ def _oriented(z: np.ndarray, *arrays: np.ndarray):
     return *(np.where(far, a[::-1, None], a[:, None]) for a in arrays), x, far
 
 
-def _evaluate(a: np.ndarray, z: np.ndarray):
-    # p, p' and the noise floor 4 eps sum_i |a_i| |z|^i of the ascending
-    # coefficients a at z, in the scale of _oriented: beyond |z| = 1 all
-    # three are those of z^-deg p(z), and there p'(z) z^-deg =
-    # (deg rev(x) - x rev'(x)) x with x = 1/z.  |p| values below the
-    # noise floor are indistinguishable from zero in doubles.  Each
-    # point's values do not depend on the other points in z.
-    if len(a) <= _ONE_BLOCK:
-        p, d, size = _horner(a, z)
+class _Evaluator:
+    """p, p' and the noise floor 4 eps sum_i |a_i| |z|^i of the ascending
+    coefficients a at z, in the scale of _oriented: beyond |z| = 1 all
+    three are those of z^-deg p(z), and there p'(z) z^-deg =
+    (deg rev(x) - x rev'(x)) x with x = 1/z.  |p| values below the noise
+    floor are indistinguishable from zero in doubles.  Each point's
+    values do not depend on the other points in z.  The blocks of the
+    coefficients and of the reversed coefficients are built once, here.
+    """
+
+    def __init__(self, a: np.ndarray):
+        self.a = a
+        self.sizes = np.abs(a)
+        if len(a) > _ONE_BLOCK:
+            self.near, self.far = _Blocks(a), _Blocks(a[::-1])
+
+    def __call__(self, z: np.ndarray):
+        a = self.a
+        if len(a) <= _ONE_BLOCK:
+            p, d, size = _horner(a, self.sizes, z)
+            return p, d, 4.0 * _EPS * size
+        # Each side on its own coefficients: a at z, the reversed a at 1/z.
+        far = np.abs(z) > 1.0
+        p = np.empty(z.shape, np.complex128)
+        d = np.empty_like(p)
+        size = np.empty(z.shape)
+        near = ~far
+        if near.any():
+            p[near], d[near], size[near] = self.near.evaluate(z[near])
+        if far.any():
+            x = 1.0 / z[far]
+            pf, df, size[far] = self.far.evaluate(x)
+            p[far] = pf
+            d[far] = ((len(a) - 1) * pf - x * df) * x
         return p, d, 4.0 * _EPS * size
-    # Each side on its own coefficients: a at z, the reversed a at 1/z.
-    far = np.abs(z) > 1.0
-    p = np.empty(z.shape, np.complex128)
-    d = np.empty_like(p)
-    size = np.empty(z.shape)
-    near = ~far
-    if near.any():
-        p[near], d[near], size[near] = _blocked(a, z[near])
-    if far.any():
-        x = 1.0 / z[far]
-        pf, df, size[far] = _blocked(a[::-1], x)
-        p[far] = pf
-        d[far] = ((len(a) - 1) * pf - x * df) * x
-    return p, d, 4.0 * _EPS * size
+
+    def compensated(self, z: np.ndarray):
+        # As __call__, with p as accurate as in twice the working
+        # precision: about eps |p| + n^2 eps^2 sum_i |a_i| |x|^i.
+        _, d, noise = self(z)
+        if len(self.a) <= _ONE_BLOCK:
+            p, err = _horner_comp(*_oriented(z, self.a)[:2])
+            return p + err, d, noise
+        far = np.abs(z) > 1.0
+        near = ~far
+        p = np.empty(z.shape, np.complex128)
+        if near.any():
+            p[near] = self.near.compensated(z[near])
+        if far.any():
+            p[far] = self.far.compensated(1.0 / z[far])
+        return p, d, noise
 
 
-def _horner(a: np.ndarray, z: np.ndarray):
-    # _evaluate for one block: one Horner sweep on the coefficients as
+def _horner(a: np.ndarray, sizes: np.ndarray, z: np.ndarray):
+    # _Evaluator for one block: one Horner sweep on the coefficients as
     # _oriented gives them.  The sizes |a_i| are taken of a itself,
     # before it is oriented, so they do not depend on the other points.
-    coeffs, sizes, x, far = _oriented(z, a, np.abs(a))
+    coeffs, sizes, x, far = _oriented(z, a, sizes)
     ax = np.abs(x)
     p = np.zeros_like(x) + coeffs[-1]
     d = np.zeros_like(x)
@@ -188,34 +219,58 @@ def _powers(x: np.ndarray, b: int) -> np.ndarray:
     return pw.T.astype(np.complex128, order="C")
 
 
-def _blocked(c: np.ndarray, x: np.ndarray):
-    # p, p' and sum_i |c_i| |x|^i of the ascending coefficients c at
-    # |x| <= 1, by Horner in y = x^b over blocks B_j of b coefficients,
-    # the top block padded with zeros, b the power of two in
-    # [sqrt N, 2 sqrt N) for N coefficients.  einsum, not a BLAS
-    # product, so that a point's summation order does not depend on how
-    # many points there are.
-    b = 1 << ((len(c) - 1).bit_length() + 1) // 2
-    m = -(-len(c) // b)
-    # Rows 0..m-1 hold the blocks B_j, rows m.. the coefficients of B_j'.
-    rows = np.zeros((2 * m, b), np.complex128)
-    rows[:m].reshape(-1)[: len(c)] = c
-    rows[m:, :-1] = rows[:m, 1:] * np.arange(1, b)
-    pw = _powers(x, b)
-    both = np.einsum("pi,ji->jp", pw[:, :b], rows)
-    val, der = both[:m], both[m:]
-    siz = np.einsum("pi,ji->jp", np.abs(pw[:, :b]), np.abs(rows[:m]))
-    y = pw[:, b]
-    ay = np.abs(y)
-    p, dx, size = val[-1], der[-1], siz[-1]
-    dy = np.zeros_like(x)
-    for j in range(m - 2, -1, -1):
-        dy = dy * y + p
-        p = p * y + val[j]
-        dx = dx * y + der[j]
-        size = size * ay + siz[j]
-    # p' = sum_j B_j' y^j + b x^(b-1) sum_j j B_j y^(j-1).
-    return p, dx + b * pw[:, b - 1] * dy, size
+class _Blocks:
+    """The ascending coefficients c for evaluation at |x| <= 1 by Horner
+    in y = x^b over blocks B_j of b coefficients, the top block padded
+    with zeros, b the power of two in [sqrt N, 2 sqrt N) for N
+    coefficients."""
+
+    def __init__(self, c: np.ndarray):
+        b = 1 << ((len(c) - 1).bit_length() + 1) // 2
+        m = -(-len(c) // b)
+        # Rows 0..m-1 hold the blocks B_j, rows m.. the coefficients of B_j'.
+        rows = np.zeros((2 * m, b), np.complex128)
+        rows[:m].reshape(-1)[: len(c)] = c
+        rows[m:, :-1] = rows[:m, 1:] * np.arange(1, b)
+        self.b, self.m, self.rows = b, m, rows
+        self.sizes = np.abs(rows[:m])
+        # Row i holds coefficient i of every block.
+        self.columns = rows[:m].T[:, :, None]
+
+    def evaluate(self, x: np.ndarray):
+        # p, p' and sum_i |c_i| |x|^i: every block's value, derivative
+        # and size at once, then Horner over the blocks.  einsum, not a
+        # BLAS product, so that a point's summation order does not
+        # depend on how many points there are.
+        b, m = self.b, self.m
+        pw = _powers(x, b)
+        both = np.einsum("pi,ji->jp", pw[:, :b], self.rows)
+        val, der = both[:m], both[m:]
+        siz = np.einsum("pi,ji->jp", np.abs(pw[:, :b]), self.sizes)
+        y = pw[:, b]
+        ay = np.abs(y)
+        p, dx, size = val[-1], der[-1], siz[-1]
+        dy = np.zeros_like(x)
+        for j in range(m - 2, -1, -1):
+            dy = dy * y + p
+            p = p * y + val[j]
+            dx = dx * y + der[j]
+            size = size * ay + siz[j]
+        # p' = sum_j B_j' y^j + b x^(b-1) sum_j j B_j y^(j-1).
+        return p, dx + b * pw[:, b - 1] * dy, size
+
+    def compensated(self, x: np.ndarray) -> np.ndarray:
+        # p as accurate as in twice the working precision: compensated
+        # Horner in x within every block at once gives each block as a
+        # double-double B_j, then compensated Horner over the blocks in
+        # y = x^b, formed in double-double by squaring.
+        p, err = _horner_comp(self.columns, x[None, :])
+        y, y_lo = x, np.zeros_like(x)
+        for _ in range(self.b.bit_length() - 1):
+            s, e = _two_prod(y, y)
+            y, y_lo = s, e + 2.0 * y * y_lo
+        p, err = _horner_comp(p, y, err, y_lo)
+        return p + err
 
 
 def _split(v: np.ndarray):
@@ -226,19 +281,40 @@ def _split(v: np.ndarray):
 
 
 def _two_sum(a: np.ndarray, b: np.ndarray):
-    # Knuth: a + b = s + e exactly.
+    # Knuth: a + b = s + e exactly; on complex arrays part by part.
     s = a + b
     bb = s - a
     return s, (a - (s - bb)) + (b - bb)
 
 
-def _horner_comp(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
-    # Compensated Horner (Graillat, Langlois and Louvet) on coefficients
-    # as _oriented gives them: the exact errors of each product and sum
-    # (TwoProduct, TwoSum) run through a second Horner, so the error is
-    # about eps |p| + n^2 eps^2 sum_i |c_i| |x|^i, as in twice the
-    # working precision.
-    rows = coeffs.reshape(len(coeffs), -1)
+def _two_prod(a: np.ndarray, b: np.ndarray):
+    # The complex products a b as s + e: the four real products formed
+    # exactly (TwoProduct), each part of s their sum with TwoSum, e the
+    # errors summed once more.
+    a4 = np.stack([a.real, a.imag, a.real, a.imag])
+    b4 = np.stack([b.real, -b.imag, b.imag, b.real])
+    h = a4 * b4
+    a_hi, a_lo = _split(a4)
+    b_hi, b_lo = _split(b4)
+    lo = a_lo * b_lo - (((h - a_hi * b_hi) - a_lo * b_hi) - a_hi * b_lo)
+    s, e = _two_sum(h[0::2], h[1::2])
+    e = (lo[0::2] + lo[1::2]) + e
+    return s[0] + 1j * s[1], e[0] + 1j * e[1]
+
+
+def _horner_comp(
+    coeffs: np.ndarray, x: np.ndarray, coeffs_lo=None, x_lo=None
+):
+    # Compensated Horner (Graillat, Langlois and Louvet): p and the
+    # correction err, the exact errors of each product and sum
+    # (TwoProduct, TwoSum) run through a second Horner, so that p + err
+    # is within about eps |p| + n^2 eps^2 sum_i |c_i| |x|^i, as in twice
+    # the working precision.  Coefficient j is coeffs[j], of the ndim
+    # of x or a scalar, and broadcast against it: as _oriented gives
+    # them, or one column per block.  With coeffs_lo and x_lo the
+    # coefficients and x are the double-doubles coeffs + coeffs_lo and
+    # x + x_lo, whose low parts join the second Horner.
+    rows = coeffs if coeffs.ndim > 1 else coeffs[:, None]
     # Real and imaginary parts stacked: row j is [re c_j, im c_j].
     c = np.stack([rows.real, rows.imag], axis=1)
     # p x as the four real products [pr xr, pi (-xi), pr xi, pi xr].
@@ -246,7 +322,11 @@ def _horner_comp(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
     xs_hi, xs_lo = _split(xs)
     p = np.zeros((2,) + x.shape) + c[-1]
     err = np.zeros_like(x)
-    for cj in c[-2::-1]:
+    if coeffs_lo is not None:
+        err = err + coeffs_lo[-1]
+    for j in range(len(c) - 2, -1, -1):
+        if x_lo is not None:
+            extra = ((p[0] + 1j * p[1]) + err) * x_lo + coeffs_lo[j]
         a = p[[0, 1, 0, 1]]
         h = a * xs
         a_hi, a_lo = _split(a)
@@ -254,10 +334,12 @@ def _horner_comp(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
             ((h - a_hi * xs_hi) - a_lo * xs_hi) - a_hi * xs_lo
         )
         s, e = _two_sum(h[0::2], h[1::2])
-        p, e2 = _two_sum(s, cj)
+        p, e2 = _two_sum(s, c[j])
         e = (lo[0::2] + lo[1::2]) + (e + e2)
         err = err * x + (e[0] + 1j * e[1])
-    return (p[0] + 1j * p[1]) + err
+        if x_lo is not None:
+            err = err + extra
+    return p[0] + 1j * p[1], err
 
 
 def _newton_polish(evaluate, z: np.ndarray, steps: int = 3):
@@ -297,7 +379,7 @@ def _aberth(
     ``evaluate(v)`` returns p(v), p'(v) and the noise floor of p at v,
     all three in one per-point scale of the caller's choice: only the
     Newton ratio p/p' and the comparison of |p| with the noise floor
-    are used.  ``_evaluate`` is that evaluator for dense coefficients;
+    are used.  ``_Evaluator`` is that evaluator for dense coefficients;
     ``polar.s_zeros`` passes its own, built on it.  Each sweep
     evaluates and moves the active roots only; settled roots freeze but
     keep repelling the others.  Returns the final iterates and whether
@@ -393,14 +475,7 @@ def find_roots(
     if m == n:
         return RootSet(roots=(0j,) * n, max_residual=0.0, converged=True)
 
-    def evaluate(v):
-        return _evaluate(a, v)
-
-    def compensated(v):
-        # p from compensated Horner, p' and the noise floor as above.
-        _, dv, noise = _evaluate(a, v)
-        return _horner_comp(*_oriented(v, a)[:2]), dv, noise
-
+    evaluate = _Evaluator(a)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         z, converged = _aberth(_hull_starts(a), evaluate, tol, max_iter)
         z, pv, dv, noise = _newton_polish(evaluate, z)
@@ -409,7 +484,7 @@ def find_roots(
         poor = noise > 2e-11 * (1.0 + np.abs(z)) * np.abs(dv)
         if poor.any():
             z[poor], pv[poor], _, noise[poor] = _newton_polish(
-                compensated, z[poor], 1
+                evaluate.compensated, z[poor], 1
             )
     return _root_set(np.concatenate([np.zeros(m), z]), pv, noise, converged)
 

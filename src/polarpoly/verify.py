@@ -14,7 +14,6 @@ the solvers.
 from __future__ import annotations
 
 import cmath
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -34,6 +33,7 @@ from .polynomial import (
     derivative_k,
     from_pair,
     from_pairs,
+    json_text,
     jsonable,
     max_coeff_diff,
     poly_from_roots,
@@ -171,7 +171,7 @@ class SuiteReport:
         return {**jsonable(self), "all_passed": self.all_passed}
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
+        return json_text(self.to_dict())
 
 
 def residual_norm(P: Polynomial, R: Polynomial, Q: Polynomial) -> float:

@@ -8,6 +8,8 @@ library paths it checks.
 import cmath
 import math
 
+import numpy as np
+
 
 def eval_poly(coeffs, z):
     """Plain Horner evaluation of ascending coefficients."""
@@ -270,3 +272,48 @@ def polar_solution(p, r, dps=120):
                 acc -= r[k - d] * q[i + d]
             q[i] = acc
         return [complex(c) for c in q]
+
+
+def compensated_horner(coeffs, z):
+    """p at each point of z by compensated Horner (Graillat, Langlois
+    and Louvet), as accurate as in twice the working precision: the
+    exact error of each product and sum (TwoProduct with Dekker's split,
+    TwoSum) runs through a second Horner.  Beyond |z| = 1 it evaluates
+    the reversed coefficients at 1/z, the scale in which the root finder
+    reports p.  One pass of numpy steps per coefficient, all points at
+    once."""
+    a = np.asarray(coeffs, dtype=np.complex128)
+    z = np.asarray(z, dtype=np.complex128)
+    far = np.abs(z) > 1.0
+    x = np.where(far, 1.0 / z, z)
+    cols = np.where(far, a[::-1, None], a[:, None])
+
+    def split(v):
+        t = 134217729.0 * v
+        hi = t - (t - v)
+        return hi, v - hi
+
+    def two_sum(u, v):
+        s = u + v
+        vv = s - u
+        return s, (u - (s - vv)) + (v - vv)
+
+    # Row j is [re c_j, im c_j]; p x is the four real products
+    # [pr xr, pi (-xi), pr xi, pi xr].
+    c = np.stack([cols.real, cols.imag], axis=1)
+    xs = np.stack([x.real, -x.imag, x.imag, x.real])
+    xs_hi, xs_lo = split(xs)
+    p = c[-1].copy()
+    err = np.zeros_like(x)
+    for cj in c[-2::-1]:
+        u = p[[0, 1, 0, 1]]
+        h = u * xs
+        u_hi, u_lo = split(u)
+        lo = u_lo * xs_lo - (
+            ((h - u_hi * xs_hi) - u_lo * xs_hi) - u_hi * xs_lo
+        )
+        s, e = two_sum(h[0::2], h[1::2])
+        p, e2 = two_sum(s, cj)
+        e = (lo[0::2] + lo[1::2]) + (e + e2)
+        err = err * x + (e[0] + 1j * e[1])
+    return (p[0] + 1j * p[1]) + err

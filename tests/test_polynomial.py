@@ -20,7 +20,7 @@ from polarpoly.polynomial import (
     sup_norm,
     taylor_shift,
 )
-from polarpoly.roots import _evaluate
+from polarpoly.roots import _Evaluator
 
 from oracles import convolve, eval_poly, expand_roots
 
@@ -67,13 +67,13 @@ class TestConstruction:
         assert not Polynomial([0.5, 1 + 1e-11]).is_monic()
 
     def test_evaluation(self):
-        # The one Horner evaluator, roots._evaluate: p itself inside the
+        # The one Horner evaluator, roots._Evaluator: p itself inside the
         # unit circle, z^-2 p(z) beyond it.
         a = Polynomial([1, 0, 1]).coeffs  # 1 + z^2
-        p, dp, _ = _evaluate(a, np.array([1j, 0.5]))
+        p, dp, _ = _Evaluator(a)(np.array([1j, 0.5]))
         assert list(p) == [0, 1.25]
         assert list(dp) == [2j, 1]
-        p, dp, _ = _evaluate(a, np.array([2.0]))
+        p, dp, _ = _Evaluator(a)(np.array([2.0]))
         assert p[0] == 5 / 4 and dp[0] == 4 / 4
 
 

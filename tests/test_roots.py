@@ -15,8 +15,7 @@ from polarpoly.polynomial import (
 )
 from polarpoly.roots import (
     RootSet,
-    _evaluate,
-    _horner_comp,
+    _Evaluator,
     _newton_polish,
     _oriented,
     _powers,
@@ -28,6 +27,7 @@ from polarpoly.roots import (
 
 from oracles import (
     closed_form_roots,
+    compensated_horner,
     newton_zero,
     normwise_residual,
     sort_roots,
@@ -279,14 +279,18 @@ class TestHighDegree:
 
 
 class TestCompensatedHorner:
+    """The value of find_roots' compensated step: one Horner loop up to
+    16 coefficients, compensated Horner within and over blocks beyond."""
+
     @staticmethod
     def assert_accurate(coeffs, points):
         # Against exact rational Horner (every double is dyadic), in the
         # form (forward or reversed, per point) that find_roots uses.
         a = np.array(coeffs, dtype=np.complex128)
         n = len(a) - 1
-        cols, xs = _oriented(np.array(points, dtype=np.complex128), a)[:2]
-        got = _horner_comp(cols, xs)
+        z = np.array(points, dtype=np.complex128)
+        got = _Evaluator(a).compensated(z)[0]
+        cols, xs = _oriented(z, a)[:2]
         cols = np.broadcast_to(cols.reshape(n + 1, -1), (n + 1, len(xs)))
         for g, col, x in zip(got, cols.T, xs):
             xr, xi = Fraction(x.real), Fraction(x.imag)
@@ -310,6 +314,20 @@ class TestCompensatedHorner:
         # |w| runs from 0.5 to 2, so both forms are taken.
         self.assert_accurate(s_poly(12, 1).coeffs, s_zeros(12, 1).roots)
 
+    @pytest.mark.parametrize("n", [64, 128, 256])
+    def test_at_zeros_of_centered_q_where_the_step_fires(self, n):
+        # find_roots takes the step where the attainable plain accuracy
+        # noise/|p'| is poor; with |xi| = 0.6 such zeros lie on both
+        # sides of |z| = 1.  Up to eight of each side.
+        q = centered_q(n, n, 0.6)
+        z = np.array(find_roots(q).roots)
+        _, dv, noise = _Evaluator(q.coeffs)(z)
+        fires = noise > 2e-11 * (1.0 + np.abs(z)) * np.abs(dv)
+        for side in (np.abs(z) <= 1.0, np.abs(z) > 1.0):
+            points = z[fires & side]
+            assert len(points)
+            self.assert_accurate(q.coeffs, points[:: -(-len(points) // 8)])
+
     @pytest.mark.parametrize("radius", [(0.0, 1.0), (0.2, 3.0), (1.5, 4.0)])
     def test_random_points(self, radius):
         rng = np.random.default_rng(17)
@@ -320,18 +338,18 @@ class TestCompensatedHorner:
             self.assert_accurate(coeffs, points)
 
 
-def centered_q(n, seed):
-    """Q = solve_polar for R = (z - xi)^3 with |xi| = 1.5 and P with n
-    zeros uniform in the unit disk, drawn from ``seed``."""
+def centered_q(n, seed, radius=1.5):
+    """Q = solve_polar for R = (z - xi)^3 with |xi| = ``radius`` and P
+    with n zeros uniform in the unit disk, drawn from ``seed``."""
     rng = np.random.default_rng(seed)
     zeros = np.sqrt(rng.random(n)) * np.exp(2j * np.pi * rng.random(n))
-    xi = 1.5 * cmath.exp(2j * math.pi * rng.random())
+    xi = radius * cmath.exp(2j * math.pi * rng.random())
     return solve_polar(PolarProblem.centered(poly_from_roots(zeros), xi, 3))
 
 
 def exact_derivative(coeffs, z):
     """p'(z) of the ascending coefficients in 60-digit mpmath, times
-    z^-deg beyond |z| = 1: the scale in which _evaluate reports it."""
+    z^-deg beyond |z| = 1: the scale in which _Evaluator reports it."""
     import mpmath
 
     with mpmath.workdps(60):
@@ -346,7 +364,7 @@ def exact_derivative(coeffs, z):
 
 
 def derivative_floor(coeffs, z):
-    """eps times the sum of the moduli of the terms _evaluate's p' is
+    """eps times the sum of the moduli of the terms _Evaluator's p' is
     formed from: i |a_i| |z|^(i-1) inside the unit circle; beyond it,
     where p' comes from (deg rev(x) - x rev'(x)) x at x = 1/z, |x| times
     (deg + i) |r_i| |x|^i over the reversed coefficients r."""
@@ -359,7 +377,7 @@ def derivative_floor(coeffs, z):
 
 
 class TestBlockedEvaluator:
-    """_evaluate beyond 16 coefficients: Horner in y = x^b over blocks."""
+    """_Evaluator beyond 16 coefficients: Horner in y = x^b over blocks."""
 
     @pytest.mark.parametrize("n", [64, 128, 256, 512])
     def test_value_within_a_noise_floor(self, n):
@@ -369,9 +387,26 @@ class TestBlockedEvaluator:
         q = centered_q(n, n)
         zeros = np.array(find_roots(q).roots)
         for z in (zeros, zeros * 1.01, zeros * (1 + 0.01j)):
-            p, _, noise = _evaluate(q.coeffs, z)
-            exact = _horner_comp(*_oriented(z, q.coeffs)[:2])
+            p, _, noise = _Evaluator(q.coeffs)(z)
+            exact = compensated_horner(q.coeffs, z)
             assert (np.abs(p - exact) <= noise).all()
+
+    @pytest.mark.parametrize("n", [17, 64, 256, 512])
+    @pytest.mark.parametrize("radius", [0.6, 1.5])
+    def test_compensated_matches_the_loop(self, n, radius):
+        # The blocked compensated value against the one-loop reference:
+        # both are within about eps |p| + n^2 eps^2 sum_i |a_i| |x|^i of
+        # the exact value, at the zeros of Q, where the terms cancel,
+        # and 1% off them, on both sides of |z| = 1.
+        q = centered_q(n, n, radius)
+        zeros = np.array(find_roots(q).roots)
+        evaluate = _Evaluator(q.coeffs)
+        for z in (zeros, zeros * 1.01, zeros * (1 + 0.01j)):
+            got = evaluate.compensated(z)[0]
+            want = compensated_horner(q.coeffs, z)
+            size = evaluate(z)[2] / (4 * EPS)
+            bound = 2 * EPS * np.abs(want) + 2 * n**2 * EPS**2 * size
+            assert (np.abs(got - want) <= bound).all()
 
     @pytest.mark.parametrize("n", [200, 512])
     def test_derivative_at_clustered_zeros(self, n):
@@ -389,7 +424,7 @@ class TestBlockedEvaluator:
         z = np.concatenate(
             [zeros[np.argsort(np.abs(zeros - c))[:6]] for c in (0.5, 1.4j)]
         )
-        _, dp, _ = _evaluate(a, z)
+        _, dp, _ = _Evaluator(a)(z)
         for got, v in zip(dp, z):
             err = abs(got - exact_derivative(a, v))
             assert err <= 4 * derivative_floor(a, v)
@@ -422,14 +457,14 @@ class TestSharedPipeline:
         "degree", [0, 1, 2, 5, 15, 16, 17, 31, 32, 33, 256, 512]
     )
     def test_evaluate_ratio_matches_polyval(self, degree):
-        # p'/p does not depend on the scale _evaluate reports p and p'
+        # p'/p does not depend on the scale _Evaluator reports p and p'
         # in, so it must match plain evaluation on both sides of |z| = 1.
         # Degree 0 is t(w) of s_zeros at k = 1.
         rng = np.random.default_rng(23 + degree)
         a = [1.0, 1j] @ rng.normal(size=(2, degree + 1))
         mods = np.array([0.3, 0.9, 0.999, 1.0, 1.001, 1.1, 1.9])
         z = mods * np.exp(2j * math.pi * rng.random(len(mods)))
-        p, dp, noise = _evaluate(a, z)
+        p, dp, noise = _Evaluator(a)(z)
         want = np.polyval(np.polyder(a[::-1]), z) / np.polyval(a[::-1], z)
         if degree == 0:
             assert (dp == 0).all()
@@ -441,7 +476,7 @@ class TestSharedPipeline:
         # Mixed sides in one call give the values of one point per call,
         # the noise floor to the last bit.
         for i in range(len(z)):
-            one = _evaluate(a, z[i : i + 1])
+            one = _Evaluator(a)(z[i : i + 1])
             assert (one[0][0], one[1][0], one[2][0]) == (p[i], dp[i], noise[i])
 
     def test_polish_rejects_step_that_raises_normwise_residual(self):
@@ -489,17 +524,17 @@ class TestSharedPipeline:
 
         def counting(v):
             calls.append(v.copy())
-            return _evaluate(a, v)
+            return _Evaluator(a)(v)
 
         # Reference: every point stepped every round.
-        want = z0, *_evaluate(a, z0)
+        want = z0, *_Evaluator(a)(z0)
         stepped = [40]
         live = 40
         for _ in range(3):
             stepped.append(live)
             z, pv, dv, noise = want
             cand = np.where(dv == 0, z, z - pv / np.where(dv == 0, 1.0, dv))
-            pc, dc, nc = _evaluate(a, cand)
+            pc, dc, nc = _Evaluator(a)(cand)
             kept = np.abs(pc) * noise < np.abs(pv) * nc
             want = tuple(
                 np.where(kept, new, old)
@@ -541,7 +576,7 @@ class TestTopDegree:
         rs = find_roots(q)
         assert rs.converged
         z = np.array(rs.roots)
-        p, dp, noise = _evaluate(q.coeffs, z)
+        p, dp, noise = _Evaluator(q.coeffs)(z)
         residual = 4 * EPS * np.abs(p) / noise
         grid = np.abs(p / dp) <= EPS * np.abs(z)
         assert (grid | (residual <= 2e-15)).all()
