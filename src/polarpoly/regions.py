@@ -273,10 +273,12 @@ def localization_check(
         )
     )
     chosen = np.array([w.margin for w in witnesses])
+    # Adding 0.0 turns the -0.0 of a smallest margin of 0.0 into 0.0 and
+    # keeps NaN.
     return LocalizationReport(
         contained=bool((chosen >= -tol).all()),
         witnesses=witnesses,
-        max_violation=float(np.maximum(0.0, -chosen.min())),
+        max_violation=float(np.maximum(0.0, -chosen.min()) + 0.0),
         tol=tol,
     )
 

@@ -11,17 +11,19 @@ from the Newton polygon of the coefficients (Bini 1996; MPSolve).  One
 evaluator, ``_Evaluator``, gives p, p' and the noise floor of the
 evaluation.  It works on the coefficients at z where |z| <= 1 and on
 the reversed coefficients at x = 1/z beyond, so no power of a large
-z is formed at any degree.  Up to 16 coefficients it runs one plain
-Horner sweep.  Beyond, it splits the N coefficients into blocks of b,
-a power of two in [sqrt N, 2 sqrt N), takes every block's value,
-derivative and size against the powers x^0 .. x^(b-1) at once, and
-runs Horner over the blocks in y = x^b (Higham, Accuracy and Stability
-of Numerical Algorithms, 2nd ed., 5.1), so its Python step count
-grows like sqrt N.  The powers are formed in extended precision
+z is formed at any degree.  Both orientations are built once per
+polynomial as rows of blocks of b coefficients: b = 1 up to 16
+coefficients, and beyond, for N coefficients, the power of two in
+[sqrt N, 2 sqrt N).  Each call picks every point's rows by its side of
+|z| = 1 and runs one Horner loop in y = x^b over the block sums
+(Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
+5.1).  With b = 1 the block sums are the coefficients and y = x, which
+is plain Horner.  Beyond, every block's value, derivative and size are
+taken against the powers x^0 .. x^(b-1) at once, so the Python step
+count grows like sqrt N.  The powers are formed in extended precision
 (np.clongdouble) and rounded once, so each is correctly rounded; on a
 platform where np.longdouble is plain double they are not, which
-tests/test_roots.py reports as a failure.  The blocks of a polynomial
-are built once per orientation, when its evaluator is made.
+tests/test_roots.py reports as a failure.
 
 A root counts as settled when its Newton correction |p/p'| drops below
 ``tol`` or when the polynomial value at the iterate is already below
@@ -36,10 +38,10 @@ to where every term of p is smaller, while the residual there is far
 larger.  Roots whose attainable plain accuracy is poor (heavy
 coefficient cancellation) get one more such step with the value from
 compensated Horner (Graillat, Langlois and Louvet), which is as
-accurate as evaluation in twice the working precision.  Beyond 16
-coefficients it runs on the same blocks, compensated Horner twice:
-within every block at once, which gives each block as a double-double,
-then over the blocks in y = x^b, formed in double-double arithmetic.
+accurate as evaluation in twice the working precision.  It takes the
+same rows; beyond one block it runs twice: within every block at once,
+which gives each block as a double-double, then over the blocks in
+y = x^b, formed in double-double arithmetic.
 
 The iteration (``_aberth``) and the polish (``_newton_polish``) take
 the evaluator as an argument, and ``_root_set`` builds the result, so
@@ -68,7 +70,7 @@ _DEFAULT_MAX_ITER = 200
 _EPS = float(np.finfo(np.float64).eps)
 _SPLITTER = 134217729.0  # 2^27 + 1, Veltkamp-Dekker's for doubles
 
-# Up to this many coefficients _Evaluator runs one plain Horner sweep.
+# Up to this many coefficients _Evaluator's blocks are single coefficients.
 _ONE_BLOCK = 16
 
 
@@ -116,90 +118,101 @@ def _hull_starts(a: np.ndarray) -> np.ndarray:
     return np.repeat(radius, width) * np.exp(1j * (angles + _ANGLE_TWIST))
 
 
-def _oriented(z: np.ndarray, *arrays: np.ndarray):
-    # Each coefficient array as the points need it (one column per
-    # point if the sides mix), then the points to evaluate at: a at z
-    # where |z| <= 1, the reversed a at x = 1/z beyond, where rev(x) =
-    # z^-n p(z); and which points are far (False or True for none or
-    # all).  Entries are only moved, never recomputed.
-    far = np.abs(z) > 1.0
-    if not far.any():
-        return *arrays, z, False
-    if far.all():
-        return *(a[::-1] for a in arrays), 1.0 / z, True
-    x = np.where(far, 1.0 / z, z)
-    return *(np.where(far, a[::-1, None], a[:, None]) for a in arrays), x, far
-
-
 class _Evaluator:
     """p, p' and the noise floor 4 eps sum_i |a_i| |z|^i of the ascending
-    coefficients a at z, in the scale of _oriented: beyond |z| = 1 all
-    three are those of z^-deg p(z), and there p'(z) z^-deg =
-    (deg rev(x) - x rev'(x)) x with x = 1/z.  |p| values below the noise
-    floor are indistinguishable from zero in doubles.  Each point's
-    values do not depend on the other points in z.  The blocks of the
-    coefficients and of the reversed coefficients are built once, here.
+    coefficients a at z: at z itself where |z| <= 1, and beyond through
+    the reversed coefficients at x = 1/z, where rev(x) = z^-deg p(z), so
+    that there all three are those of z^-deg p(z), and p'(z) z^-deg =
+    (deg rev(x) - x rev'(x)) x.  |p| values below the noise floor are
+    indistinguishable from zero in doubles.  Each point's values do not
+    depend on the other points in z.
     """
 
     def __init__(self, a: np.ndarray):
-        self.a = a
-        self.sizes = np.abs(a)
-        if len(a) > _ONE_BLOCK:
-            self.near, self.far = _Blocks(a), _Blocks(a[::-1])
+        n = len(a)
+        b = 1 if n <= _ONE_BLOCK else 1 << ((n - 1).bit_length() + 1) // 2
+        m = -(-n // b)
+        # rows[0] serves the points with |z| <= 1, rows[1] the others:
+        # the blocks B_j of b coefficients of a or of the reversed a,
+        # the top block padded with zeros, then, beyond one block, the
+        # coefficients of every B_j'.
+        flat = np.zeros((2, m * b), np.complex128)
+        flat[0, :n], flat[1, :n] = a, a[::-1]
+        rows = flat.reshape(2, m, b)
+        if b > 1:
+            deriv = np.zeros_like(rows)
+            deriv[..., :-1] = rows[..., 1:] * np.arange(1, b)
+            rows = np.concatenate([rows, deriv], axis=1)
+        self.n, self.b, self.m, self.rows = n - 1, b, m, rows
+        self.sizes = np.abs(rows[:, :m])
+        # Coefficient i of every block, for the compensated step.
+        self.columns = rows[:, :m].transpose(0, 2, 1)[..., None]
 
     def __call__(self, z: np.ndarray):
-        a = self.a
-        if len(a) <= _ONE_BLOCK:
-            p, d, size = _horner(a, self.sizes, z)
-            return p, d, 4.0 * _EPS * size
-        # Each side on its own coefficients: a at z, the reversed a at 1/z.
+        b, m = self.b, self.m
         far = np.abs(z) > 1.0
-        p = np.empty(z.shape, np.complex128)
-        d = np.empty_like(p)
-        size = np.empty(z.shape)
-        near = ~far
-        if near.any():
-            p[near], d[near], size[near] = self.near.evaluate(z[near])
-        if far.any():
-            x = 1.0 / z[far]
-            pf, df, size[far] = self.far.evaluate(x)
-            p[far] = pf
-            d[far] = ((len(a) - 1) * pf - x * df) * x
+        x = np.where(far, 1.0 / z, z)
+        if b == 1:
+            y = x
+            sums = np.where(far, self.rows[1], self.rows[0])
+            sizes = np.where(far, self.sizes[1], self.sizes[0])
+        else:
+            # Every block's value, derivative and size against the
+            # powers x^0 .. x^(b-1), each side's rows over that side's
+            # points only.  einsum, not a BLAS product, so that a
+            # point's summation order does not depend on the others.
+            pw = _powers(x, b)
+            y = pw[:, b]
+            sums = np.empty((2 * m, len(z)), np.complex128)
+            sizes = np.empty((m, len(z)))
+            for side, points in enumerate((~far, far)):
+                if points.any():
+                    pws = pw[points, :b]
+                    sums[:, points] = np.einsum(
+                        "pi,ji->jp", pws, self.rows[side]
+                    )
+                    sizes[:, points] = np.einsum(
+                        "pi,ji->jp", np.abs(pws), self.sizes[side]
+                    )
+        # Horner in y over the blocks: the value (and beyond one block
+        # the sum of the B_j' y^j) in acc, sum_j j B_j y^(j-1) in dy.
+        sums = sums.reshape(len(sums) // m, m, -1)
+        acc, size, dy = sums[:, -1], sizes[-1], np.zeros_like(x)
+        # y as a row, of acc's ndim: numpy can round a complex product
+        # differently where a one-element factor is broadcast, and a
+        # point's values would then depend on how many points there are.
+        ys, ay = y[None], np.abs(y)
+        for j in range(m - 2, -1, -1):
+            dy = dy * y + acc[0]
+            acc = acc * ys + sums[:, j]
+            size = size * ay + sizes[j]
+        p = acc[0]
+        # p' = sum_j B_j' y^j + b x^(b-1) sum_j j B_j y^(j-1).
+        d = dy if b == 1 else acc[1] + b * pw[:, b - 1] * dy
+        d = np.where(far, (self.n * p - x * d) * x, d)
         return p, d, 4.0 * _EPS * size
 
     def compensated(self, z: np.ndarray):
         # As __call__, with p as accurate as in twice the working
-        # precision: about eps |p| + n^2 eps^2 sum_i |a_i| |x|^i.
+        # precision: about eps |p| + n^2 eps^2 sum_i |a_i| |x|^i.  Beyond
+        # one block, compensated Horner in x within every block at once
+        # gives each block as a double-double B_j, then compensated
+        # Horner runs over the blocks in y = x^b, formed in double-double
+        # by squaring.
         _, d, noise = self(z)
-        if len(self.a) <= _ONE_BLOCK:
-            p, err = _horner_comp(*_oriented(z, self.a)[:2])
-            return p + err, d, noise
         far = np.abs(z) > 1.0
-        near = ~far
-        p = np.empty(z.shape, np.complex128)
-        if near.any():
-            p[near] = self.near.compensated(z[near])
-        if far.any():
-            p[far] = self.far.compensated(1.0 / z[far])
-        return p, d, noise
-
-
-def _horner(a: np.ndarray, sizes: np.ndarray, z: np.ndarray):
-    # _Evaluator for one block: one Horner sweep on the coefficients as
-    # _oriented gives them.  The sizes |a_i| are taken of a itself,
-    # before it is oriented, so they do not depend on the other points.
-    coeffs, sizes, x, far = _oriented(z, a, sizes)
-    ax = np.abs(x)
-    p = np.zeros_like(x) + coeffs[-1]
-    d = np.zeros_like(x)
-    size = np.zeros_like(ax) + sizes[-1]
-    for c, s in zip(coeffs[-2::-1], sizes[-2::-1]):
-        d = d * x + p
-        p = p * x + c
-        size = size * ax + s
-    if far is not False:
-        d = np.where(far, ((len(a) - 1) * p - x * d) * x, d)
-    return p, d, size
+        x = np.where(far, 1.0 / z, z)
+        columns = np.where(far, self.columns[1], self.columns[0])
+        if self.b == 1:
+            p, err = _horner_comp(columns[0], x)
+        else:
+            p, err = _horner_comp(columns, x[None, :])
+            y, y_lo = x, np.zeros_like(x)
+            for _ in range(self.b.bit_length() - 1):
+                s, e = _two_prod(y, y)
+                y, y_lo = s, e + 2.0 * y * y_lo
+            p, err = _horner_comp(p, y, err, y_lo)
+        return p + err, d, noise
 
 
 def _powers(x: np.ndarray, b: int) -> np.ndarray:
@@ -217,60 +230,6 @@ def _powers(x: np.ndarray, b: int) -> np.ndarray:
         np.multiply(pw[1 : k + 1], pw[k], out=pw[k + 1 : 2 * k + 1])
         k *= 2
     return pw.T.astype(np.complex128, order="C")
-
-
-class _Blocks:
-    """The ascending coefficients c for evaluation at |x| <= 1 by Horner
-    in y = x^b over blocks B_j of b coefficients, the top block padded
-    with zeros, b the power of two in [sqrt N, 2 sqrt N) for N
-    coefficients."""
-
-    def __init__(self, c: np.ndarray):
-        b = 1 << ((len(c) - 1).bit_length() + 1) // 2
-        m = -(-len(c) // b)
-        # Rows 0..m-1 hold the blocks B_j, rows m.. the coefficients of B_j'.
-        rows = np.zeros((2 * m, b), np.complex128)
-        rows[:m].reshape(-1)[: len(c)] = c
-        rows[m:, :-1] = rows[:m, 1:] * np.arange(1, b)
-        self.b, self.m, self.rows = b, m, rows
-        self.sizes = np.abs(rows[:m])
-        # Row i holds coefficient i of every block.
-        self.columns = rows[:m].T[:, :, None]
-
-    def evaluate(self, x: np.ndarray):
-        # p, p' and sum_i |c_i| |x|^i: every block's value, derivative
-        # and size at once, then Horner over the blocks.  einsum, not a
-        # BLAS product, so that a point's summation order does not
-        # depend on how many points there are.
-        b, m = self.b, self.m
-        pw = _powers(x, b)
-        both = np.einsum("pi,ji->jp", pw[:, :b], self.rows)
-        val, der = both[:m], both[m:]
-        siz = np.einsum("pi,ji->jp", np.abs(pw[:, :b]), self.sizes)
-        y = pw[:, b]
-        ay = np.abs(y)
-        p, dx, size = val[-1], der[-1], siz[-1]
-        dy = np.zeros_like(x)
-        for j in range(m - 2, -1, -1):
-            dy = dy * y + p
-            p = p * y + val[j]
-            dx = dx * y + der[j]
-            size = size * ay + siz[j]
-        # p' = sum_j B_j' y^j + b x^(b-1) sum_j j B_j y^(j-1).
-        return p, dx + b * pw[:, b - 1] * dy, size
-
-    def compensated(self, x: np.ndarray) -> np.ndarray:
-        # p as accurate as in twice the working precision: compensated
-        # Horner in x within every block at once gives each block as a
-        # double-double B_j, then compensated Horner over the blocks in
-        # y = x^b, formed in double-double by squaring.
-        p, err = _horner_comp(self.columns, x[None, :])
-        y, y_lo = x, np.zeros_like(x)
-        for _ in range(self.b.bit_length() - 1):
-            s, e = _two_prod(y, y)
-            y, y_lo = s, e + 2.0 * y * y_lo
-        p, err = _horner_comp(p, y, err, y_lo)
-        return p + err
 
 
 def _split(v: np.ndarray):
@@ -309,9 +268,9 @@ def _horner_comp(
     # correction err, the exact errors of each product and sum
     # (TwoProduct, TwoSum) run through a second Horner, so that p + err
     # is within about eps |p| + n^2 eps^2 sum_i |c_i| |x|^i, as in twice
-    # the working precision.  Coefficient j is coeffs[j], of the ndim
-    # of x or a scalar, and broadcast against it: as _oriented gives
-    # them, or one column per block.  With coeffs_lo and x_lo the
+    # the working precision.  Coefficient j is coeffs[j], broadcast
+    # against x: one column per point, or per block and point.  With
+    # coeffs_lo and x_lo the
     # coefficients and x are the double-doubles coeffs + coeffs_lo and
     # x + x_lo, whose low parts join the second Horner.
     rows = coeffs if coeffs.ndim > 1 else coeffs[:, None]

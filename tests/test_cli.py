@@ -536,6 +536,21 @@ class TestSuiteCommands:
 P2 = "[[-0.25,0],[0,0],[1,0]]"
 ZEROS4 = "[[0.5,0],[-0.25,0.25],[0.1,-0.3],[0,0.7]]"
 LOCALIZE = ["localize", "--P-roots", ZEROS4, "--xi", "0.5-0.5i", "--k", "2"]
+# 40 zeros in the unit disk on a sunflower spiral: with |xi| = 0.8 and
+# k = 3, Q has 23 zeros inside |z| = 1 and 17 beyond, and 41
+# coefficients, so the root finder's blocked evaluator runs on both sides.
+ZEROS40 = (
+    "[[0.106,0.0],[-0.136,0.124],[0.021,-0.237],[0.171,0.223],"
+    "[-0.314,-0.056],[0.297,-0.189],[-0.099,0.37],[-0.19,-0.365],"
+    "[0.411,0.15],[-0.428,0.177],[0.206,-0.441],[0.152,0.486],"
+    "[-0.459,-0.266],[0.539,-0.119],[-0.329,0.468],[-0.076,-0.586],"
+    "[0.467,0.393],[-0.628,0.026],[0.458,-0.456],[-0.031,0.663],"
+    "[-0.436,-0.522],[0.69,0.093],[-0.585,0.407],[0.16,-0.71],"
+    "[0.37,0.645],[-0.723,-0.231],[0.702,-0.324],[-0.304,0.727],"
+    "[-0.271,-0.755],[0.722,0.38],[-0.802,0.211],[0.456,-0.709],"
+    "[0.145,0.844],[-0.687,-0.532],[0.879,-0.073],[-0.608,0.657],"
+    "[0.004,-0.907],[0.618,0.681],[-0.928,-0.086],[0.752,-0.571]]"
+)
 
 # (argv, golden file under tests/data); an "error_" golden exits 1.
 GOLDENS = [
@@ -576,6 +591,10 @@ GOLDENS = [
     (["solve", "--P", "[[1,0],[2,0]]", "--xi", "0", "--k", "1"],
      "error_not_monic.json"),
     (["spoly", "--n", "1100", "--k", "1"], "error_degree_too_large.json"),
+    (
+        ["localize", "--P-roots", ZEROS40, "--xi", "0.64+0.48i", "--k", "3"],
+        "localize_degree40.json",
+    ),
 ]
 
 

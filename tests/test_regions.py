@@ -160,12 +160,16 @@ class TestEnclosingDisk:
 
 class TestLocalizationCheck:
     def test_free_case_degenerate_region(self):
-        q_zeros = find_roots(Polynomial([0, 0, 0, 1]))
-        s_zeros = find_roots(s_poly(3, 2))
-        report = localization_check(
-            q_zeros, 0.0, Region(kind="disk", center=0j, radius=0.0), s_zeros
-        )
-        assert report.contained
+        # Q = z^n and xi = 0: every quotient is 0 and so is every margin,
+        # and max_violation is 0.0, not -0.0.  (n, k) = (1, 1) is
+        # `localize --P-roots [[0,0]] --xi 0 --k 1`.
+        for n, k in ((3, 2), (1, 1)):
+            q_zeros = find_roots(Polynomial([0] * n + [1]))
+            s_zeros = find_roots(s_poly(n, k))
+            region = Region(kind="disk", center=0j, radius=0.0)
+            report = localization_check(q_zeros, 0.0, region, s_zeros)
+            assert report.contained
+            assert math.copysign(1.0, report.max_violation) == 1.0
 
     def test_worked_boundary_case(self):
         q_zeros = find_roots(Polynomial([-0.75, 0, 1]))

@@ -17,7 +17,6 @@ from polarpoly.roots import (
     RootSet,
     _Evaluator,
     _newton_polish,
-    _oriented,
     _powers,
     _root_set,
     find_roots,
@@ -290,8 +289,9 @@ class TestCompensatedHorner:
         n = len(a) - 1
         z = np.array(points, dtype=np.complex128)
         got = _Evaluator(a).compensated(z)[0]
-        cols, xs = _oriented(z, a)[:2]
-        cols = np.broadcast_to(cols.reshape(n + 1, -1), (n + 1, len(xs)))
+        far = np.abs(z) > 1.0
+        xs = np.where(far, 1.0 / z, z)
+        cols = np.where(far, a[::-1, None], a[:, None])
         for g, col, x in zip(got, cols.T, xs):
             xr, xi = Fraction(x.real), Fraction(x.imag)
             pr = pi = Fraction(0)
@@ -474,10 +474,16 @@ class TestSharedPipeline:
             assert rel.max() <= 1e-10
         assert (noise > 0).all()
         # Mixed sides in one call give the values of one point per call,
-        # the noise floor to the last bit.
+        # the noise floor and the compensated value to the last bit.
+        evaluate = _Evaluator(a)
+        compensated = evaluate.compensated(z)[0]
         for i in range(len(z)):
-            one = _Evaluator(a)(z[i : i + 1])
+            one = evaluate(z[i : i + 1])
             assert (one[0][0], one[1][0], one[2][0]) == (p[i], dp[i], noise[i])
+            assert evaluate.compensated(z[i : i + 1])[0][0] == compensated[i]
+        # No points, no values.
+        empty = (*evaluate(z[:0]), *evaluate.compensated(z[:0]))
+        assert [v.shape for v in empty] == [(0,)] * 6
 
     def test_polish_rejects_step_that_raises_normwise_residual(self):
         # The step from 0 lands at 1, where |p| halves but the noise
