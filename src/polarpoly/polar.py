@@ -322,8 +322,8 @@ def s_zeros(n: int, k: int) -> RootSet:
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for _ in range(_START_STEPS):
             radius = np.exp(log_t(radius * ray - 1.0)[0].real / (n + k))
-        z, converged = _aberth(radius * ray - 1.0, evaluate)
-        z, f, _, noise = _newton_polish(evaluate, z)
+        start, converged = _aberth(radius * ray - 1.0, evaluate)
+        z, f, _, noise = _newton_polish(evaluate, *start)
     return _root_set(z, f, noise, converged)
 
 

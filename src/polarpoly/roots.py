@@ -17,13 +17,15 @@ coefficients, and beyond, for N coefficients, the power of two in
 [sqrt N, 2 sqrt N).  Each call picks every point's rows by its side of
 |z| = 1 and runs one Horner loop in y = x^b over the block sums
 (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
-5.1).  With b = 1 the block sums are the coefficients and y = x, which
-is plain Horner.  Beyond, every block's value, derivative and size are
-taken against the powers x^0 .. x^(b-1) at once, so the Python step
-count grows like sqrt N.  The powers are formed in extended precision
-(np.clongdouble) and rounded once, so each is correctly rounded; on a
-platform where np.longdouble is plain double they are not, which
-tests/test_roots.py reports as a failure.
+5.1).  The value, the derivative sum and the size sum of the noise
+floor are rows of one state, so a step is three numpy calls.  With
+b = 1 the block sums are the coefficients and y = x: plain Horner.
+Beyond, every block's value, derivative and size are taken against the
+powers x^0 .. x^(b-1) at once, so the step count grows like sqrt N.
+The powers are formed in extended precision (np.clongdouble) and
+rounded once, so each is correctly rounded; on a platform where
+np.longdouble is plain double they are not, which tests/test_roots.py
+reports as a failure.
 
 A root counts as settled when its Newton correction |p/p'| drops below
 ``tol`` or when the polynomial value at the iterate is already below
@@ -46,7 +48,9 @@ y = x^b, formed in double-double arithmetic.
 The iteration (``_aberth``) and the polish (``_newton_polish``) take
 the evaluator as an argument, and ``_root_set`` builds the result, so
 a polynomial with a better form than its dense coefficients (see
-``polar.s_zeros``) runs the same pipeline with its own evaluator.
+``polar.s_zeros``) runs the same pipeline with its own evaluator.  The
+iteration hands the polish p, p' and the noise floor of the sweep each
+root settled in, so no iterate is evaluated twice.
 """
 
 from __future__ import annotations
@@ -134,19 +138,24 @@ class _Evaluator:
         m = -(-n // b)
         # rows[0] serves the points with |z| <= 1, rows[1] the others:
         # the blocks B_j of b coefficients of a or of the reversed a,
-        # the top block padded with zeros, then, beyond one block, the
-        # coefficients of every B_j'.
+        # the top block padded with zeros, and beyond one block each
+        # followed by the coefficients of B_j'.
         flat = np.zeros((2, m * b), np.complex128)
         flat[0, :n], flat[1, :n] = a, a[::-1]
-        rows = flat.reshape(2, m, b)
+        blocks = flat.reshape(2, m, 1, b)
         if b > 1:
-            deriv = np.zeros_like(rows)
-            deriv[..., :-1] = rows[..., 1:] * np.arange(1, b)
-            rows = np.concatenate([rows, deriv], axis=1)
-        self.n, self.b, self.m, self.rows = n - 1, b, m, rows
-        self.sizes = np.abs(rows[:, :m])
+            deriv = np.zeros_like(blocks)
+            deriv[..., :-1] = blocks[..., 1:] * np.arange(1, b)
+            blocks = np.concatenate([blocks, deriv], axis=2)
+        self.n, self.b, self.m = n - 1, b, m
+        self.rows = blocks.reshape(2, -1, b)
+        self.sizes = np.abs(blocks[:, :, 0])
         # Coefficient i of every block, for the compensated step.
-        self.columns = rows[:, :m].transpose(0, 2, 1)[..., None]
+        self.columns = blocks[:, :, 0].transpose(0, 2, 1)[..., None]
+        if b == 1:  # The addends of __call__'s Horner state.
+            self.terms = np.stack(
+                [blocks[..., 0, 0], np.zeros((2, m)), self.sizes[..., 0]], 2
+            )[..., None]
 
     def __call__(self, z: np.ndarray):
         b, m = self.b, self.m
@@ -154,8 +163,7 @@ class _Evaluator:
         x = np.where(far, 1.0 / z, z)
         if b == 1:
             y = x
-            sums = np.where(far, self.rows[1], self.rows[0])
-            sizes = np.where(far, self.sizes[1], self.sizes[0])
+            terms = np.where(far, self.terms[1], self.terms[0])
         else:
             # Every block's value, derivative and size against the
             # powers x^0 .. x^(b-1), each side's rows over that side's
@@ -163,43 +171,38 @@ class _Evaluator:
             # point's summation order does not depend on the others.
             pw = _powers(x, b)
             y = pw[:, b]
-            sums = np.empty((2 * m, len(z)), np.complex128)
-            sizes = np.empty((m, len(z)))
+            terms = np.zeros((m, 4, len(z)), np.complex128)
             for side, points in enumerate((~far, far)):
                 if points.any():
                     pws = pw[points, :b]
-                    sums[:, points] = np.einsum(
-                        "pi,ji->jp", pws, self.rows[side]
-                    )
-                    sizes[:, points] = np.einsum(
+                    sums = np.einsum("pi,ji->jp", pws, self.rows[side])
+                    terms[:, :2, points] = sums.reshape(m, 2, -1)
+                    terms[:, 3, points] = np.einsum(
                         "pi,ji->jp", np.abs(pws), self.sizes[side]
                     )
-        # Horner in y over the blocks: the value (and beyond one block
-        # the sum of the B_j' y^j) in acc, sum_j j B_j y^(j-1) in dy.
-        sums = sums.reshape(len(sums) // m, m, -1)
-        acc, size, dy = sums[:, -1], sizes[-1], np.zeros_like(x)
-        # y as a row, of acc's ndim: numpy can round a complex product
-        # differently where a one-element factor is broadcast, and a
-        # point's values would then depend on how many points there are.
-        ys, ay = y[None], np.abs(y)
+        # One Horner state in y: the value rows (beyond one block also
+        # sum_j B_j' y^j), dy = sum_j j B_j y^(j-1) and the size sum with
+        # a zero imaginary part (NaN beyond the double range).  terms[j]
+        # is what step j adds; the multiplier has the state's shape, as
+        # numpy can round a broadcast complex product differently.
+        state = terms[-1]
+        mult = np.array([y] * (len(state) - 1) + [np.abs(y)])
         for j in range(m - 2, -1, -1):
-            dy = dy * y + acc[0]
-            acc = acc * ys + sums[:, j]
-            size = size * ay + sizes[j]
-        p = acc[0]
+            terms[j, -2] = state[0]
+            state *= mult
+            state += terms[j]
+        p = state[0]
         # p' = sum_j B_j' y^j + b x^(b-1) sum_j j B_j y^(j-1).
-        d = dy if b == 1 else acc[1] + b * pw[:, b - 1] * dy
+        d = state[1] if b == 1 else state[1] + b * pw[:, b - 1] * state[2]
         d = np.where(far, (self.n * p - x * d) * x, d)
-        return p, d, 4.0 * _EPS * size
+        return p, d, 4.0 * _EPS * state[-1].real
 
     def compensated(self, z: np.ndarray):
-        # As __call__, with p as accurate as in twice the working
-        # precision: about eps |p| + n^2 eps^2 sum_i |a_i| |x|^i.  Beyond
-        # one block, compensated Horner in x within every block at once
-        # gives each block as a double-double B_j, then compensated
-        # Horner runs over the blocks in y = x^b, formed in double-double
-        # by squaring.
-        _, d, noise = self(z)
+        # p as accurate as in twice the working precision: about eps |p|
+        # + n^2 eps^2 sum_i |a_i| |x|^i.  Beyond one block, compensated
+        # Horner in x within every block at once gives each block as a
+        # double-double B_j, then compensated Horner runs over the
+        # blocks in y = x^b, formed in double-double by squaring.
         far = np.abs(z) > 1.0
         x = np.where(far, 1.0 / z, z)
         columns = np.where(far, self.columns[1], self.columns[0])
@@ -212,7 +215,7 @@ class _Evaluator:
                 s, e = _two_prod(y, y)
                 y, y_lo = s, e + 2.0 * y * y_lo
             p, err = _horner_comp(p, y, err, y_lo)
-        return p + err, d, noise
+        return p + err
 
 
 def _powers(x: np.ndarray, b: int) -> np.ndarray:
@@ -301,15 +304,15 @@ def _horner_comp(
     return p[0] + 1j * p[1], err
 
 
-def _newton_polish(evaluate, z: np.ndarray, steps: int = 3):
-    # Up to ``steps`` Newton steps, each kept only where it lowers the
-    # normwise residual |p|/noise, so never from p' = 0.  ``evaluate``
-    # gives p, p' and the noise floor in any per-point scale that varies
-    # smoothly with z; returns z and those three at z.  A point whose
-    # step was refused would take the same step again, so only points
-    # whose last step was kept are stepped.
-    z = np.array(z, np.complex128)
-    pv, dv, noise = evaluate(z)
+def _newton_polish(evaluate, z, pv, dv, noise, steps: int = 3):
+    # Up to ``steps`` Newton steps from z, where pv, dv and noise are
+    # p, p' and the noise floor, each step kept only where it lowers
+    # the normwise residual |p|/noise, so never from p' = 0.
+    # ``evaluate`` gives those three at new points, in any per-point
+    # scale that varies smoothly with z; returns z and the three at z.
+    # A point whose step was refused would take the same step again,
+    # so only points whose last step was kept are stepped.
+    z, pv, dv, noise = (np.array(v) for v in (z, pv, dv, noise))
     live = np.arange(len(z))
     for _ in range(steps):
         zl, pl, dl = z[live], pv[live], dv[live]
@@ -341,17 +344,21 @@ def _aberth(
     are used.  ``_Evaluator`` is that evaluator for dense coefficients;
     ``polar.s_zeros`` passes its own, built on it.  Each sweep
     evaluates and moves the active roots only; settled roots freeze but
-    keep repelling the others.  Returns the final iterates and whether
-    every root settled within ``max_iter`` sweeps.  The caller then
-    polishes with ``_newton_polish`` (same evaluator, one acceptance
-    rule) and builds the result with ``_root_set``.
+    keep repelling the others.  Returns (z, p, p', noise), the final
+    iterates with the values of the sweep each settled in (roots still
+    active after ``max_iter`` sweeps are evaluated once at the end),
+    and whether every root settled.  The caller then polishes with
+    ``_newton_polish(evaluate, z, p, p', noise)`` (same evaluator, one
+    acceptance rule) and builds the result with ``_root_set``.
     """
     z = np.array(z, dtype=np.complex128)
+    pz, dz, nz = np.empty_like(z), np.empty_like(z), np.empty(len(z))
     active = np.arange(len(z))
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for _ in range(max_iter):
             za = z[active]
             pv, dv, noise = evaluate(za)
+            pz[active], dz[active], nz[active] = pv, dv, noise
 
             at_root = pv == 0
             dv_safe = np.where(dv == 0, 1.0, dv)
@@ -363,11 +370,17 @@ def _aberth(
 
             diff = za[:, None] - z[None, :]
             diff[np.arange(len(active)), active] = np.inf
+            s = np.divide(1.0, diff, out=diff).sum(axis=1)
             # Coincident approximations exert no repulsion on each
             # other; they then merge into a cluster, which the
-            # diagnostics accept.
-            diff[diff == 0] = np.inf
-            s = np.divide(1.0, diff, out=diff).sum(axis=1)
+            # diagnostics accept.  A zero difference makes its row's
+            # sum non-finite, and only such rows are summed again.
+            if not np.isfinite(s).all():
+                redo = ~np.isfinite(s)
+                diff = za[redo, None] - z[None, :]
+                diff[np.arange(len(diff)), active[redo]] = np.inf
+                diff[diff == 0] = np.inf
+                s[redo] = np.divide(1.0, diff, out=diff).sum(axis=1)
             denom = 1.0 - w * s
             denom = np.where(denom == 0, 1.0, denom)
             delta = np.where(at_root, 0.0, w / denom)
@@ -381,7 +394,9 @@ def _aberth(
             active = active[~settled]
             if not active.size:
                 break
-    return z, not active.size
+        if active.size:
+            pz[active], dz[active], nz[active] = evaluate(z[active])
+    return (z, pz, dz, nz), not active.size
 
 
 def _sort_key(z: complex):
@@ -436,14 +451,17 @@ def find_roots(
 
     evaluate = _Evaluator(a)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        z, converged = _aberth(_hull_starts(a), evaluate, tol, max_iter)
-        z, pv, dv, noise = _newton_polish(evaluate, z)
+        start, converged = _aberth(_hull_starts(a), evaluate, tol, max_iter)
+        z, pv, dv, noise = _newton_polish(evaluate, *start)
         # One compensated step where the attainable plain accuracy
-        # noise/|p'| is poor (heavy cancellation).
+        # noise/|p'| is poor (heavy cancellation), with p' and the
+        # noise floor of the plain evaluator.
         poor = noise > 2e-11 * (1.0 + np.abs(z)) * np.abs(dv)
         if poor.any():
+            zp = z[poor]
             z[poor], pv[poor], _, noise[poor] = _newton_polish(
-                evaluate.compensated, z[poor], 1
+                lambda v: (evaluate.compensated(v), *evaluate(v)[1:]),
+                zp, evaluate.compensated(zp), dv[poor], noise[poor], 1
             )
     return _root_set(np.concatenate([np.zeros(m), z]), pv, noise, converged)
 

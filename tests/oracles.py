@@ -317,3 +317,64 @@ def compensated_horner(coeffs, z):
         e = (lo[0::2] + lo[1::2]) + (e + e2)
         err = err * x + (e[0] + 1j * e[1])
     return (p[0] + 1j * p[1]) + err
+
+
+def blocked_horner(coeffs, z):
+    """p, p' and the noise floor 4 eps sum_i |a_i| |x|^i as the root
+    finder's evaluator reports them: at z where |z| <= 1, beyond it
+    through the reversed coefficients at x = 1/z (the values of
+    z^-deg p(z)).  Up to 16 coefficients plain Horner in x; beyond,
+    Horner in y = x^b over blocks of b coefficients, each block's value,
+    derivative and size taken against x^0 .. x^(b-1), which are formed
+    in extended precision and rounded once.  The loop keeps value,
+    derivative sum and size sum apart, six numpy calls a step."""
+    a = np.asarray(coeffs, dtype=np.complex128)
+    z = np.asarray(z, dtype=np.complex128)
+    n = len(a)
+    b = 1 if n <= 16 else 1 << ((n - 1).bit_length() + 1) // 2
+    m = -(-n // b)
+    flat = np.zeros((2, m * b), np.complex128)
+    flat[0, :n], flat[1, :n] = a, a[::-1]
+    rows = flat.reshape(2, m, b)
+    if b > 1:
+        deriv = np.zeros_like(rows)
+        deriv[..., :-1] = rows[..., 1:] * np.arange(1, b)
+        rows = np.concatenate([rows, deriv], axis=1)
+    row_sizes = np.abs(rows[:, :m])
+    far = np.abs(z) > 1.0
+    x = np.where(far, 1.0 / z, z)
+    if b == 1:
+        y = x
+        sums = np.where(far, rows[1], rows[0])
+        sizes = np.where(far, row_sizes[1], row_sizes[0])
+    else:
+        # x^0 .. x^b, each a product of two lower powers in extended
+        # precision, then rounded to doubles.
+        pw = np.empty((b + 1, len(x)), np.clongdouble)
+        pw[0], pw[1] = 1.0, x
+        k = 1
+        while k < b:
+            np.multiply(pw[1 : k + 1], pw[k], out=pw[k + 1 : 2 * k + 1])
+            k *= 2
+        pw = pw.T.astype(np.complex128, order="C")
+        y = pw[:, b]
+        sums = np.empty((2 * m, len(z)), np.complex128)
+        sizes = np.empty((m, len(z)))
+        for side, points in enumerate((~far, far)):
+            if points.any():
+                pws = pw[points, :b]
+                sums[:, points] = np.einsum("pi,ji->jp", pws, rows[side])
+                sizes[:, points] = np.einsum(
+                    "pi,ji->jp", np.abs(pws), row_sizes[side]
+                )
+    sums = sums.reshape(len(sums) // m, m, -1)
+    acc, size, dy = sums[:, -1], sizes[-1], np.zeros_like(x)
+    ys, ay = y[None], np.abs(y)
+    for j in range(m - 2, -1, -1):
+        dy = dy * y + acc[0]
+        acc = acc * ys + sums[:, j]
+        size = size * ay + sizes[j]
+    p = acc[0]
+    d = dy if b == 1 else acc[1] + b * pw[:, b - 1] * dy
+    d = np.where(far, ((n - 1) * p - x * d) * x, d)
+    return p, d, 4.0 * 2.0**-52 * size

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from polarpoly.errors import DegreeZeroError, EmptyRootSetError
-from polarpoly.polar import PolarProblem, s_poly, s_zeros, solve_polar
+from polarpoly import roots
+from polarpoly.polar import PolarProblem, _s_form, s_poly, s_zeros, solve_polar
 from polarpoly.polynomial import (
     Polynomial,
     max_coeff_diff,
@@ -15,7 +16,9 @@ from polarpoly.polynomial import (
 )
 from polarpoly.roots import (
     RootSet,
+    _aberth,
     _Evaluator,
+    _hull_starts,
     _newton_polish,
     _powers,
     _root_set,
@@ -25,6 +28,7 @@ from polarpoly.roots import (
 )
 
 from oracles import (
+    blocked_horner,
     closed_form_roots,
     compensated_horner,
     newton_zero,
@@ -288,7 +292,7 @@ class TestCompensatedHorner:
         a = np.array(coeffs, dtype=np.complex128)
         n = len(a) - 1
         z = np.array(points, dtype=np.complex128)
-        got = _Evaluator(a).compensated(z)[0]
+        got = _Evaluator(a).compensated(z)
         far = np.abs(z) > 1.0
         xs = np.where(far, 1.0 / z, z)
         cols = np.where(far, a[::-1, None], a[:, None])
@@ -402,7 +406,7 @@ class TestBlockedEvaluator:
         zeros = np.array(find_roots(q).roots)
         evaluate = _Evaluator(q.coeffs)
         for z in (zeros, zeros * 1.01, zeros * (1 + 0.01j)):
-            got = evaluate.compensated(z)[0]
+            got = evaluate.compensated(z)
             want = compensated_horner(q.coeffs, z)
             size = evaluate(z)[2] / (4 * EPS)
             bound = 2 * EPS * np.abs(want) + 2 * n**2 * EPS**2 * size
@@ -454,6 +458,84 @@ class TestSharedPipeline:
     """The pieces find_roots and polar.s_zeros both run."""
 
     @pytest.mark.parametrize(
+        "degree", [*range(16), 16, 17, 33, 64, 128, 256]
+    )
+    def test_evaluator_matches_the_six_call_loop(self, degree):
+        # One Horner state, three numpy calls a step, against the loop
+        # that kept value, derivative and size sums apart: the same
+        # bits, in batches of one point, of one side of |z| = 1, of
+        # both sides, and of none.
+        rng = np.random.default_rng(41 + degree)
+        a = [1.0, 1j] @ rng.normal(size=(2, degree + 1))
+        mods = np.array([0.02, 0.3, 0.9, 0.999, 1.0, 1.001, 1.1, 1.9, 40.0])
+        z = mods * np.exp(2j * math.pi * rng.random(len(mods)))
+        evaluate = _Evaluator(a)
+        for batch in (z, z[:1], z[-1:], z[mods <= 1], z[mods > 1], z[:0]):
+            for got, want in zip(evaluate(batch), blocked_horner(a, batch)):
+                assert got.shape == want.shape == batch.shape
+                assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("max_iter", [200, 2])
+    def test_aberth_returns_the_values_at_its_iterates(self, max_iter):
+        # p, p' and the noise floor handed to the polish are those of a
+        # fresh call at the returned iterates, to the last bit, also
+        # for roots cut off by max_iter, and for the form of s_zeros.
+        rng = np.random.default_rng(3)
+        a = [1.0, 1j] @ rng.normal(size=(2, 13))
+        q = centered_q(64, 64, 0.6)
+        ray = np.exp(2j * math.pi * np.arange(1, 21) / 21)
+        cases = [
+            (_Evaluator(a), _hull_starts(a)),
+            (_Evaluator(q.coeffs), _hull_starts(q.coeffs)),
+            (_s_form(20, 3)[1], 5.0 * ray - 1.0),
+        ]
+        with np.errstate(all="ignore"):
+            for evaluate, start in cases:
+                (z, *values), done = _aberth(start, evaluate, 1e-12, max_iter)
+                assert done == (max_iter == 200)
+                for got, want in zip(values, evaluate(z)):
+                    assert got.tobytes() == want.tobytes()
+
+    def test_find_roots_evaluates_no_iterate_twice_in_a_row(self, monkeypatch):
+        # The polish starts from the values of the sweep each root
+        # settled in, so a call evaluates a point the call before it
+        # did only where a Newton step from that point rounds to no
+        # move at all.
+        calls = []
+
+        class Counting(_Evaluator):
+            def __call__(self, z):
+                calls.append(z.copy())
+                return super().__call__(z)
+
+        monkeypatch.setattr(roots, "_Evaluator", Counting)
+        rng = np.random.default_rng(11)
+        polys = [[1.0, 1j] @ rng.normal(size=(2, n + 1)) for n in (3, 12, 40)]
+        polys.append(centered_q(64, 64, 0.6).coeffs)
+        for a in polys:
+            calls.clear()
+            find_roots(Polynomial(a))
+            assert len(calls) > 2
+            for before, after in zip(calls, calls[1:]):
+                again = after[np.isin(after, before)]
+                p, dp, _ = _Evaluator(a)(again)
+                assert (again - p / dp == again).all()
+
+    def test_overflowing_noise_floor_settles_nothing(self):
+        # sum_i |a_i| |z|^i beyond the double range: the noise floor
+        # reads NaN, no root settles on it, and the result says that it
+        # did not converge.  An infinite floor, which every |p| is
+        # below, would settle three equal zeros at modulus 0.72 here
+        # (true moduli 0.48 to 0.75) and report converged=True.
+        a = [
+            -5.3e307 + 7.2e306j,
+            3.9e307 - 6.3e307j,
+            -1.3e307 - 3.4e307j,
+            1.6e308 - 1.4e308j,
+        ]
+        assert not find_roots(Polynomial(a)).converged
+
+    @pytest.mark.parametrize(
         "degree", [0, 1, 2, 5, 15, 16, 17, 31, 32, 33, 256, 512]
     )
     def test_evaluate_ratio_matches_polyval(self, degree):
@@ -476,14 +558,14 @@ class TestSharedPipeline:
         # Mixed sides in one call give the values of one point per call,
         # the noise floor and the compensated value to the last bit.
         evaluate = _Evaluator(a)
-        compensated = evaluate.compensated(z)[0]
+        compensated = evaluate.compensated(z)
         for i in range(len(z)):
             one = evaluate(z[i : i + 1])
             assert (one[0][0], one[1][0], one[2][0]) == (p[i], dp[i], noise[i])
-            assert evaluate.compensated(z[i : i + 1])[0][0] == compensated[i]
+            assert evaluate.compensated(z[i : i + 1])[0] == compensated[i]
         # No points, no values.
-        empty = (*evaluate(z[:0]), *evaluate.compensated(z[:0]))
-        assert [v.shape for v in empty] == [(0,)] * 6
+        empty = (*evaluate(z[:0]), evaluate.compensated(z[:0]))
+        assert [v.shape for v in empty] == [(0,)] * 4
 
     def test_polish_rejects_step_that_raises_normwise_residual(self):
         # The step from 0 lands at 1, where |p| halves but the noise
@@ -495,7 +577,8 @@ class TestSharedPipeline:
             noise = np.where(at_start, 1.0, 1e-3)
             return p, np.full(z.shape, -1.0 + 0j), noise
 
-        z, p, dp, noise = _newton_polish(evaluate, np.zeros(1, complex))
+        z0 = np.zeros(1, complex)
+        z, p, dp, noise = _newton_polish(evaluate, z0, *evaluate(z0))
         assert (z[0], p[0], noise[0]) == (0, 1, 1.0)
 
     def test_polish_keeps_step_that_lowers_normwise_residual(self):
@@ -505,12 +588,13 @@ class TestSharedPipeline:
             p = 0.5**z.real + 0j
             return p, np.full(z.shape, -1.0 + 0j), np.ones(z.shape)
 
-        z, p, _, _ = _newton_polish(evaluate, np.zeros(1, complex), 1)
+        z0 = np.zeros(1, complex)
+        z, p, _, _ = _newton_polish(evaluate, z0, *evaluate(z0), 1)
         assert (z[0], p[0]) == (1, 0.5)
         want = 0.0
         for _ in range(3):
             want += 0.5**want
-        z, p, _, _ = _newton_polish(evaluate, np.zeros(1, complex))
+        z, p, _, _ = _newton_polish(evaluate, z0, *evaluate(z0))
         assert (z[0], p[0]) == (want, 0.5**want)
 
     def test_polish_steps_only_points_whose_step_was_kept(self):
@@ -532,9 +616,11 @@ class TestSharedPipeline:
             calls.append(v.copy())
             return _Evaluator(a)(v)
 
-        # Reference: every point stepped every round.
-        want = z0, *_Evaluator(a)(z0)
-        stepped = [40]
+        # Reference: every point stepped every round, from the values
+        # at z0, which the polish takes and does not evaluate again.
+        start = z0, *_Evaluator(a)(z0)
+        want = start
+        stepped = []
         live = 40
         for _ in range(3):
             stepped.append(live)
@@ -549,10 +635,11 @@ class TestSharedPipeline:
             live = int(kept.sum())
             if not live:
                 break
-        got = _newton_polish(counting, z0)
+        got = _newton_polish(counting, *start)
         for g, w in zip(got, want):
             assert (g == w).all()
-        assert 0 < stepped[2] < 40
+        assert (start[0] == z0).all()
+        assert 0 < stepped[1] < 40
         assert [len(v) for v in calls] == stepped
 
     def test_root_set_orders_and_skips_exact_zeros(self):
