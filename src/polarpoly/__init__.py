@@ -17,6 +17,7 @@ from .errors import (
     EmptyInputError,
     EmptyRootSetError,
     FactorizationImpossible,
+    NonFiniteError,
     NotMonicError,
     SZeroAtOriginError,
 )
@@ -72,6 +73,7 @@ __all__ = [
     "FactorizationImpossible",
     "GraceFactorization",
     "LocalizationReport",
+    "NonFiniteError",
     "NotMonicError",
     "PolarProblem",
     "Polynomial",

@@ -33,6 +33,12 @@ class DegreeTooLargeError(DomainError):
     code = "DegreeTooLarge"
 
 
+class NonFiniteError(DomainError):
+    """A coefficient is NaN or infinite."""
+
+    code = "NonFinite"
+
+
 class EmptyRootSetError(DomainError):
     code = "EmptyRootSet"
 

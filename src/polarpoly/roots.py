@@ -1,31 +1,32 @@
 """Numerical zeros of complex polynomials.
 
 Simultaneous Aberth-Ehrlich iteration with a short Newton polish per
-root.  There is no randomness anywhere: the initial guesses are a fixed
-function of the coefficients, so identical inputs give bit-identical
-outputs.  Multiple roots are returned as clusters; the residual and
-Vieta diagnostics are the arbiters of quality in that case.
+root.  There is no randomness anywhere: the starts are a fixed function
+of the coefficients, so identical inputs give bit-identical outputs on
+one build.  The last bits follow numpy's SIMD paths and, up to
+``_EIG_MAX``, the LAPACK build.  Multiple roots are returned as
+clusters; the residual and Vieta diagnostics are the arbiters of
+quality in that case.
 
-Vanishing low coefficients give exact zeros at 0.  The starts come
-from the Newton polygon of the coefficients (Bini 1996; MPSolve).  One
-evaluator, ``_Evaluator``, gives p, p' and the noise floor of the
-evaluation.  It works on the coefficients at z where |z| <= 1 and on
-the reversed coefficients at x = 1/z beyond, so no power of a large
-z is formed at any degree.  Both orientations are built once per
-polynomial as rows of blocks of b coefficients: b = 1 up to 16
-coefficients, and beyond, for N coefficients, the power of two in
-[sqrt N, 2 sqrt N).  Each call picks every point's rows by its side of
-|z| = 1 and runs one Horner loop in y = x^b over the block sums
-(Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
-5.1).  The value, the derivative sum and the size sum of the noise
-floor are rows of one state, so a step is three numpy calls.  With
-b = 1 the block sums are the coefficients and y = x: plain Horner.
-Beyond, every block's value, derivative and size are taken against the
-powers x^0 .. x^(b-1) at once, so the step count grows like sqrt N.
-The powers are formed in extended precision (np.clongdouble) and
-rounded once, so each is correctly rounded; on a platform where
-np.longdouble is plain double they are not, which tests/test_roots.py
-reports as a failure.
+Vanishing low coefficients give exact zeros at 0.  Up to degree
+``_EIG_MAX`` the starts are the eigenvalues of the companion matrix
+(LAPACK zgeev, which balances it first), exact zeros of a nearby
+polynomial (Edelman and Murakami 1995): one call costs about one sweep
+and saves most of the sweeps from cruder starts.  It costs O(n^3)
+against O(n^2) a sweep, so beyond ``_EIG_MAX``, and where ``_starts``
+finds the eigenvalues unusable, the starts come from the Newton polygon
+of the coefficients (Bini 1996; MPSolve).
+
+One evaluator, ``_Evaluator``, gives p, p' and the noise floor of the
+evaluation: on the coefficients at z where |z| <= 1 and on the reversed
+coefficients at x = 1/z beyond, so no power of a large z is formed.
+Both orientations are built once per polynomial as rows of blocks of b
+coefficients: b = 1 (plain Horner) up to 16 coefficients, and beyond,
+for N coefficients, the power of two in [sqrt N, 2 sqrt N).  Each call
+picks every point's rows by its side of |z| = 1 and runs one Horner
+loop in y = x^b over the block sums (Higham, Accuracy and Stability of
+Numerical Algorithms, 2nd ed., 5.1), so the step count grows like
+sqrt N.
 
 A root counts as settled when its Newton correction |p/p'| drops below
 ``tol`` or when the polynomial value at the iterate is already below
@@ -40,10 +41,7 @@ to where every term of p is smaller, while the residual there is far
 larger.  Roots whose attainable plain accuracy is poor (heavy
 coefficient cancellation) get one more such step with the value from
 compensated Horner (Graillat, Langlois and Louvet), which is as
-accurate as evaluation in twice the working precision.  It takes the
-same rows; beyond one block it runs twice: within every block at once,
-which gives each block as a double-double, then over the blocks in
-y = x^b, formed in double-double arithmetic.
+accurate as evaluation in twice the working precision.
 
 The iteration (``_aberth``) and the polish (``_newton_polish``) take
 the evaluator as an argument, and ``_root_set`` builds the result, so
@@ -61,7 +59,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegreeZeroError, EmptyRootSetError
+from .errors import DegreeZeroError, EmptyRootSetError, NonFiniteError
 from .polynomial import Polynomial
 
 # Fixed angular twist keeping initial guesses off symmetry axes.
@@ -76,6 +74,10 @@ _SPLITTER = 134217729.0  # 2^27 + 1, Veltkamp-Dekker's for doubles
 
 # Up to this many coefficients _Evaluator's blocks are single coefficients.
 _ONE_BLOCK = 16
+
+# Up to this degree the starts are the companion eigenvalues; beyond,
+# their O(n^3) cost exceeded the sweeps they save, measured on Q.
+_EIG_MAX = 40
 
 
 @dataclass(frozen=True)
@@ -94,6 +96,31 @@ class RootSet:
 
     def __len__(self) -> int:
         return len(self.roots)
+
+
+def _starts(a: np.ndarray) -> np.ndarray:
+    # The companion eigenvalues of a(2^e u), times 2^e, with 2^e near
+    # (|a_0| / |a_n|)^(1/n): the scaling is exact, and LAPACK's balancing
+    # stops short near the ends of the double range.  They are exact for
+    # a matrix off by about eps times its norm, which moves a double zero
+    # by about sqrt(eps) max |u|: a smaller start is noise, which the
+    # absolute settle test may accept, so the polygon's starts are taken.
+    n = len(a) - 1
+    if n <= _EIG_MAX:
+        lo, hi = (max(abs(v.real), abs(v.imag)) for v in (a[0], a[-1]))
+        e = round((math.log2(lo) - math.log2(hi)) / n)
+        i = e * np.arange(n + 1)
+        b = np.ldexp(a.real, i) + 1j * np.ldexp(a.imag, i)
+        companion = np.eye(n, k=-1, dtype=np.complex128)
+        companion[:, -1] = -b[:-1] / b[-1]
+        try:
+            u = np.linalg.eigvals(companion)
+        except np.linalg.LinAlgError:
+            return _hull_starts(a)
+        size = np.abs(u)
+        if size.min() > math.sqrt(_EPS) * size.max():
+            return np.ldexp(u.real, e) + 1j * np.ldexp(u.imag, e)
+    return _hull_starts(a)
 
 
 def _hull_starts(a: np.ndarray) -> np.ndarray:
@@ -273,9 +300,9 @@ def _horner_comp(
     # is within about eps |p| + n^2 eps^2 sum_i |c_i| |x|^i, as in twice
     # the working precision.  Coefficient j is coeffs[j], broadcast
     # against x: one column per point, or per block and point.  With
-    # coeffs_lo and x_lo the
-    # coefficients and x are the double-doubles coeffs + coeffs_lo and
-    # x + x_lo, whose low parts join the second Horner.
+    # coeffs_lo and x_lo the coefficients and x are the double-doubles
+    # coeffs + coeffs_lo and x + x_lo, whose low parts join the second
+    # Horner.
     rows = coeffs if coeffs.ndim > 1 else coeffs[:, None]
     # Real and imaginary parts stacked: row j is [re c_j, im c_j].
     c = np.stack([rows.real, rows.imag], axis=1)
@@ -421,10 +448,16 @@ def find_roots(
 ) -> RootSet:
     """Compute all zeros of ``p``.
 
+    The sweeps start from the companion eigenvalues up to degree
+    ``_EIG_MAX`` and from the Newton polygon beyond, where the O(n^3)
+    eigenvalues cost more than the sweeps they save.  Either way the
+    sweeps, the settle test and the polish decide every returned zero.
+
     Parameters
     ----------
     p : Polynomial
-        Polynomial of degree >= 1.
+        Polynomial of degree >= 1 with finite coefficients;
+        NonFiniteError otherwise.
     tol : float
         A root settles once its Newton correction |p/p'| has modulus
         at most ``tol`` (or its residual reaches the evaluation noise
@@ -440,6 +473,8 @@ def find_roots(
         that ran out of iterations is returned with converged=False
         rather than silently.
     """
+    if not np.isfinite(p.coeffs).all():
+        raise NonFiniteError("coefficients must be finite")
     n = p.degree
     if n < 1:
         raise DegreeZeroError("cannot find roots of a constant polynomial")
@@ -451,7 +486,7 @@ def find_roots(
 
     evaluate = _Evaluator(a)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        start, converged = _aberth(_hull_starts(a), evaluate, tol, max_iter)
+        start, converged = _aberth(_starts(a), evaluate, tol, max_iter)
         z, pv, dv, noise = _newton_polish(evaluate, *start)
         # One compensated step where the attainable plain accuracy
         # noise/|p'| is poor (heavy cancellation), with p' and the

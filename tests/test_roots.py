@@ -4,8 +4,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from polarpoly.errors import DegreeZeroError, EmptyRootSetError
+from polarpoly.errors import DegreeZeroError, EmptyRootSetError, NonFiniteError
 from polarpoly import roots
 from polarpoly.polar import PolarProblem, _s_form, s_poly, s_zeros, solve_polar
 from polarpoly.polynomial import (
@@ -194,7 +196,9 @@ class TestDeterminismAndFlags:
         assert a.converged == b.converged
 
     def test_not_converged_is_reported(self):
-        rs = find_roots(s_poly(8, 2), max_iter=1)
+        # Above the companion crossover: from its eigenvalues S(8, 2)
+        # settles in one sweep, so it would not be cut off.
+        rs = find_roots(s_poly(roots._EIG_MAX + 8, 2), max_iter=1)
         assert not rs.converged
 
     def test_residual_is_scaled(self):
@@ -673,3 +677,215 @@ class TestTopDegree:
         residual = 4 * EPS * np.abs(p) / noise
         grid = np.abs(p / dp) <= EPS * np.abs(z)
         assert (grid | (residual <= 2e-15)).all()
+
+
+class TestNonFinite:
+    """NaN or infinite coefficients are refused before any start is
+    computed, so neither LAPACK nor the iteration sees them."""
+
+    @pytest.fixture(autouse=True)
+    def no_starts(self, monkeypatch):
+        def refuse(a):
+            raise AssertionError("a start was computed")
+
+        monkeypatch.setattr(roots, "_starts", refuse)
+        monkeypatch.setattr(roots, "_hull_starts", refuse)
+
+    @pytest.mark.parametrize("degree", [3, 100])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(1, -math.inf)])
+    def test_one_coefficient(self, degree, bad):
+        a = np.ones(degree + 1, complex)
+        a[1] = bad
+        with pytest.raises(NonFiniteError) as info:
+            find_roots(Polynomial(a))
+        assert info.value.code == "NonFinite"
+
+    def test_overflowed_solve_polar(self):
+        # Q at n = 700, k = 20, |xi| = 1.9 has NaN coefficients; find_roots
+        # used to run 200 sweeps on it (6.7 s).
+        rng = np.random.default_rng(0)
+        zeros = np.sqrt(rng.random(700)) * np.exp(2j * np.pi * rng.random(700))
+        q = solve_polar(PolarProblem.centered(poly_from_roots(zeros), 1.9, 20))
+        assert np.isnan(q.coeffs).any()
+        with pytest.raises(NonFiniteError):
+            find_roots(q)
+
+
+def polygon_pipeline(p):
+    """find_roots with the Newton-polygon starts at every degree."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(roots, "_EIG_MAX", 0)
+        return find_roots(p)
+
+
+def assert_same_zeros(a, got, want):
+    # Some zero of p lies within n (|p(z)| + noise) / |p'(z)| of any z,
+    # the noise floor covering the rounding of p(z).  Every zero of each
+    # set lies within the sum of two such radii of a zero of the other.
+    evaluate = _Evaluator(np.asarray(a, complex))
+    n = len(a) - 1
+
+    def radii(z):
+        p, dp, noise = evaluate(z)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.nan_to_num(n * (np.abs(p) + noise) / np.abs(dp), nan=np.inf)
+
+    z, w = np.array(got.roots), np.array(want.roots)
+    gap = np.abs(z[:, None] - w[None, :]) - radii(z)[:, None] - radii(w)
+    assert (gap.min(axis=1) <= 0).all()
+    assert (gap.min(axis=0) <= 0).all()
+
+
+@st.composite
+def low_degree_coefficients(draw):
+    """Coefficients of degree 1 .. _EIG_MAX: drawn directly, with the end
+    coefficients of modulus 0.25 to 4, or from zeros of modulus 0.01 to
+    3, some of them repeated."""
+    if draw(st.booleans()):
+        ends = st.complex_numbers(min_magnitude=0.25, max_magnitude=4)
+        inner = st.lists(
+            st.complex_numbers(max_magnitude=4),
+            max_size=roots._EIG_MAX - 1,
+        )
+        return np.array([draw(ends), *draw(inner), draw(ends)])
+    zeros = draw(
+        st.lists(
+            st.complex_numbers(min_magnitude=0.01, max_magnitude=3),
+            min_size=1,
+            max_size=roots._EIG_MAX,
+        )
+    )
+    repeats = draw(st.integers(0, min(len(zeros), roots._EIG_MAX - len(zeros))))
+    return poly_from_roots(zeros + zeros[:repeats]).coeffs
+
+
+class TestCompanionStarts:
+    """Starts from the companion eigenvalues up to _EIG_MAX."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(low_degree_coefficients())
+    def test_converges_where_the_polygon_starts_do(self, a):
+        p = Polynomial(a)
+        want = polygon_pipeline(p)
+        got = find_roots(p)
+        if want.converged:
+            assert got.converged
+            assert_same_zeros(a, got, want)
+
+    @pytest.mark.parametrize("k", range(4, 15))
+    def test_complex_pair_near_the_real_axis(self, k):
+        # (z - 1)^2 + d: the zeros 1 +/- i sqrt(d), d the rounded 1 + d
+        # less 1, within a few eps / sqrt(d), the conditioning of a
+        # near-double zero.  The pair must not merge into one zero.
+        d = (1.0 + 10.0**-k) - 1.0
+        rs = find_roots(Polynomial([1.0 + d, -2.0, 1.0]))
+        assert rs.converged
+        want = (1 - 1j * math.sqrt(d), 1 + 1j * math.sqrt(d))
+        for got, w in zip(rs.roots, want):
+            assert abs(got - w) <= 4 * EPS / math.sqrt(d)
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 8, 12, 16, 24, 32, 40])
+    def test_multiple_zero_and_wilkinson(self, n):
+        # (z - 1)^n and prod (z - j): clusters and ill-conditioned zeros,
+        # all settled with a residual at the rounding level.
+        assert n <= roots._EIG_MAX
+        for zeros in ([1.0] * n, np.arange(1.0, n + 1)):
+            p = poly_from_roots(zeros)
+            rs = find_roots(p)
+            assert rs.converged
+            assert rs.max_residual <= 1e-15
+            assert_same_zeros(p.coeffs, rs, polygon_pipeline(p))
+
+    def test_zeros_of_modulus_near_1e17(self):
+        # 1 + 1e-200 z^12: no scale of the coefficients is near 1.  The
+        # modulus is that of the double nearest 1e-200, to 30 digits.
+        import mpmath
+
+        rs = find_roots(Polynomial([1.0] + [0.0] * 11 + [1e-200]))
+        assert rs.converged
+        assert rs.max_residual <= 1e-15
+        z = np.array(rs.roots)
+        with mpmath.workdps(30):
+            modulus = float(mpmath.mpf(1e-200) ** (mpmath.mpf(-1) / 12))
+        assert np.abs(np.abs(z) / modulus - 1).max() <= 8 * EPS
+        assert np.abs((z / np.abs(z)) ** 12 + 1).max() <= 32 * EPS
+
+    @pytest.mark.parametrize(("n", "c"), [(30, 1e-200), (40, 1e-300)])
+    def test_ends_near_the_double_range(self, n, c):
+        # z^n + c: without the scaling by a power of two, LAPACK's
+        # balancing stops short and the eigenvalues are off by 3e-6
+        # relative at (30, 1e-200) and by a factor 4.7 at (40, 1e-300),
+        # where the sweeps then end in NaN.
+        import mpmath
+
+        assert n <= roots._EIG_MAX
+        rs = find_roots(Polynomial([c] + [0.0] * (n - 1) + [1.0]))
+        assert rs.converged
+        z = np.array(rs.roots)
+        with mpmath.workdps(30):
+            modulus = float(mpmath.mpf(c) ** (mpmath.mpf(1) / n))
+        assert np.abs(np.abs(z) / modulus - 1).max() <= 32 * EPS
+        assert np.abs((z / np.abs(z)) ** n + 1).max() <= 1e-12
+
+    def test_tiny_zeros_are_not_settled_at_their_starts(self):
+        # z^3 + 1e-60 from the polygon's starts: the absolute settle
+        # test |p/p'| <= 1e-12 accepted them where they lay, 2.4% off
+        # in modulus, with max_residual 6.3e-2 and converged=True.
+        rs = find_roots(Polynomial([1e-60, 0.0, 0.0, 1.0]))
+        assert rs.converged
+        assert rs.max_residual <= 1e-15
+        for z in rs.roots:
+            assert abs(abs(z) - 1e-20) <= 2 * EPS * 1e-20
+            assert abs((z / abs(z)) ** 3 + 1) <= 8 * EPS
+
+    @staticmethod
+    def spy_polygon(monkeypatch):
+        calls = []
+        hull = roots._hull_starts
+        monkeypatch.setattr(
+            roots, "_hull_starts", lambda a: calls.append(len(a)) or hull(a)
+        )
+        return calls
+
+    def test_overflowing_companion_takes_the_polygon(self, monkeypatch):
+        # -a_2 / a_4 = -1e400 is beyond the double range.
+        a = [1e-100, -2e100, 1e300, -2e100, 1e-100]
+        want = polygon_pipeline(Polynomial(a))
+        calls = self.spy_polygon(monkeypatch)
+        assert find_roots(Polynomial(a)) == want
+        assert calls == [5]
+
+    def test_lapack_failure_takes_the_polygon(self, monkeypatch):
+        def fail(matrix):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        p = s_poly(12, 3)
+        want = polygon_pipeline(p)
+        calls = self.spy_polygon(monkeypatch)
+        monkeypatch.setattr(np.linalg, "eigvals", fail)
+        assert find_roots(p) == want
+        assert calls == [13]
+
+    def test_tiny_cluster_takes_the_polygon(self, monkeypatch):
+        # Two zeros 1e-16 from 0 next to ten on the unit circle: the
+        # companion eigenvalues there are rounding noise, of modulus
+        # about 1e-14, where the absolute settle test accepts them
+        # (max_residual 1).  The polygon's starts give 9.2e-6.
+        rng = np.random.default_rng(2)
+        p = poly_from_roots([1e-16, -1e-16, *np.exp(2j * np.pi * rng.random(10))])
+        want = polygon_pipeline(p)
+        calls = self.spy_polygon(monkeypatch)
+        assert find_roots(p) == want
+        assert calls == [13]
+
+    @pytest.mark.parametrize("offset", [0, 1])
+    def test_either_side_of_the_crossover(self, monkeypatch, offset):
+        n = roots._EIG_MAX + offset
+        q = polar_q(n, 0)
+        want = polygon_pipeline(q)
+        calls = self.spy_polygon(monkeypatch)
+        rs = find_roots(q)
+        assert calls == [n + 1] * offset
+        assert rs.converged
+        assert rs.max_residual <= 1e-14
+        assert_same_zeros(q.coeffs, rs, want)
