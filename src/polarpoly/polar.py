@@ -29,6 +29,7 @@ from .errors import (
     DegreeTooLargeError,
     DegreeZeroError,
     FactorizationImpossible,
+    NonFiniteError,
     NotMonicError,
 )
 from .polynomial import (
@@ -41,6 +42,7 @@ from .polynomial import (
     poly_from_roots,
     poly_mul,
     rising_factorial,
+    rising_row,
     sup_norm,
     taylor_shift,
 )
@@ -144,30 +146,31 @@ def _operator_band(R: Polynomial, n: int) -> np.ndarray:
     # Row i holds the entries (i, i), .., (i, i+k) of the operator
     # matrix, the only ones that can be nonzero: the image of z^j has
     # degree j and lowest term z^(j-k).  Entry (i, i+d) is the
-    # coefficient of z^i in d^k/dz^k(R * z^(i+d)), (i+1)_k * R_(k-d);
+    # coefficient of z^i in d^k/dz^k(R * z^(i+d)), (i+1)_k * R_(k-d),
+    # with (i+1)_k from the one cached row that derivative_k also reads;
     # those of columns beyond n are never read, and may overflow.
-    k = R.degree
-    scale = [float(rising_factorial(i + 1, k)) for i in range(n + 1)]
     with np.errstate(over="ignore", invalid="ignore"):
-        return np.outer(scale, R.coeffs[::-1])
+        return np.outer(rising_row(n, R.degree), R.coeffs[::-1])
 
 
 def _band_back_substitute(
-    band: np.ndarray, rhs: np.ndarray, top: float | None = None
+    rows: list, rhs: np.ndarray, top: float | None = None
 ) -> np.ndarray:
-    # Solves the banded triangular system from the top degree down,
-    # O(n*k) sequential steps on Python scalars.  With ``top`` set, the
+    # Solves the banded triangular system, given as the band's rows of
+    # Python scalars, from the top degree down: O(n*k) sequential steps.
+    # Row i meets the unknowns i+1 .. min(i+k, n), so all rows but the
+    # top k run over one fixed range of offsets.  With ``top`` set, the
     # top unknown is fixed to it instead of being solved for.
-    rows, rhs = band.tolist(), rhs.tolist()
-    n = len(rhs) - 1
+    rhs = rhs.tolist()
+    n, k = len(rhs) - 1, len(rows[0]) - 1
     out = [0j] * (n + 1)
     start = n
     if top is not None:
         out[n], start = top, n - 1
+    full = range(1, k + 1)
     for i in range(start, -1, -1):
-        row = rows[i]
-        acc = rhs[i]
-        for d in range(1, min(len(row), n + 1 - i)):
+        row, acc = rows[i], rhs[i]
+        for d in full if i + k <= n else range(1, n + 1 - i):
             acc -= row[d] * out[i + d]
         out[i] = acc / row[0]
     return np.array(out)
@@ -195,14 +198,21 @@ def solve_polar(problem: PolarProblem) -> Polynomial:
     residual-refinement pass, with the residual computed through
     apply_tr rather than the band, keeps the backward error at the
     rounding level even when the coefficients of Q grow large.
+    Raises NonFiniteError where a coefficient of Q exceeds the double
+    range, which shows first in the back substitution or, near that
+    edge, in the refinement.
     """
     P, R = problem.P, problem.R
     n, k = problem.n, problem.k
-    band = _operator_band(R, n)
+    rows = _operator_band(R, n).tolist()
     rhs = float(rising_factorial(n + 1, k)) * P.coeffs
-    b = _band_back_substitute(band, rhs, top=1.0)
-    b += _band_back_substitute(band, _operator_residual(R, b, rhs))
+    b = _band_back_substitute(rows, rhs, top=1.0)
+    b += _band_back_substitute(rows, _operator_residual(R, b, rhs))
     b[n] = 1.0
+    if not np.isfinite(b).all():
+        raise NonFiniteError(
+            f"Q for n = {n}, k = {k} exceeds the double range", n=n, k=k
+        )
     return Polynomial(b)
 
 

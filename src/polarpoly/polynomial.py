@@ -98,9 +98,7 @@ def derivative_k(p: Polynomial, k: int) -> Polynomial:
         raise ValueError("derivative order must be nonnegative")
     if k > p.degree:
         return Polynomial([0])
-    n = p.degree
-    scale = [float(rising_factorial(j + 1, k)) for j in range(n - k + 1)]
-    return Polynomial(p.coeffs[k:] * scale)
+    return Polynomial(p.coeffs[k:] * rising_row(p.degree - k, k))
 
 
 def taylor_shift(p: Polynomial, xi: complex) -> Polynomial:
@@ -157,6 +155,21 @@ def rising_factorial(a: int, k: int) -> int:
     if k < 0:
         raise ValueError("rising factorial order must be >= 0")
     return math.perm(a + k - 1, k)
+
+
+@functools.lru_cache(maxsize=64)
+def rising_row(n: int, k: int) -> np.ndarray:
+    """Read-only (j+1)_k, j = 0..n, each rounded once from the exact
+    integer, which the recurrence (j+2)_k = (j+1)_k (j+1+k) / (j+1)
+    gives from k!; OverflowError where one exceeds the double range."""
+    exact = itertools.accumulate(
+        range(1, n + 1),
+        lambda value, j: value * (j + k) // j,
+        initial=math.factorial(k),
+    )
+    row = np.fromiter(map(float, exact), np.float64, n + 1)
+    row.setflags(write=False)
+    return row
 
 
 def poly_from_roots(roots: ArrayLike) -> Polynomial:

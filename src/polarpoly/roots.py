@@ -139,9 +139,14 @@ def _hull_starts(a: np.ndarray) -> np.ndarray:
                 break
             hull.pop()
         hull.append(j)
-    radius = [
-        math.exp((logs[i] - logs[j]) / (j - i)) for i, j in zip(hull, hull[1:])
-    ]
+    log_r = [(logs[i] - logs[j]) / (j - i) for i, j in zip(hull, hull[1:])]
+    try:
+        radius = list(map(math.exp, log_r))
+    except OverflowError:
+        size = f"1e{max(log_r) / math.log(10.0):.0f}"
+        raise NonFiniteError(
+            f"a zero has modulus near {size}, beyond the double range"
+        ) from None
     width = np.diff(hull)
     start = np.repeat(hull[:-1], width)
     m = np.arange(hull[0], hull[-1]) - start
@@ -338,22 +343,22 @@ def _newton_polish(evaluate, z, pv, dv, noise, steps: int = 3):
     # ``evaluate`` gives those three at new points, in any per-point
     # scale that varies smoothly with z; returns z and the three at z.
     # A point whose step was refused would take the same step again,
-    # so only points whose last step was kept are stepped.
+    # and one whose step rounds back to it would be refused, so only
+    # points whose last step was kept and moved them are stepped.
     z, pv, dv, noise = (np.array(v) for v in (z, pv, dv, noise))
     live = np.arange(len(z))
     for _ in range(steps):
         zl, pl, dl = z[live], pv[live], dv[live]
-        dv_safe = np.where(dl == 0, 1.0, dl)
-        cand = np.where(dl == 0, zl, zl - pl / dv_safe)
+        cand = np.where(dl == 0, zl, zl - pl / np.where(dl == 0, 1.0, dl))
+        moved = cand != zl
+        live, cand, pl = live[moved], cand[moved], pl[moved]
+        if not live.size:
+            break
         pc, dc, nc = evaluate(cand)
         improved = np.abs(pc) * noise[live] < np.abs(pl) * nc
         live = live[improved]
-        if not live.size:
-            break
-        z[live] = cand[improved]
-        pv[live] = pc[improved]
-        dv[live] = dc[improved]
-        noise[live] = nc[improved]
+        for out, new in zip((z, pv, dv, noise), (cand, pc, dc, nc)):
+            out[live] = new[improved]
     return z, pv, dv, noise
 
 

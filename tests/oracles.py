@@ -378,3 +378,58 @@ def blocked_horner(coeffs, z):
     d = dy if b == 1 else acc[1] + b * pw[:, b - 1] * dy
     d = np.where(far, ((n - 1) * p - x * d) * x, d)
     return p, d, 4.0 * 2.0**-52 * size
+
+
+def rising_scale(n, k):
+    """(j+1)_k for j = 0..n, one exact integer and one rounding each."""
+    return [float(math.perm(j + k, k)) for j in range(n + 1)]
+
+
+def band_back_substitute(band, rhs, top=None):
+    """The banded triangular solve from the top degree down, one
+    ``min``-bounded range of offsets per row; row i of ``band`` holds
+    the entries (i, i), .., (i, i+k).  With ``top`` set, the top unknown
+    is fixed to it."""
+    rows, rhs = band.tolist(), rhs.tolist()
+    n = len(rhs) - 1
+    out = [0j] * (n + 1)
+    start = n
+    if top is not None:
+        out[n], start = top, n - 1
+    for i in range(start, -1, -1):
+        row = rows[i]
+        acc = rhs[i]
+        for d in range(1, min(len(row), n + 1 - i)):
+            acc -= row[d] * out[i + d]
+        out[i] = acc / row[0]
+    return np.array(out)
+
+
+def kth_derivative(coeffs, k):
+    """Ascending coefficients of the k-th derivative, each coefficient
+    times its own rising factorial, trailing exact zeros trimmed (the
+    zero polynomial is [0])."""
+    a = np.asarray(coeffs, dtype=np.complex128)
+    out = a[k:] * rising_scale(len(a) - 1 - k, k) if k < len(a) else a[:0]
+    return np.trim_zeros(out, "b") if np.any(out) else np.zeros(1, complex)
+
+
+def banded_polar_solution(p, r):
+    """The monic Q with (R Q)^(k) = (n+1)_k P in doubles: one banded back
+    substitution with the top coefficient fixed to 1, then one
+    refinement pass on the residual rhs - (R Q)^(k), each step in the
+    order of ``band_back_substitute``, ``kth_derivative`` and
+    ``np.convolve``."""
+    p, r = (np.asarray(v, dtype=np.complex128) for v in (p, r))
+    n, k = len(p) - 1, len(r) - 1
+    with np.errstate(over="ignore", invalid="ignore"):
+        band = np.outer(rising_scale(n, k), r[::-1])
+    rhs = float(math.perm(n + k, k)) * p
+    b = band_back_substitute(band, rhs, top=1.0)
+    image = kth_derivative(np.convolve(r, b), k)
+    residual = rhs.copy()
+    residual[: image.size] -= image
+    b += band_back_substitute(band, residual)
+    b[n] = 1.0
+    return b
+

@@ -257,6 +257,17 @@ class TestSPolyRootsBound:
         assert payload["error"] == "DegreeTooLarge"
         assert (payload["n"], payload["k"]) == (1029, 1)
 
+    def test_localize_q_beyond_the_double_range(self, capsys):
+        # Q at n = 700, k = 20, xi = 1.9 overflows; the solver refuses it
+        # before any zero of Q is sought.
+        rng = np.random.default_rng(0)
+        zeros = np.sqrt(rng.random(700)) * np.exp(2j * np.pi * rng.random(700))
+        argv = ["localize", "--P-roots", json.dumps(jsonable(zeros))]
+        assert main(argv + ["--xi", "1.9", "--k", "20"]) == 1
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["error"] == "NonFinite"
+        assert (payload["n"], payload["k"]) == (700, 20)
+
     def test_roots_linear(self, run_cli):
         out = run_cli("roots", "--P", "[[2,0],[1,0]]")
         payload = json.loads(out.stdout)

@@ -9,6 +9,7 @@ from polarpoly.errors import (
     DegreeTooLargeError,
     DegreeZeroError,
     FactorizationImpossible,
+    NonFiniteError,
     NotMonicError,
 )
 from polarpoly.polar import (
@@ -35,10 +36,14 @@ from polarpoly.polynomial import (
 from polarpoly.roots import find_roots
 
 from oracles import (
+    band_back_substitute,
+    banded_polar_solution,
     eval_poly,
+    kth_derivative,
     newton_s_zero,
     polar_backward_error,
     polar_solution,
+    rising_scale,
     s_zeros_k1,
     sort_roots,
 )
@@ -199,6 +204,76 @@ class TestSolvePolar:
         assert len(q.coeffs) == len(exact)
         assert err <= 1e-13 * max(abs(c) for c in exact)
         assert apply_tr(r, q).degree == 128
+
+
+def unit_disk(rng, count):
+    return np.sqrt(rng.random(count)) * np.exp(2j * np.pi * rng.random(count))
+
+
+class TestSameBitsAsScalarLoops:
+    """solve_polar, apply_tr and derivative_k against the per-coefficient
+    rising factorials and the min()-bounded banded loop of oracles.py,
+    byte for byte.  n < k makes every row a top row."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 64, 256, 512, 1000])
+    def test_solve_polar(self, n):
+        rng = np.random.default_rng(n)
+        refused = 0
+        for k in (1, 2, 3, 4, 5, 20, 50):
+            p = poly_from_roots(unit_disk(rng, n))
+            for prob in (
+                PolarProblem.centered(p, 0.3 + 0.2j, k),
+                PolarProblem.centered(p, -1.5j, k),
+                PolarProblem(p, poly_from_roots(2.0 * unit_disk(rng, k))),
+            ):
+                want = banded_polar_solution(p.coeffs, prob.R.coeffs)
+                if not np.isfinite(want).all():
+                    with pytest.raises(NonFiniteError):
+                        solve_polar(prob)
+                    refused += 1
+                    continue
+                q = solve_polar(prob)
+                assert q.coeffs.tobytes() == want.tobytes()
+                image = kth_derivative(np.convolve(prob.R.coeffs, want), k)
+                assert apply_tr(prob.R, q).coeffs.tobytes() == image.tobytes()
+                a = rng.normal(size=(2, n + k + 1)).T @ [1.0, 1j]
+                got = derivative_k(Polynomial(a), k).coeffs
+                assert got.tobytes() == kth_derivative(a, k).tobytes()
+        # Q leaves the double range only at n >= 512 with k >= 20 (one
+        # case at 512, four at 1000), so nearly all compare numbers.
+        assert refused <= (n >= 512) * 4
+
+
+class TestNonFiniteQ:
+    """Q beyond the double range is refused with NonFiniteError."""
+
+    def test_in_the_back_substitution(self):
+        # Q at n = 700, k = 20, |xi| = 1.9: the back substitution
+        # overflows and leaves 74 NaN coefficients.
+        rng = np.random.default_rng(0)
+        p = poly_from_roots(unit_disk(rng, 700))
+        r = poly_from_roots([1.9] * 20)
+        rows = np.outer(rising_scale(700, 20), r.coeffs[::-1])
+        rhs = float(rising_factorial(701, 20)) * p.coeffs
+        assert not np.isfinite(band_back_substitute(rows, rhs, 1.0)).all()
+        with pytest.raises(NonFiniteError) as info:
+            solve_polar(PolarProblem.centered(p, 1.9, 20))
+        assert info.value.code == "NonFinite"
+        assert info.value.details == {"n": 700, "k": 20}
+
+    def test_in_the_refinement(self):
+        # n = 300, k = 20, xi = 6.125: the back substitution stays
+        # finite (max |Q| about 4e285); the residual of the refinement
+        # overflows.
+        rng = np.random.default_rng(0)
+        p = poly_from_roots(unit_disk(rng, 300))
+        r = poly_from_roots([6.125] * 20)
+        rows = np.outer(rising_scale(300, 20), r.coeffs[::-1])
+        rhs = float(rising_factorial(301, 20)) * p.coeffs
+        assert np.isfinite(band_back_substitute(rows, rhs, 1.0)).all()
+        assert not np.isfinite(banded_polar_solution(p.coeffs, r.coeffs)).all()
+        with pytest.raises(NonFiniteError):
+            solve_polar(PolarProblem(p, r))
 
 
 class TestSolveShifted:

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from polarpoly.errors import DegreeTooLargeError
 from polarpoly.polynomial import (
     Polynomial,
     binomial_coeffs,
@@ -17,9 +18,11 @@ from polarpoly.polynomial import (
     poly_from_roots,
     poly_mul,
     rising_factorial,
+    rising_row,
     sup_norm,
     taylor_shift,
 )
+from polarpoly.polar import PolarProblem
 from polarpoly.roots import _Evaluator
 
 from oracles import convolve, eval_poly, expand_roots
@@ -348,6 +351,37 @@ class TestScalars:
             rising_factorial(0, 2)
         with pytest.raises(ValueError):
             rising_factorial(2, -1)
+
+    @pytest.mark.parametrize("k", [0, 1, 2, 5, 20, 50, 100, 120, 150, 170])
+    def test_rising_row_exact_up_to_the_degree_limit(self, k):
+        # Entry j is (j+1)_k rounded once from the exact integer, up to
+        # the largest n whose (n+1)_k fits a double, the last degree
+        # PolarProblem accepts for this k (1159 for k = 100, 311 for 120,
+        # 0 for 170); for k <= 50 it lies far beyond the n = 1200 checked.
+        def fits(n):
+            try:
+                float(math.perm(n + k, k))
+            except OverflowError:
+                return False
+            return True
+
+        n = 0
+        while n < 1200 and fits(n + 1):
+            n += 1
+        row = rising_row(n, k)
+        exact = [math.perm(j + k, k) for j in range(n + 1)]
+        assert row.tolist() == list(map(float, exact))
+        assert rising_row(n, k) is row
+        assert not row.flags.writeable
+        with pytest.raises(ValueError):
+            row[0] = 1.0
+        if n < 1200:
+            if n:
+                PolarProblem.centered(Polynomial([0] * n + [1]), 0.5, k)
+            with pytest.raises(OverflowError):
+                rising_row(n + 1, k)
+            with pytest.raises(DegreeTooLargeError):
+                PolarProblem.centered(Polynomial([0] * (n + 1) + [1]), 0.5, k)
 
 
 class TestJsonForm:

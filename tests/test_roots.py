@@ -9,11 +9,20 @@ from hypothesis import strategies as st
 
 from polarpoly.errors import DegreeZeroError, EmptyRootSetError, NonFiniteError
 from polarpoly import roots
-from polarpoly.polar import PolarProblem, _s_form, s_poly, s_zeros, solve_polar
+from polarpoly.polar import (
+    PolarProblem,
+    _band_back_substitute,
+    _operator_band,
+    _s_form,
+    s_poly,
+    s_zeros,
+    solve_polar,
+)
 from polarpoly.polynomial import (
     Polynomial,
     max_coeff_diff,
     poly_from_roots,
+    rising_factorial,
     sup_norm,
 )
 from polarpoly.roots import (
@@ -502,9 +511,8 @@ class TestSharedPipeline:
 
     def test_find_roots_evaluates_no_iterate_twice_in_a_row(self, monkeypatch):
         # The polish starts from the values of the sweep each root
-        # settled in, so a call evaluates a point the call before it
-        # did only where a Newton step from that point rounds to no
-        # move at all.
+        # settled in and leaves out steps that round back to their
+        # point, so no call evaluates a point the call before it did.
         calls = []
 
         class Counting(_Evaluator):
@@ -521,9 +529,7 @@ class TestSharedPipeline:
             find_roots(Polynomial(a))
             assert len(calls) > 2
             for before, after in zip(calls, calls[1:]):
-                again = after[np.isin(after, before)]
-                p, dp, _ = _Evaluator(a)(again)
-                assert (again - p / dp == again).all()
+                assert not np.isin(after, before).any()
 
     def test_overflowing_noise_floor_settles_nothing(self):
         # sum_i |a_i| |z|^i beyond the double range: the noise floor
@@ -603,10 +609,11 @@ class TestSharedPipeline:
 
     def test_polish_steps_only_points_whose_step_was_kept(self):
         # Zeros of a degree-40 polynomial, some exact to the last bit
-        # (their first step is refused) and some moved off by 1e-6 to
-        # 1e-3 (kept for a step or more).  A refused point would take
-        # the same step again, so it is not evaluated again, and the
-        # result is that of stepping every point every round.
+        # (their first step rounds back to them or is refused) and some
+        # moved off by 1e-6 to 1e-3 (kept for a step or more).  A refused
+        # point would take the same step again, and a step that rounds
+        # back would be refused, so neither is evaluated, and the result
+        # is that of stepping every point every round.
         rng = np.random.default_rng(7)
         a = [1.0, 1j] @ rng.normal(size=(2, 41))
         zeros = np.array(find_roots(Polynomial(a)).roots)
@@ -625,25 +632,26 @@ class TestSharedPipeline:
         start = z0, *_Evaluator(a)(z0)
         want = start
         stepped = []
-        live = 40
+        live = np.ones(40, bool)
         for _ in range(3):
-            stepped.append(live)
             z, pv, dv, noise = want
             cand = np.where(dv == 0, z, z - pv / np.where(dv == 0, 1.0, dv))
+            live &= cand != z
+            if not live.any():
+                break
+            stepped.append(int(live.sum()))
             pc, dc, nc = _Evaluator(a)(cand)
             kept = np.abs(pc) * noise < np.abs(pv) * nc
             want = tuple(
                 np.where(kept, new, old)
                 for new, old in zip((cand, pc, dc, nc), want)
             )
-            live = int(kept.sum())
-            if not live:
-                break
+            live = kept
         got = _newton_polish(counting, *start)
         for g, w in zip(got, want):
             assert (g == w).all()
         assert (start[0] == z0).all()
-        assert 0 < stepped[1] < 40
+        assert 0 < stepped[1] < stepped[0] < 40
         assert [len(v) for v in calls] == stepped
 
     def test_root_set_orders_and_skips_exact_zeros(self):
@@ -701,11 +709,17 @@ class TestNonFinite:
         assert info.value.code == "NonFinite"
 
     def test_overflowed_solve_polar(self):
-        # Q at n = 700, k = 20, |xi| = 1.9 has NaN coefficients; find_roots
-        # used to run 200 sweeps on it (6.7 s).
+        # Q at n = 700, k = 20, |xi| = 1.9 is beyond the double range:
+        # solve_polar refuses it, and find_roots refuses the NaN
+        # coefficients the band solve leaves, before 200 sweeps (6.7 s).
         rng = np.random.default_rng(0)
         zeros = np.sqrt(rng.random(700)) * np.exp(2j * np.pi * rng.random(700))
-        q = solve_polar(PolarProblem.centered(poly_from_roots(zeros), 1.9, 20))
+        problem = PolarProblem.centered(poly_from_roots(zeros), 1.9, 20)
+        with pytest.raises(NonFiniteError):
+            solve_polar(problem)
+        rhs = float(rising_factorial(701, 20)) * problem.P.coeffs
+        rows = _operator_band(problem.R, 700).tolist()
+        q = Polynomial(_band_back_substitute(rows, rhs, top=1.0))
         assert np.isnan(q.coeffs).any()
         with pytest.raises(NonFiniteError):
             find_roots(q)
@@ -854,6 +868,19 @@ class TestCompanionStarts:
         calls = self.spy_polygon(monkeypatch)
         assert find_roots(Polynomial(a)) == want
         assert calls == [5]
+
+    @pytest.mark.parametrize("tiny", [1e-320, 1e-310])
+    def test_zero_beyond_the_double_range(self, monkeypatch, tiny):
+        # 1 + 2z + 3z^2 + tiny z^3 has a zero near -3/tiny, 3e320 and
+        # 3e310; the companion path hands it to the polygon, whose
+        # start radius for it is beyond the double range.
+        calls = self.spy_polygon(monkeypatch)
+        with pytest.raises(NonFiniteError) as info:
+            find_roots(Polynomial([1, 2, 3, tiny]))
+        assert calls == [4]
+        assert info.value.code == "NonFinite"
+        size = round(math.log10(3.0) - math.log10(tiny))
+        assert f"modulus near 1e{size}," in str(info.value)
 
     def test_lapack_failure_takes_the_polygon(self, monkeypatch):
         def fail(matrix):
