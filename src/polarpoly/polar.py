@@ -62,9 +62,13 @@ VANISHING_RTOL = 1e-10
 # A recovered factor must reproduce its target to this relative error.
 RECONSTRUCTION_RTOL = 1e-10
 
-# Fixed-point steps that move the start points of s_zeros onto the
-# curve |1+w|^(n+k) = |t(w)|.
+# Fixed-point steps that move the start points of s_zeros along their
+# rays onto the curve |1+w|^(n+k) = |t(w)|, and Newton steps that then
+# take each toward the zero on its own branch of (1+w)^(n+k) = t(w).
+# With 4 and 2 the sweeps settle in one or two for k <= 5 and in 4 to 9
+# for k = 20 to 50; fewer fixed-point steps cost sweeps at large k.
 _START_STEPS = 4
+_BRANCH_STEPS = 2
 
 
 def _check_factor(name: str, poly: Polynomial) -> None:
@@ -267,40 +271,105 @@ def _s_form(n: int, k: int):
     # The coefficients of t, divided by the largest of them, top.
     top = math.comb(big_n, min(k - 1, big_n // 2))
     log_top = math.log(top)
+    floor = 4.0 * _EPS * big_n
     evaluate_t = _Evaluator(
         np.array([math.comb(big_n, j) / top for j in range(k)])
     )
 
+    # S has no zero in |w| < (k+1)/n, the smallest ratio C(N, j+k) /
+    # C(N, j+k+1) of its positive coefficients (Enestrom-Kakeya).  Deep
+    # inside that disk w^k S(w) is below the rounding of u^N and t(w),
+    # so F reads as zero there; S itself is evaluated on its dense
+    # coefficients instead, which are free of cancellation there.
+    inner = (k + 1) / n
+
+    def evaluate_s(w):
+        row = binomial_row(big_n)[k:]
+        return _Evaluator(row / row.max())(w)
+
     def log_t(w):
-        # log t(w), t'(w)/t(w) and sum_j |t_j w^j| / |t(w)|, from the
-        # evaluator of find_roots: beyond |w| = 1 its values are those of
-        # w^-(k-1) t(w) / top, and their ratio is t'/t on both sides.
-        # 4 eps is a power of two, so dividing the noise floor by it
-        # gives the sum exactly.
+        # log t(w), t'(w)/t(w) and 4 eps sum_j |t_j w^j| / |t(w)|, from
+        # the evaluator of find_roots: beyond |w| = 1 its values are
+        # those of w^-(k-1) t(w) / top, and their ratio is t'/t on both
+        # sides.
         p, d, noise = evaluate_t(w)
-        log_w = np.log(np.where(np.abs(w) > 1.0, w, 1.0))
-        log_t = log_top + np.log(p) + (k - 1) * log_w
-        return log_t, d / p, noise / (4.0 * _EPS) / np.abs(p)
+        lt = np.log(p) + log_top
+        far = np.abs(w) > 1.0
+        lt[far] += (k - 1) * np.log(w[far])
+        return lt, d / p, noise / np.abs(p)
 
     def evaluate(w):
         # F/s, (F' - k F/w)/s and the noise floor of F/s, so that their
-        # ratio is S/S'.
-        u = 1.0 + w
-        log_u = np.log(u)
+        # ratio is S/S'; the values of S itself in |w| < inner.  With
+        # lr = log(t/u^N) and m = max(Re lr, 0), s = u^N e^m is u^N
+        # where |t| <= |u|^N and |t| times a phase elsewhere, so
+        # F/s = e^-m - e^(lr - m) with both terms at most 1 in modulus.
         lt, dlt, cancel = log_t(w)
-        lr = lt - big_n * log_u
-        inside = lr.real <= 0.0
-        r = np.exp(np.where(inside, lr, -lr))
-        # s = |u|^N inside, where r = t/u^N; s = |t| outside, r = u^N/t.
-        f = np.where(inside, 1.0 - r, r - 1.0)
-        fd = np.where(inside, big_n / u - dlt * r, big_n * r / u - dlt)
-        ar = np.abs(r)
-        noise = 4.0 * _EPS * np.where(
-            inside, big_n + cancel * ar, big_n * ar + cancel
-        )
-        return f, fd - k * f / w, noise
+        u = 1.0 + w
+        lr = lt - big_n * np.log(u)
+        m = np.maximum(lr.real, 0.0)
+        a, b = np.exp(-m), np.exp(lr - m)
+        f = a - b
+        fd = big_n / u * a - dlt * b - k * f / w
+        noise = floor * a + cancel * np.abs(b)
+        deep = np.abs(w) < inner
+        if deep.any():
+            f[deep], fd[deep], noise[deep] = evaluate_s(w[deep])
+        return f, fd, noise
 
     return log_t, evaluate
+
+
+def _wrap(x):
+    # x reduced by a multiple of 2 pi to [-pi, pi).
+    return (x + math.pi) % (2.0 * math.pi) - math.pi
+
+
+def _s_starts(n: int, k: int, log_t) -> np.ndarray:
+    # One start per zero of S, each near the zero on its own branch of
+    # u^N = t(u - 1), u = 1 + w, N = n + k: the zero of branch m solves
+    # h(u) = N log u - log t(u - 1) = 2 pi i m, m = 1 .. n.
+    big_n = n + k
+    ray = np.exp(2j * math.pi * np.arange(1, n + 1) / (n + 1))
+    # Every zero has |w| <= k+1 (the S-radius bound); stepping down
+    # from |u| = k+2 along the rays reaches the part of the curve
+    # |u|^N = |t| that holds them, also for k far above n, where the
+    # curve has a second part near |u| = 1 on which t(w) cancels.
+    u = (k + 2.0) * ray
+    for _ in range(_START_STEPS):
+        lt, dlt, _ = log_t(u - 1.0)
+        at, u = u, np.exp(lt.real / big_n) * ray
+        if (u == at).all():
+            return u - 1.0  # t is constant (k = 1): the rays are the zeros.
+    # Along the curve the phase Im h rises by 2 pi (n+1) from arg u = 0
+    # to 2 pi, symmetrically about pi, and passes 2 pi m at the zero of
+    # branch m.  Its rise between neighbouring rays is taken within pi
+    # of the one that h' = N/u - t'/t predicts; the points then move
+    # along the curve to the phases 2 pi m.
+    dh = big_n / at - dlt
+    guess = (0.5 * (dh[1:] + dh[:-1]) * np.diff(at)).imag
+    seen = big_n * 2.0 * math.pi / (n + 1) - np.diff(lt.imag)
+    rise = guess + _wrap(seen - guess)
+    first = (2.0 * math.pi * (n + 1) - rise.sum()) / 2.0
+    phase = np.cumsum(np.concatenate([[0.0, first], rise, [first]]))
+    phase = np.maximum.accumulate(phase)  # np.interp needs it sorted
+    target = 2.0 * math.pi * np.arange(1, n + 1)
+    angle = 2.0 * math.pi * np.arange(n + 2) / (n + 1)
+    log_r = np.interp(target, phase[1:-1], lt.real / big_n)
+    u = np.exp(log_r + 1j * np.interp(target, phase, angle))
+    # Newton steps on h with Im h wrapped to the nearest branch.  A step
+    # of half the branch spacing, pi |u| / N, or more may leave its
+    # branch, and two starts that meet merge in the iteration; there the
+    # fixed-point step u exp(-h/N) is taken, which turns u by at most
+    # pi / N.
+    for _ in range(_BRANCH_STEPS):
+        lt, dlt, _ = log_t(u - 1.0)
+        h = big_n * np.log(u) - lt
+        h.imag = _wrap(h.imag)
+        newton = h / (big_n / u - dlt)
+        near = np.abs(newton) < math.pi / big_n * np.abs(u)
+        u = np.where(near, u - newton, u * np.exp(h / -big_n))
+    return u - 1.0
 
 
 def s_zeros(n: int, k: int) -> RootSet:
@@ -315,24 +384,24 @@ def s_zeros(n: int, k: int) -> RootSet:
     S is ill conditioned from n of about 40 on (the dense finder reports
     converged zeros of S(41, 1) that are off by 0.3); in this form the
     zeros come out to a few units of rounding at every accepted degree.
-    The iteration starts on the curve |1+w|^(n+k) = |t(w)|, which passes
-    through every zero, at the angles about -1 of the zeros for k = 1.
-    ``max_residual`` is max |F(zero)| / (4 eps) over the noise floor of
-    this form, (n+k) |1+w|^(n+k) + sum_j |t_j w^j|, which never
-    overflows.  Raises DegreeTooLargeError where ``s_poly`` does.
+    The iteration starts from one point on each branch of
+    (1+w)^(n+k) = t(w), near its zero: fixed-point steps along the rays
+    exp(2 pi i m / (n+1)) onto the curve |1+w|^(n+k) = |t(w)|, which
+    passes through every zero, a move along the curve to where the
+    phase (n+k) arg(1+w) - arg t(w) is 2 pi m, m = 1..n, and Newton
+    steps on that branch; the sweeps then settle in one or two.  At
+    k = 1 the rays are the zeros, and the steps stop once they no longer
+    move them.  Inside |w| < (k+1)/n, which holds no zero of S, the form
+    cancels below its rounding and reads as zero, so S is evaluated
+    there on its coefficients.  ``max_residual`` is max |F(zero)| /
+    (4 eps) over the noise floor of this form, (n+k) |1+w|^(n+k) +
+    sum_j |t_j w^j|, which never overflows.  Raises DegreeTooLargeError
+    where ``s_poly`` does.
     """
     _check_s_degree(n, k)
     log_t, evaluate = _s_form(n, k)
-    ray = np.exp(2j * math.pi * np.arange(1, n + 1) / (n + 1))
-    # Every zero has |w| <= k+1 (the S-radius bound); stepping down
-    # from |1+w| = k+2 reaches the part of the curve that holds them,
-    # also for k far above n, where the curve has a second part near
-    # |1+w| = 1 on which t(w) cancels.
-    radius = np.full(n, k + 2.0)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for _ in range(_START_STEPS):
-            radius = np.exp(log_t(radius * ray - 1.0)[0].real / (n + k))
-        start, converged = _aberth(radius * ray - 1.0, evaluate)
+        start, converged = _aberth(_s_starts(n, k, log_t), evaluate)
         z, f, _, noise = _newton_polish(evaluate, *start)
     return _root_set(z, f, noise, converged)
 

@@ -11,6 +11,7 @@ accepted either way: floating point cannot witness a strict boundary.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -218,15 +219,25 @@ def _circle_one_boundary(
 
 
 def enclosing_disk(points) -> Region:
-    """Minimum enclosing closed disk (Welzl, move-to-front, no shuffle).
+    """Minimum enclosing closed disk (Welzl, move-to-front).
 
-    Deterministic for a fixed input order.  The returned radius is
-    raised to the exact farthest point distance, so every input point
-    has a nonnegative membership margin.
+    The points are visited in the fixed stride order i*s mod n, with s
+    the first integer from 0.618 n on that is coprime to n, in place of
+    a random shuffle: the result is deterministic for a fixed input
+    order, and sorted input, such as zeros ordered by modulus, does not
+    meet a new extreme point at almost every step, as it would in its
+    own order, where the search turns quadratic.  The returned radius
+    is raised to the exact farthest point distance, so every input
+    point has a nonnegative membership margin.
     """
     pts = [complex(p) for p in points]
     if not pts:
         raise EmptyInputError("need at least one point")
+    n = len(pts)
+    stride = max(1, round(0.618 * n))
+    while math.gcd(stride, n) != 1:
+        stride += 1
+    pts = [pts[i * stride % n] for i in range(n)]
     circle: tuple[complex, float] | None = None
     for i, p in enumerate(pts):
         if circle is None or not _in_circle(*circle, p):

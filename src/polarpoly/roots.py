@@ -355,7 +355,7 @@ def _newton_polish(evaluate, z, pv, dv, noise, steps: int = 3):
         if not live.size:
             break
         pc, dc, nc = evaluate(cand)
-        improved = np.abs(pc) * noise[live] < np.abs(pl) * nc
+        improved = np.abs(pc) / nc < np.abs(pl) / noise[live]
         live = live[improved]
         for out, new in zip((z, pv, dv, noise), (cand, pc, dc, nc)):
             out[live] = new[improved]
@@ -400,30 +400,31 @@ def _aberth(
             if stuck.any():
                 w = np.where(stuck, 0.1 * (1.0 + np.abs(za)), w)
 
-            diff = za[:, None] - z[None, :]
-            diff[np.arange(len(active)), active] = np.inf
-            s = np.divide(1.0, diff, out=diff).sum(axis=1)
-            # Coincident approximations exert no repulsion on each
-            # other; they then merge into a cluster, which the
-            # diagnostics accept.  A zero difference makes its row's
-            # sum non-finite, and only such rows are summed again.
-            if not np.isfinite(s).all():
-                redo = ~np.isfinite(s)
-                diff = za[redo, None] - z[None, :]
-                diff[np.arange(len(diff)), active[redo]] = np.inf
-                diff[diff == 0] = np.inf
-                s[redo] = np.divide(1.0, diff, out=diff).sum(axis=1)
-            denom = 1.0 - w * s
-            denom = np.where(denom == 0, 1.0, denom)
-            delta = np.where(at_root, 0.0, w / denom)
-
             # A root settles on a small Newton correction |p/p'| or on
             # reaching the evaluation noise floor; not on a small Aberth
             # correction, which is tiny whenever two iterates sit close
-            # together, however far both are from a zero.
-            settled = (np.abs(w) <= tol) | (np.abs(pv) <= noise)
-            z[active] = za - np.where(settled, 0.0, delta)
-            active = active[~settled]
+            # together, however far both are from a zero.  Only the
+            # roots that move get an Aberth sum.
+            move = ~((np.abs(w) <= tol) | (np.abs(pv) <= noise))
+            rows, zm, wm = active[move], za[move], w[move]
+            if rows.size:
+                diff = zm[:, None] - z[None, :]
+                diff[np.arange(len(rows)), rows] = np.inf
+                s = np.divide(1.0, diff, out=diff).sum(axis=1)
+                # Coincident approximations exert no repulsion on each
+                # other; they then merge into a cluster, which the
+                # diagnostics accept.  A zero difference makes its row's
+                # sum non-finite, and only such rows are summed again.
+                if not np.isfinite(s).all():
+                    redo = ~np.isfinite(s)
+                    diff = zm[redo, None] - z[None, :]
+                    diff[np.arange(len(diff)), rows[redo]] = np.inf
+                    diff[diff == 0] = np.inf
+                    s[redo] = np.divide(1.0, diff, out=diff).sum(axis=1)
+                denom = 1.0 - wm * s
+                denom = np.where(denom == 0, 1.0, denom)
+                z[rows] = zm - np.where(at_root[move], 0.0, wm / denom)
+            active = rows
             if not active.size:
                 break
         if active.size:
@@ -444,7 +445,7 @@ def _root_set(z, p, noise, converged: bool) -> RootSet:
     # (zeros found exactly may be left out of p and noise).
     with np.errstate(invalid="ignore", divide="ignore"):
         residual = float((4.0 * _EPS * np.abs(p) / noise).max(initial=0.0))
-    roots = tuple(sorted((complex(v) for v in z), key=_sort_key))
+    roots = tuple(sorted(np.asarray(z, complex).tolist(), key=_sort_key))
     return RootSet(roots=roots, max_residual=residual, converged=converged)
 
 

@@ -433,3 +433,58 @@ def banded_polar_solution(p, r):
     b[n] = 1.0
     return b
 
+
+
+def ray_start_s_zeros(n, k):
+    """The zeros of S(n, k) from plain ray starts: four fixed-point steps
+    along the rays exp(2 pi i m / (n+1)), m = 1..n, onto the curve
+    |1+w|^(n+k) = |t(w)|, t(w) = sum_{j<k} C(n+k, j) w^j, then the sweeps,
+    polish and result of ``find_roots`` on the form w^k S(w) =
+    (1+w)^(n+k) - t(w) alone.  The iteration is the library's
+    (``roots._aberth``, ``_newton_polish``, ``_root_set``), which this
+    reference shares and does not check; the starts and the form are
+    its own.  Deep inside |w| < (k+1)/n, where S has no zero, the form
+    reads as zero, and at S(514, 515) two of these zeros settle there."""
+    from polarpoly.roots import (
+        _EPS,
+        _Evaluator,
+        _aberth,
+        _newton_polish,
+        _root_set,
+    )
+
+    big_n = n + k
+    top = math.comb(big_n, min(k - 1, big_n // 2))
+    log_top = math.log(top)
+    evaluate_t = _Evaluator(
+        np.array([math.comb(big_n, j) / top for j in range(k)])
+    )
+
+    def log_t(w):
+        p, d, noise = evaluate_t(w)
+        log_w = np.log(np.where(np.abs(w) > 1.0, w, 1.0))
+        log_t = log_top + np.log(p) + (k - 1) * log_w
+        return log_t, d / p, noise / (4.0 * _EPS) / np.abs(p)
+
+    def evaluate(w):
+        u = 1.0 + w
+        lt, dlt, cancel = log_t(w)
+        lr = lt - big_n * np.log(u)
+        inside = lr.real <= 0.0
+        r = np.exp(np.where(inside, lr, -lr))
+        f = np.where(inside, 1.0 - r, r - 1.0)
+        fd = np.where(inside, big_n / u - dlt * r, big_n * r / u - dlt)
+        ar = np.abs(r)
+        noise = 4.0 * _EPS * np.where(
+            inside, big_n + cancel * ar, big_n * ar + cancel
+        )
+        return f, fd - k * f / w, noise
+
+    ray = np.exp(2j * math.pi * np.arange(1, n + 1) / (n + 1))
+    radius = np.full(n, k + 2.0)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for _ in range(4):
+            radius = np.exp(log_t(radius * ray - 1.0)[0].real / big_n)
+        start, converged = _aberth(radius * ray - 1.0, evaluate)
+        z, f, _, noise = _newton_polish(evaluate, *start)
+    return _root_set(z, f, noise, converged)

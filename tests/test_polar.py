@@ -5,6 +5,7 @@ import sys
 import numpy as np
 import pytest
 
+from polarpoly import polar
 from polarpoly.errors import (
     DegreeTooLargeError,
     DegreeZeroError,
@@ -33,7 +34,7 @@ from polarpoly.polynomial import (
     sup_norm,
     taylor_shift,
 )
-from polarpoly.roots import find_roots
+from polarpoly.roots import _Evaluator, find_roots
 
 from oracles import (
     band_back_substitute,
@@ -43,6 +44,7 @@ from oracles import (
     newton_s_zero,
     polar_backward_error,
     polar_solution,
+    ray_start_s_zeros,
     rising_scale,
     s_zeros_k1,
     sort_roots,
@@ -363,6 +365,24 @@ class TestSPoly:
             assert err.value.details == {"n": N_MAX - k + 1, "k": k}
 
 
+# The (n, k) of the first 45 cases of the localize benchmark workload,
+# which are the same for every seed.
+LOCALIZE_PAIRS = [
+    (45, 2), (19, 4), (108, 1), (12, 3), (70, 4), (29, 2), (166, 3),
+    (10, 5), (56, 1), (24, 2), (134, 4), (15, 1), (87, 3), (36, 5),
+    (206, 2), (9, 3), (50, 5), (21, 1), (120, 3), (14, 4), (78, 1),
+    (33, 3), (185, 5), (11, 2), (63, 4), (26, 5), (149, 1), (17, 2),
+    (97, 4), (41, 1), (230, 3), (8, 4), (48, 2), (20, 3), (114, 5),
+    (13, 1), (74, 2), (31, 4), (175, 1), (10, 3), (59, 5), (25, 2),
+    (141, 4), (16, 5), (91, 1),
+]
+# Pairs where Newton steps on the branches of (1+w)^(n+k) = t(w), taken
+# without a bound on their length, send two starts to one zero, which
+# the iteration then merges; and order 50 at n = 100.
+BRANCH_HAZARDS = [(141, 4), (185, 5), (97, 4), (500, 20), (1000, 29),
+                  (100, 50)]
+
+
 def match_zeros(got, want, tol):
     """Largest distance from a wanted zero to the nearest computed one,
     after checking that the nearest ones are distinct."""
@@ -438,6 +458,98 @@ class TestSZeros:
         for n in range(1, 13):
             dense = find_roots(s_poly(n, k)).roots
             assert match_zeros(s_zeros(n, k).roots, dense, 1e-12) <= 1e-12
+
+
+class TestSZeroStarts:
+    """s_zeros against ``ray_start_s_zeros``, the same iteration from
+    plain ray starts on the form alone."""
+
+    @staticmethod
+    def assert_matches_ray_starts(n, k):
+        # n pairwise distinct zeros, conjugate in pairs, outside the disk
+        # |w| < (k+1)/n that holds no zero of S (Enestrom-Kakeya, as the
+        # coefficients are positive); the reference zeros outside that
+        # disk are matched one-to-one within 1e-13 relative, and the
+        # result converged wherever the reference did.
+        rs, ref = s_zeros(n, k), ray_start_s_zeros(n, k)
+        z = np.array(rs.roots)
+        assert len(z) == n
+        inner = (k + 1) / n * (1.0 - 1e-12)
+        assert (np.abs(z) >= inner).all()
+        if n > 1:
+            gaps = np.abs(np.subtract.outer(z, z))
+            np.fill_diagonal(gaps, np.inf)
+            assert gaps.min() > 1e-6 * np.abs(z).max()
+        mirror = np.abs(z[:, None] - z.conj()[None, :]).min(axis=1)
+        assert (mirror <= 1e-13 * np.abs(z)).all()
+        want = np.array([w for w in ref.roots if abs(w) >= inner])
+        dist = np.abs(want[:, None] - z[None, :])
+        nearest = dist.argmin(axis=1)
+        assert len(set(nearest.tolist())) == len(want)
+        assert (dist.min(axis=1) <= 1e-13 * np.abs(want)).all()
+        assert rs.converged or not ref.converged
+
+    @pytest.mark.parametrize(
+        ("n", "k"), BRANCH_HAZARDS + LOCALIZE_PAIRS[::9]
+    )
+    def test_matches_ray_starts(self, n, k):
+        self.assert_matches_ray_starts(n, k)
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize(
+        ("n", "k"),
+        LOCALIZE_PAIRS + [(1024, 5), (1000, 29), (979, 50), (514, 515)],
+    )
+    def test_matches_ray_starts_on_the_large_grid(self, n, k):
+        self.assert_matches_ray_starts(n, k)
+
+    def test_no_zero_where_the_form_reads_zero(self):
+        # Inside |w| < (k+1)/n the form w^k S(w) = u^N - t(w) cancels
+        # below its rounding, and S itself is evaluated there.  On the
+        # form alone two iterates settle at |w| = 0.53 for S(514, 515),
+        # whose zeros all have |w| >= 1.004, with converged=True.
+        n, k = 514, 515
+        rs = s_zeros(n, k)
+        assert rs.converged
+        assert min(abs(z) for z in rs.roots) >= (k + 1) / n
+        for z in sorted(rs.roots, key=abs)[:4]:
+            assert abs(newton_s_zero(n, k, z) - z) <= 1e-13 * abs(z)
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize(("n", "k"), [(514, 515), (700, 300)])
+    def test_exact_where_the_form_reads_zero(self, n, k):
+        TestSZeros.assert_exact(n, k)
+
+    def test_starts_settle_in_two_sweeps(self, monkeypatch):
+        # The sweeps count the evaluations of t that _aberth makes; from
+        # ray starts they were 1 to 20 on these pairs, 306 in all.  At
+        # k = 1 t is constant and the rays are the zeros: one step down
+        # to the curve and one that no longer moves a point.
+        calls, phases = [], []
+
+        class Counting(_Evaluator):
+            def __call__(self, z):
+                calls.append(len(z))
+                return super().__call__(z)
+
+        aberth = polar._aberth
+
+        def counted_aberth(*args):
+            before = len(calls)
+            out = aberth(*args)
+            phases.append((before, len(calls) - before))
+            return out
+
+        monkeypatch.setattr(polar, "_Evaluator", Counting)
+        monkeypatch.setattr(polar, "_aberth", counted_aberth)
+        for n, k in LOCALIZE_PAIRS + BRANCH_HAZARDS[:3]:
+            calls.clear()
+            phases.clear()
+            s_zeros(n, k)
+            [(starts, sweeps)] = phases
+            steps = polar._START_STEPS + polar._BRANCH_STEPS
+            assert starts == (2 if k == 1 else steps), (n, k)
+            assert sweeps <= 2, (n, k)
 
 
 class TestGraceConvolve:

@@ -11,6 +11,7 @@ from polarpoly.errors import (
 )
 from polarpoly.polar import PolarProblem, s_poly, solve_polar
 from polarpoly.polynomial import Polynomial, poly_from_roots, taylor_shift
+from polarpoly import regions
 from polarpoly.regions import (
     Region,
     enclosing_disk,
@@ -156,6 +157,34 @@ class TestEnclosingDisk:
             disk = enclosing_disk(pts)
             for p in pts:
                 assert region_contains(disk, p) >= -1e-12 * (1 + disk.radius)
+
+    def test_sorted_input_stays_linear(self, monkeypatch):
+        # Points sorted by modulus, the order find_roots returns zeros
+        # in: visited in that order, nearly every point is a new extreme
+        # and the move-to-front search refits a two-point circle at
+        # almost every step (9075 refits for the centered points here).
+        calls = []
+        refit = regions._circle_two_boundary
+
+        def counting(*args):
+            calls.append(1)
+            return refit(*args)
+
+        monkeypatch.setattr(regions, "_circle_two_boundary", counting)
+        rng = np.random.default_rng(3)
+        for n, shift in ((256, 0.0), (256, 5.0), (20, 0.0)):
+            pts = np.sqrt(rng.uniform(size=n)) * np.exp(
+                2j * np.pi * rng.uniform(size=n)
+            )
+            pts = sorted(pts + shift, key=abs)
+            calls.clear()
+            disk = enclosing_disk(pts)
+            assert len(calls) <= n
+            margins = region_contains(disk, np.array(pts))
+            assert (margins >= -1e-12 * (1 + disk.radius)).all()
+            if n <= 20:
+                center, radius = brute_force_disk(pts)
+                assert abs(disk.radius - radius) <= 1e-9 * (1 + radius)
 
 
 class TestLocalizationCheck:

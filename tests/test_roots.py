@@ -531,6 +531,20 @@ class TestSharedPipeline:
             for before, after in zip(calls, calls[1:]):
                 assert not np.isin(after, before).any()
 
+    @pytest.mark.parametrize("n", [16, 22, 39])
+    def test_polish_keeps_steps_at_tiny_residuals(self, n):
+        # z^n + 1e-150: at the zeros |p| and the noise floor are near
+        # 1e-166, so the product of one residual's |p| with the other's
+        # floor is below the smallest double; a comparison of products
+        # reads 0 < 0 and refuses every polishing step, which leaves
+        # max_residual at 2.2e-14, 7.0e-14 and 2.8e-13.  The ratios
+        # |p| / noise do not underflow.
+        a = np.zeros(n + 1)
+        a[0], a[-1] = 1e-150, 1.0
+        rs = find_roots(Polynomial(a))
+        assert rs.converged
+        assert rs.max_residual <= 4e-15
+
     def test_overflowing_noise_floor_settles_nothing(self):
         # sum_i |a_i| |z|^i beyond the double range: the noise floor
         # reads NaN, no root settles on it, and the result says that it
