@@ -11,6 +11,7 @@ accepted either way: floating point cannot witness a strict boundary.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -19,6 +20,7 @@ import numpy as np
 from .errors import (
     EmptyInputError,
     EmptyRootSetError,
+    NonFiniteError,
     SZeroAtOriginError,
 )
 from .polynomial import from_number, from_pair, jsonable
@@ -149,12 +151,19 @@ def _circumcircle(
     a: complex, b: complex, c: complex
 ) -> tuple[complex, float] | None:
     # Coordinates are re-centered on the bounding box midpoint first,
-    # which keeps the determinant well scaled.
+    # which keeps the determinant well scaled, then multiplied by the
+    # power of two 2^-e that brings the largest of them into [1/2, 1)
+    # (e from -1022 on, so that 2^-e is a double).  That is exact, and
+    # the products below neither overflow nor underflow.
     ox = (min(a.real, b.real, c.real) + max(a.real, b.real, c.real)) / 2.0
     oy = (min(a.imag, b.imag, c.imag) + max(a.imag, b.imag, c.imag)) / 2.0
     ax, ay = a.real - ox, a.imag - oy
     bx, by = b.real - ox, b.imag - oy
     cx, cy = c.real - ox, c.imag - oy
+    big = max(abs(ax), abs(ay), abs(bx), abs(by), abs(cx), abs(cy))
+    down = math.ldexp(1.0, -max(math.frexp(big)[1], -1022))
+    ax, ay, bx, by = ax * down, ay * down, bx * down, by * down
+    cx, cy = cx * down, cy * down
     d = (ax * (by - cy) + bx * (cy - ay) + cx * (ay - by)) * 2.0
     if d == 0.0:
         return None
@@ -162,64 +171,25 @@ def _circumcircle(
         (ax * ax + ay * ay) * (by - cy)
         + (bx * bx + by * by) * (cy - ay)
         + (cx * cx + cy * cy) * (ay - by)
-    ) / d
+    ) / d / down
     y = oy + (
         (ax * ax + ay * ay) * (cx - bx)
         + (bx * bx + by * by) * (ax - cx)
         + (cx * cx + cy * cy) * (bx - ax)
-    ) / d
+    ) / d / down
     center = complex(x, y)
     return center, max(abs(a - center), abs(b - center), abs(c - center))
 
 
-def _circle_two_boundary(
-    pts: list[complex], p: complex, q: complex
-) -> tuple[complex, float]:
-    circ = _diameter(p, q)
-    left: tuple[complex, float] | None = None
-    right: tuple[complex, float] | None = None
-    pq = q - p
-
-    def cross(v: complex) -> float:
-        return pq.real * (v.imag - p.imag) - pq.imag * (v.real - p.real)
-
-    for s in pts:
-        if _in_circle(*circ, s):
-            continue
-        cc = _circumcircle(p, q, s)
-        if cc is None:
-            continue
-        side = cross(s)
-        d = cross(cc[0])
-        if side > 0.0 and (left is None or d > cross(left[0])):
-            left = cc
-        elif side < 0.0 and (right is None or d < cross(right[0])):
-            right = cc
-
-    if left is None and right is None:
-        return circ
-    if left is None:
-        return right  # type: ignore[return-value]
-    if right is None:
-        return left
-    return left if left[1] <= right[1] else right
-
-
-def _circle_one_boundary(
-    pts: list[complex], p: complex
-) -> tuple[complex, float]:
-    center, radius = p, 0.0
-    for i, q in enumerate(pts):
-        if not _in_circle(center, radius, q):
-            if radius == 0.0:
-                center, radius = _diameter(p, q)
-            else:
-                center, radius = _circle_two_boundary(pts[: i + 1], p, q)
-    return center, radius
-
-
 def enclosing_disk(points) -> Region:
-    """Minimum enclosing closed disk (Welzl, move-to-front).
+    """Minimum enclosing closed disk (Welzl's incremental algorithm).
+
+    Three nested loops: each point p outside the current circle resets
+    it to p alone, each earlier point q outside that circle sets it to
+    the circle on the diameter pq, and each point before q outside
+    that one sets it to the circle through p, q and that point.  The
+    circumcircle is computed in coordinates scaled by an exact power
+    of two, so its products neither overflow nor underflow.
 
     The points are visited in the fixed stride order i*s mod n, with s
     the first integer from 0.618 n on that is coprime to n, in place of
@@ -228,21 +198,33 @@ def enclosing_disk(points) -> Region:
     meet a new extreme point at almost every step, as it would in its
     own order, where the search turns quadratic.  The returned radius
     is raised to the exact farthest point distance, so every input
-    point has a nonnegative membership margin.
+    point has a nonnegative membership margin.  A NaN or infinite
+    point raises NonFiniteError.
     """
     pts = [complex(p) for p in points]
     if not pts:
         raise EmptyInputError("need at least one point")
+    if not all(map(cmath.isfinite, pts)):
+        raise NonFiniteError("points must be finite")
     n = len(pts)
     stride = max(1, round(0.618 * n))
     while math.gcd(stride, n) != 1:
         stride += 1
     pts = [pts[i * stride % n] for i in range(n)]
-    circle: tuple[complex, float] | None = None
+    center, radius = pts[0], 0.0
     for i, p in enumerate(pts):
-        if circle is None or not _in_circle(*circle, p):
-            circle = _circle_one_boundary(pts[: i + 1], p)
-    center, radius = circle
+        if _in_circle(center, radius, p):
+            continue
+        center, radius = p, 0.0
+        for j, q in enumerate(pts[:i]):
+            if _in_circle(center, radius, q):
+                continue
+            center, radius = _diameter(p, q)
+            for s in pts[:j]:
+                if not _in_circle(center, radius, s):
+                    circle = _circumcircle(p, q, s)
+                    if circle is not None:
+                        center, radius = circle
     radius = max(radius, max(abs(p - center) for p in pts))
     return Region(kind="disk", center=center, radius=radius, closed=True)
 

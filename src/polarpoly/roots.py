@@ -508,10 +508,13 @@ def find_roots(
 
 
 def max_modulus(rs: RootSet) -> float:
-    """Largest root modulus."""
+    """Largest root modulus; NaN if any root is NaN."""
     if not rs.roots:
         raise EmptyRootSetError("root set is empty")
-    return max(abs(r) for r in rs.roots)
+    # np.max keeps a NaN wherever it stands, where max drops one that is
+    # not first.  A modulus is never -0.0, so no signed-zero tie can
+    # pick a different value than max would.
+    return float(np.max([abs(r) for r in rs.roots]))
 
 
 def vieta_residuals(p: Polynomial, rs: RootSet) -> tuple[float, float]:

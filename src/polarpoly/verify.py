@@ -116,6 +116,12 @@ class CaseInstance:
         )
 
 
+def _nan_or(pick, values):
+    """``pick(values)`` for the builtin ``min`` or ``max``, or NaN if any
+    value is NaN: the builtins drop a NaN that does not come first."""
+    return math.nan if any(map(math.isnan, values)) else pick(values)
+
+
 @dataclass
 class PropertyResult:
     name: str
@@ -132,10 +138,9 @@ class PropertyResult:
         self.cases += 1
         if self.worst is None:
             self.worst = observed
-        elif self.sense == "max":
-            self.worst = max(self.worst, observed)
         else:
-            self.worst = min(self.worst, observed)
+            pick = max if self.sense == "max" else min
+            self.worst = _nan_or(pick, (self.worst, observed))
         if ok:
             self.passes += 1
         else:
@@ -245,17 +250,15 @@ def case_metrics(
     report = localization_check(
         q_roots, xi, region, s_roots, tol=containment_tol
     )
-    containment_margin = min(w.margin for w in report.witnesses)
+    containment_margin = _nan_or(min, [w.margin for w in report.witnesses])
 
     remark_excess = max_modulus(q_roots) - polar_zero_bound(xi, k)
     s_radius_excess = max_modulus(s_roots) - (k + 1)
 
     try:
         fact = grace_factorize(P, Q, xi)
-        factorize_error = max(
-            fact.exact_match_error,
-            max_coeff_diff(fact.s_r, s) / sup_norm(s),
-        )
+        s_error = max_coeff_diff(fact.s_r, s) / sup_norm(s)
+        factorize_error = _nan_or(max, (fact.exact_match_error, s_error))
         factorize_impossible = False
     except FactorizationImpossible:
         factorize_error = None

@@ -488,3 +488,61 @@ def ray_start_s_zeros(n, k):
         start, converged = _aberth(radius * ray - 1.0, evaluate)
         z, f, _, noise = _newton_polish(evaluate, *start)
     return _root_set(z, f, noise, converged)
+
+
+def two_boundary_disk(points):
+    """Minimum enclosing disk by the move-to-front search that ranks,
+    for each pair (p, q), the circumcircles of the points outside the
+    circle on the diameter pq as left or right of pq, and keeps the
+    smaller of the two extremes.  The points are visited in the
+    library's stride order, and the circle primitives are the
+    library's (``_in_circle``, ``_diameter``, ``_circumcircle``), which
+    this reference shares and does not check; the search is its own."""
+    from polarpoly.regions import _circumcircle, _diameter, _in_circle
+
+    def two_boundary(pts, p, q):
+        circ = _diameter(p, q)
+        left = right = None
+        pq = q - p
+
+        def cross(v):
+            return pq.real * (v.imag - p.imag) - pq.imag * (v.real - p.real)
+
+        for s in pts:
+            if _in_circle(*circ, s):
+                continue
+            cc = _circumcircle(p, q, s)
+            if cc is None:
+                continue
+            side = cross(s)
+            d = cross(cc[0])
+            if side > 0.0 and (left is None or d > cross(left[0])):
+                left = cc
+            elif side < 0.0 and (right is None or d < cross(right[0])):
+                right = cc
+        if left is None or right is None:
+            return left or right or circ
+        return left if left[1] <= right[1] else right
+
+    def one_boundary(pts, p):
+        center, radius = p, 0.0
+        for i, q in enumerate(pts):
+            if not _in_circle(center, radius, q):
+                if radius == 0.0:
+                    center, radius = _diameter(p, q)
+                else:
+                    center, radius = two_boundary(pts[: i + 1], p, q)
+        return center, radius
+
+    pts = [complex(p) for p in points]
+    n = len(pts)
+    stride = max(1, round(0.618 * n))
+    while math.gcd(stride, n) != 1:
+        stride += 1
+    pts = [pts[i * stride % n] for i in range(n)]
+    circle = None
+    for i, p in enumerate(pts):
+        if circle is None or not _in_circle(*circle, p):
+            circle = one_boundary(pts[: i + 1], p)
+    center, radius = circle
+    return center, max(radius, max(abs(p - center) for p in pts))

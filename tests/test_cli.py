@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+from dataclasses import replace
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -267,6 +268,20 @@ class TestSPolyRootsBound:
         payload = json.loads(capsys.readouterr().out)
         assert payload["error"] == "NonFinite"
         assert (payload["n"], payload["k"]) == (700, 20)
+
+    def test_localize_nan_zero_of_p(self, monkeypatch, capsys):
+        # A NaN zero of P leaves no default K: enclosing_disk refuses it
+        # rather than return a disk that depends on the zeros' order.
+        find = cli.find_roots
+
+        def nan_last(p):
+            rs = find(p)
+            return replace(rs, roots=rs.roots[:-1] + (complex(math.nan),))
+
+        monkeypatch.setattr(cli, "find_roots", nan_last)
+        p = "[[-0.25,0],[0,0],[1,0]]"
+        assert main(["localize", "--P", p, "--xi", "0", "--k", "1"]) == 1
+        assert json.loads(capsys.readouterr().out)["error"] == "NonFinite"
 
     def test_roots_linear(self, run_cli):
         out = run_cli("roots", "--P", "[[2,0],[1,0]]")

@@ -7,6 +7,7 @@ import pytest
 from polarpoly.errors import (
     EmptyInputError,
     EmptyRootSetError,
+    NonFiniteError,
     SZeroAtOriginError,
 )
 from polarpoly.polar import PolarProblem, s_poly, solve_polar
@@ -21,7 +22,12 @@ from polarpoly.regions import (
 )
 from polarpoly.roots import RootSet, find_roots
 
-from oracles import best_factors, brute_force_disk, region_margin
+from oracles import (
+    best_factors,
+    brute_force_disk,
+    region_margin,
+    two_boundary_disk,
+)
 
 EPS = float(np.finfo(float).eps)
 REGIONS = (
@@ -161,16 +167,18 @@ class TestEnclosingDisk:
     def test_sorted_input_stays_linear(self, monkeypatch):
         # Points sorted by modulus, the order find_roots returns zeros
         # in: visited in that order, nearly every point is a new extreme
-        # and the move-to-front search refits a two-point circle at
-        # almost every step (9075 refits for the centered points here).
+        # and the search refits a two-point circle, which starts from
+        # the circle on a diameter, at almost every step (9311 refits for
+        # the centered points here; 83, 27 and 13 for the three sets in
+        # stride order).
         calls = []
-        refit = regions._circle_two_boundary
+        refit = regions._diameter
 
         def counting(*args):
             calls.append(1)
             return refit(*args)
 
-        monkeypatch.setattr(regions, "_circle_two_boundary", counting)
+        monkeypatch.setattr(regions, "_diameter", counting)
         rng = np.random.default_rng(3)
         for n, shift in ((256, 0.0), (256, 5.0), (20, 0.0)):
             pts = np.sqrt(rng.uniform(size=n)) * np.exp(
@@ -185,6 +193,79 @@ class TestEnclosingDisk:
             if n <= 20:
                 center, radius = brute_force_disk(pts)
                 assert abs(disk.radius - radius) <= 1e-9 * (1 + radius)
+
+    def test_matches_two_boundary_reference(self):
+        # The same (center, radius), bit for bit, as the search that
+        # ranked circumcircles left and right of each pair.
+        rng = np.random.default_rng(19)
+        sets = []
+        for n in (1, 2, 3, 4, 5, 6, 8, 12, 20, 45, 64, 128, 256):
+            for _ in range(8 if n <= 64 else 3):
+                pts = np.sqrt(rng.uniform(size=n)) * np.exp(
+                    2j * np.pi * rng.uniform(size=n)
+                )
+                shift = complex(rng.uniform(-5, 5), rng.uniform(-5, 5))
+                sets += [
+                    list(pts),
+                    sorted(pts, key=abs),
+                    sorted(pts + shift, key=abs),
+                ]
+            sets += [
+                [cmath.exp(2j * math.pi * m / n) for m in range(n)],
+                [cmath.exp(2j * math.pi * m / (n + 1)) - 1
+                 for m in range(1, n + 1)],
+                [complex(t, 0.5 * t) for t in rng.uniform(-1, 1, n)],
+                [complex(t, t) for t in range(n)],
+                [complex(rng.uniform(), rng.uniform())] * n,
+            ]
+        for pts in sets:
+            disk = enclosing_disk(pts)
+            assert (disk.center, disk.radius) == two_boundary_disk(pts)
+
+    def test_exact_tie_checked_by_brute_force(self):
+        # Four points on one circle about 0.1 - 0.1j: the two searches
+        # keep different defining triples, and the centers differ in
+        # the last bit.  Such ties are held to the brute-force disk.
+        pts = [0.5 + 0.1j, 0.3 - 0.5j, -0.3 + 0.1j, 0.3 + 0.3j]
+        disk = enclosing_disk(pts)
+        assert (disk.center, disk.radius) != two_boundary_disk(pts)
+        center, radius = brute_force_disk(pts)
+        assert abs(disk.radius - radius) <= 1e-15
+        assert abs(disk.center - center) <= 1e-15
+
+    @pytest.mark.parametrize("e", [-1000, -600, 345, 1000])
+    def test_power_of_two_scaling_is_exact(self, e):
+        # Far from 1 the circumcircle's cubes would overflow or
+        # underflow; scaled by a power of two, they do not.
+        scale = 2.0**e
+        rng = np.random.default_rng(23)
+        for _ in range(40):
+            n = int(rng.integers(3, 30))
+            pts = random_points(rng, n, 1.0)
+            disk = enclosing_disk(pts)
+            scaled = enclosing_disk(pts * scale)
+            assert scaled.center == disk.center * scale
+            assert scaled.radius == disk.radius * scale
+        # The three cube roots of unity need all three points.
+        roots = [scale * cmath.exp(2j * math.pi * m / 3) for m in range(3)]
+        assert enclosing_disk(roots).radius <= scale * (1 + 1e-15)
+
+    def test_subnormal_triangle(self):
+        # All three points within 2^-1022 of each other, where the
+        # power of two that would scale them up is beyond the doubles.
+        scale = 2.0**-1060
+        roots = [scale * cmath.exp(2j * math.pi * m / 3) for m in range(3)]
+        assert enclosing_disk(roots).radius <= scale * (1 + 1e-3)
+
+    @pytest.mark.parametrize(
+        "pts",
+        [[math.nan, 1], [1, math.nan], [0.5, complex(math.inf, 0)]],
+        ids=["nan_first", "nan_last", "inf"],
+    )
+    def test_non_finite_rejected(self, pts):
+        with pytest.raises(NonFiniteError) as info:
+            enclosing_disk(pts)
+        assert info.value.code == "NonFinite"
 
 
 class TestLocalizationCheck:

@@ -230,6 +230,11 @@ class TestMaxModulus:
         with pytest.raises(EmptyRootSetError):
             max_modulus(RootSet(roots=(), max_residual=0.0, converged=True))
 
+    @pytest.mark.parametrize("roots", [(1, math.nan), (math.nan, 1)])
+    def test_nan_root_propagates(self, roots):
+        rs = RootSet(roots=roots, max_residual=0.0, converged=True)
+        assert math.isnan(max_modulus(rs))
+
 
 def polar_q(n, seed):
     """Q = solve_polar for R = (z - xi)^k and P with n zeros uniform in

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -10,9 +11,12 @@ from polarpoly.polynomial import (
     rising_factorial,
     sup_norm,
 )
-from polarpoly.polar import PolarProblem, solve_polar
+from polarpoly import verify
+from polarpoly.polar import GraceFactorization, PolarProblem, solve_polar
+from polarpoly.regions import LocalizationReport, Witness
 from polarpoly.verify import (
     CaseInstance,
+    PropertyResult,
     SuiteConfig,
     case_metrics,
     replay_case,
@@ -214,6 +218,38 @@ class TestCaseMetrics:
         inst = CaseInstance(n=2, k=2, zeros=(0.1 + 0.2j, -0.3j), xi=1 - 1j)
         again = CaseInstance.from_dict(jsonable(inst))
         assert again == inst
+
+    def test_nan_witness_margin_propagates(self, monkeypatch):
+        # A report that says contained=false must not yield a margin
+        # that passes the localization property.
+        def check(q_roots, xi, region, s_roots, tol):
+            witnesses = tuple(
+                Witness(0j, 1 + 0j, 0j, m) for m in (0.5, math.nan)
+            )
+            return LocalizationReport(False, witnesses, math.nan, tol)
+
+        monkeypatch.setattr(verify, "localization_check", check)
+        inst = CaseInstance(n=2, k=1, zeros=(0.5 + 0j, -0.5 + 0j), xi=0j)
+        assert math.isnan(case_metrics(inst)["containment_margin"])
+
+    def test_nan_factor_error_propagates(self, monkeypatch):
+        def factorize(P, Q, xi):
+            s_r = Polynomial([math.nan, 1.0])
+            return GraceFactorization(s_r, np.zeros(2), 0.0)
+
+        monkeypatch.setattr(verify, "grace_factorize", factorize)
+        inst = CaseInstance(n=2, k=1, zeros=(0.5 + 0j, -0.5 + 0j), xi=0j)
+        assert math.isnan(case_metrics(inst)["factorize_error"])
+
+
+class TestPropertyResult:
+    @pytest.mark.parametrize("sense", ["max", "min"])
+    def test_nan_worst_propagates(self, sense):
+        prop = PropertyResult("p", 1.0, sense)
+        prop.record(True, 0.5, None)
+        prop.record(False, math.nan, {})
+        prop.record(True, 0.25, None)
+        assert math.isnan(prop.worst)
 
 
 class TestGoldenExamples:
