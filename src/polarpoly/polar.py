@@ -41,7 +41,6 @@ from .polynomial import (
     from_binomial,
     poly_from_roots,
     poly_mul,
-    rising_factorial,
     rising_row,
     sup_norm,
     taylor_shift,
@@ -72,6 +71,8 @@ _BRANCH_STEPS = 2
 
 
 def _check_factor(name: str, poly: Polynomial) -> None:
+    if not np.isfinite(poly.coeffs).all():
+        raise NonFiniteError(f"{name} has a NaN or infinite coefficient")
     if poly.degree < 1:
         raise DegreeZeroError(f"{name} must be non-constant")
     if not poly.is_monic():
@@ -79,10 +80,10 @@ def _check_factor(name: str, poly: Polynomial) -> None:
 
 
 def _check_scale(n: int, k: int) -> None:
-    # The operator's diagonal (j+1)_k, j = 0..n, peaks at (n+1)_k, the
-    # scale of the right-hand side; every entry fits a double with it.
+    # The operator's diagonal (j+1)_k, j = 0..n, is the row the band
+    # reads; it peaks at (n+1)_k, the scale of the right-hand side.
     try:
-        float(rising_factorial(n + 1, k))
+        rising_row(n, k)
     except OverflowError:
         raise DegreeTooLargeError(
             f"the operator for n = {n}, k = {k} needs (n+1)_k, which "
@@ -96,8 +97,8 @@ def _check_scale(n: int, k: int) -> None:
 class PolarProblem:
     """The data (P, R) of the equation d^k/dz^k(R*Q) = (n+1)_k * P.
 
-    Raises DegreeZeroError or NotMonicError for P, then for R, and
-    DegreeTooLargeError where (n+1)_k exceeds the double range.
+    Raises NonFiniteError, DegreeZeroError or NotMonicError for P, then
+    R, and DegreeTooLargeError where (n+1)_k exceeds the double range.
     """
 
     P: Polynomial
@@ -158,36 +159,23 @@ def _operator_band(R: Polynomial, n: int) -> np.ndarray:
 
 
 def _band_back_substitute(
-    rows: list, rhs: np.ndarray, top: float | None = None
+    rows: list, rhs: np.ndarray, top: complex
 ) -> np.ndarray:
     # Solves the banded triangular system, given as the band's rows of
     # Python scalars, from the top degree down: O(n*k) sequential steps.
-    # Row i meets the unknowns i+1 .. min(i+k, n), so all rows but the
-    # top k run over one fixed range of offsets.  With ``top`` set, the
-    # top unknown is fixed to it instead of being solved for.
+    # The top unknown is fixed to ``top``; row i meets the unknowns
+    # i+1 .. min(i+k, n), so all rows but the top k run over one fixed
+    # range of offsets.
     rhs = rhs.tolist()
     n, k = len(rhs) - 1, len(rows[0]) - 1
-    out = [0j] * (n + 1)
-    start = n
-    if top is not None:
-        out[n], start = top, n - 1
+    out = [0j] * n + [top]
     full = range(1, k + 1)
-    for i in range(start, -1, -1):
+    for i in range(n - 1, -1, -1):
         row, acc = rows[i], rhs[i]
         for d in full if i + k <= n else range(1, n + 1 - i):
             acc -= row[d] * out[i + d]
         out[i] = acc / row[0]
     return np.array(out)
-
-
-def _operator_residual(
-    R: Polynomial, q: np.ndarray, rhs: np.ndarray
-) -> np.ndarray:
-    # rhs - T_R(q); the image has degree at most that of rhs.
-    image = apply_tr(R, Polynomial(q)).coeffs
-    out = rhs.copy()
-    out[: image.size] -= image
-    return out
 
 
 def solve_polar(problem: PolarProblem) -> Polynomial:
@@ -196,23 +184,23 @@ def solve_polar(problem: PolarProblem) -> Polynomial:
     The one solver for every R; the centered R = (z - xi)^k comes from
     ``PolarProblem.centered(P, xi, k)``.  The operator is upper
     triangular with bandwidth k, so one banded back substitution from
-    the top degree down solves it in O(n*k) without forming the matrix;
-    the top coefficient is forced to 1, which is what comparing leading
-    coefficients dictates.  One
-    residual-refinement pass, with the residual computed through
-    apply_tr rather than the band, keeps the backward error at the
-    rounding level even when the coefficients of Q grow large.
-    Raises NonFiniteError where a coefficient of Q exceeds the double
-    range, which shows first in the back substitution or, near that
-    edge, in the refinement.
+    the top degree down solves it in O(n*k) without forming the matrix,
+    with the top coefficient fixed to 1, as comparing leading
+    coefficients dictates.  One refinement pass, on the residual
+    through apply_tr rather than the band (of degree n, as Q's top is 1
+    and R is monic), with the correction's top fixed to 0, keeps the
+    backward error at the rounding level even when the coefficients of
+    Q grow large.  Raises NonFiniteError where a coefficient of Q
+    exceeds the double range, which shows first in the back
+    substitution or, near that edge, in the refinement.
     """
     P, R = problem.P, problem.R
     n, k = problem.n, problem.k
     rows = _operator_band(R, n).tolist()
-    rhs = float(rising_factorial(n + 1, k)) * P.coeffs
-    b = _band_back_substitute(rows, rhs, top=1.0)
-    b += _band_back_substitute(rows, _operator_residual(R, b, rhs))
-    b[n] = 1.0
+    rhs = rising_row(n, k)[n] * P.coeffs
+    b = _band_back_substitute(rows, rhs, 1.0)
+    residual = rhs - apply_tr(R, Polynomial(b)).coeffs
+    b += _band_back_substitute(rows, residual, 0j)
     if not np.isfinite(b).all():
         raise NonFiniteError(
             f"Q for n = {n}, k = {k} exceeds the double range", n=n, k=k

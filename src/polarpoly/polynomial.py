@@ -173,14 +173,16 @@ def rising_row(n: int, k: int) -> np.ndarray:
 
 
 def poly_from_roots(roots: ArrayLike) -> Polynomial:
-    """Monic polynomial with the given zeros (with multiplicity)."""
+    """Monic polynomial with the given zeros (with multiplicity); what
+    overflows comes out infinite or NaN, which every consumer refuses."""
     roots = np.asarray(roots, dtype=np.complex128)
     # acc[i + 1] holds the coefficient of z^i; acc[0] stays 0, so each
     # factor (z - r) is one slice update, c_i <- c_(i-1) - r c_i.
     acc = np.zeros(roots.size + 2, np.complex128)
     acc[1] = 1.0
-    for m, r in enumerate(roots, start=2):
-        acc[1 : m + 1] = acc[:m] - r * acc[1 : m + 1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for m, r in enumerate(roots, start=2):
+            acc[1 : m + 1] = acc[:m] - r * acc[1 : m + 1]
     return Polynomial(acc[1:])
 
 

@@ -150,13 +150,13 @@ def _diameter(a: complex, b: complex) -> tuple[complex, float]:
 def _circumcircle(
     a: complex, b: complex, c: complex
 ) -> tuple[complex, float] | None:
-    # Coordinates are re-centered on the bounding box midpoint first,
-    # which keeps the determinant well scaled, then multiplied by the
-    # power of two 2^-e that brings the largest of them into [1/2, 1)
-    # (e from -1022 on, so that 2^-e is a double).  That is exact, and
-    # the products below neither overflow nor underflow.
-    ox = (min(a.real, b.real, c.real) + max(a.real, b.real, c.real)) / 2.0
-    oy = (min(a.imag, b.imag, c.imag) + max(a.imag, b.imag, c.imag)) / 2.0
+    # Re-centering on the bounding box midpoint (a sum of halves, which
+    # cannot overflow) keeps the determinant well scaled; multiplying
+    # by the power of two 2^-e that brings the largest coordinate into
+    # [1/2, 1) (e from -1022 on, so that 2^-e is a double) is exact and
+    # keeps the products below from overflowing or underflowing.
+    ox = min(a.real, b.real, c.real) / 2.0 + max(a.real, b.real, c.real) / 2.0
+    oy = min(a.imag, b.imag, c.imag) / 2.0 + max(a.imag, b.imag, c.imag) / 2.0
     ax, ay = a.real - ox, a.imag - oy
     bx, by = b.real - ox, b.imag - oy
     cx, cy = c.real - ox, c.imag - oy
@@ -199,7 +199,8 @@ def enclosing_disk(points) -> Region:
     own order, where the search turns quadratic.  The returned radius
     is raised to the exact farthest point distance, so every input
     point has a nonnegative membership margin.  A NaN or infinite
-    point raises NonFiniteError.
+    point raises NonFiniteError, and so do finite points for which a
+    distance or the disk itself leaves the double range.
     """
     pts = [complex(p) for p in points]
     if not pts:
@@ -212,20 +213,25 @@ def enclosing_disk(points) -> Region:
         stride += 1
     pts = [pts[i * stride % n] for i in range(n)]
     center, radius = pts[0], 0.0
-    for i, p in enumerate(pts):
-        if _in_circle(center, radius, p):
-            continue
-        center, radius = p, 0.0
-        for j, q in enumerate(pts[:i]):
-            if _in_circle(center, radius, q):
+    try:
+        for i, p in enumerate(pts):
+            if _in_circle(center, radius, p):
                 continue
-            center, radius = _diameter(p, q)
-            for s in pts[:j]:
-                if not _in_circle(center, radius, s):
-                    circle = _circumcircle(p, q, s)
-                    if circle is not None:
-                        center, radius = circle
-    radius = max(radius, max(abs(p - center) for p in pts))
+            center, radius = p, 0.0
+            for j, q in enumerate(pts[:i]):
+                if _in_circle(center, radius, q):
+                    continue
+                center, radius = _diameter(p, q)
+                for s in pts[:j]:
+                    if not _in_circle(center, radius, s):
+                        circle = _circumcircle(p, q, s)
+                        if circle is not None:
+                            center, radius = circle
+        radius = max(radius, max(abs(p - center) for p in pts))
+    except OverflowError:  # a distance beyond the double range
+        radius = math.inf
+    if not (cmath.isfinite(center) and math.isfinite(radius)):
+        raise NonFiniteError("the enclosing disk exceeds the double range")
     return Region(kind="disk", center=center, radius=radius, closed=True)
 
 

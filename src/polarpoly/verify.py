@@ -6,9 +6,9 @@ aggregates pass/fail counts with worst-case margins.  Failing cases are
 dumped as self-contained JSON instances; ``replay_case`` recomputes the
 metrics of such a dump and reproduces the failure bit for bit.
 
-``residual_norm`` is the independent oracle: it checks a claimed
-solution through the base polynomial layer only and shares no code with
-the solvers.
+``residual_norm`` checks a claimed solution through the base
+polynomial layer only, not through the solver's band; the check that
+shares no code with the library is ``bench/oracle.py``.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from .polynomial import (
     max_coeff_diff,
     poly_from_roots,
     poly_mul,
-    rising_factorial,
+    rising_row,
     sup_norm,
     taylor_shift,
 )
@@ -182,13 +182,14 @@ class SuiteReport:
 def residual_norm(P: Polynomial, R: Polynomial, Q: Polynomial) -> float:
     """Sup norm of d^k/dz^k(R*Q) - (n+1)_k * P, built from base ops only.
 
-    Kept deliberately independent of the solver code path so a wrong Q
-    cannot hide behind shared arithmetic.
+    It shares with the solver only (n+1)_k, read from the cached row
+    ``rising_row(n, k)`` of exact integers rounded once, not the band or
+    the back substitution; ``bench/oracle.py`` shares no code with it.
     """
     k = R.degree
     n = P.degree
     lhs = derivative_k(poly_mul(R, Q), k)
-    scale = float(rising_factorial(n + 1, k))
+    scale = float(rising_row(n, k)[n])
     rhs = Polynomial(scale * P.coeffs)
     return max_coeff_diff(lhs, rhs)
 
@@ -226,25 +227,22 @@ def case_metrics(
     problem = PolarProblem.centered(P, xi, k)
     Q = solve_polar(problem)
 
-    scale = float(rising_factorial(n + 1, k)) * sup_norm(P)
+    scale = float(rising_row(n, k)[n]) * sup_norm(P)
     residual_rel = residual_norm(P, problem.R, Q) / scale
 
     # The Grace-convolution path to Q shares no code with solve_polar:
     # Q(xi + w) is P(xi + w) convolved with S.
     s = s_poly(n, k)
-    lhs = taylor_shift(Q, xi)
-    rhs = grace_convolve(taylor_shift(P, xi), s)
-    convolution_rel = max_coeff_diff(lhs, rhs) / sup_norm(lhs)
+    ps, qs = taylor_shift(P, xi), taylor_shift(Q, xi)
+    rhs = grace_convolve(ps, s)
+    convolution_rel = max_coeff_diff(qs, rhs) / sup_norm(qs)
     path_rel = max_coeff_diff(Q, taylor_shift(rhs, -xi)) / sup_norm(Q)
 
     q_roots = find_roots(Q)
-    if s_cache is not None:
-        s_roots = s_cache.get((n, k))
-        if s_roots is None:
-            s_roots = s_zeros(n, k)
-            s_cache[(n, k)] = s_roots
-    else:
-        s_roots = s_zeros(n, k)
+    s_cache = {} if s_cache is None else s_cache
+    s_roots = s_cache.get((n, k))
+    if s_roots is None:
+        s_roots = s_cache[(n, k)] = s_zeros(n, k)
 
     region = enclosing_disk([z - xi for z in inst.zeros])
     report = localization_check(
@@ -256,7 +254,7 @@ def case_metrics(
     s_radius_excess = max_modulus(s_roots) - (k + 1)
 
     try:
-        fact = grace_factorize(P, Q, xi)
+        fact = grace_factorize(ps, qs, 0.0)
         s_error = max_coeff_diff(fact.s_r, s) / sup_norm(s)
         factorize_error = _nan_or(max, (fact.exact_match_error, s_error))
         factorize_impossible = False

@@ -434,6 +434,59 @@ def banded_polar_solution(p, r):
     return b
 
 
+def two_mode_back_substitute(rows, rhs, top=None):
+    """The banded triangular solve in two modes, on the band's rows as
+    Python scalars: with ``top`` set the top unknown is fixed to it,
+    without it the top unknown is solved for like every other.  All
+    rows but the top k run over one fixed range of offsets."""
+    rhs = rhs.tolist()
+    n, k = len(rhs) - 1, len(rows[0]) - 1
+    out = [0j] * (n + 1)
+    start = n
+    if top is not None:
+        out[n], start = top, n - 1
+    full = range(1, k + 1)
+    for i in range(start, -1, -1):
+        row, acc = rows[i], rhs[i]
+        for d in full if i + k <= n else range(1, n + 1 - i):
+            acc -= row[d] * out[i + d]
+        out[i] = acc / row[0]
+    return np.array(out)
+
+
+def operator_residual(r, q, rhs):
+    """rhs - (R Q)^(k) through the library's ``apply_tr``, the image
+    padded with zeros to the size of rhs."""
+    from polarpoly.polar import apply_tr
+    from polarpoly.polynomial import Polynomial
+
+    image = apply_tr(r, Polynomial(q)).coeffs
+    out = rhs.copy()
+    out[: image.size] -= image
+    return out
+
+
+def two_mode_polar_solution(problem):
+    """The monic Q of a ``PolarProblem`` in doubles: the scale (n+1)_k
+    from the exact integer ``rising_factorial(n + 1, k)``, one back
+    substitution with the top coefficient fixed to 1, one refinement
+    whose correction solves for its top coefficient too, and the top
+    then overwritten by 1.  The band and ``apply_tr`` are the
+    library's (``polar._operator_band``), which this reference shares
+    and does not check; the two-mode solve and the padded residual are
+    its own.  Non-finite coefficients are returned as they are."""
+    from polarpoly.polar import _operator_band
+    from polarpoly.polynomial import rising_factorial
+
+    n, k = problem.n, problem.k
+    rows = _operator_band(problem.R, n).tolist()
+    rhs = float(rising_factorial(n + 1, k)) * problem.P.coeffs
+    b = two_mode_back_substitute(rows, rhs, top=1.0)
+    b += two_mode_back_substitute(rows, operator_residual(problem.R, b, rhs))
+    b[n] = 1.0
+    return b
+
+
 
 def ray_start_s_zeros(n, k):
     """The zeros of S(n, k) from plain ray starts: four fixed-point steps

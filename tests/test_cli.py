@@ -283,6 +283,27 @@ class TestSPolyRootsBound:
         assert main(["localize", "--P", p, "--xi", "0", "--k", "1"]) == 1
         assert json.loads(capsys.readouterr().out)["error"] == "NonFinite"
 
+    @pytest.mark.parametrize(
+        ("argv", "names_p"),
+        [
+            (["solve", "--xi", "0", "--k", "1"], True),
+            (["localize", "--xi", "0", "--k", "1"], True),
+            (["roots"], False),
+        ],
+        ids=["solve", "localize", "roots"],
+    )
+    def test_zeros_whose_expansion_overflows(self, run_cli, argv, names_p):
+        # Finite zeros of modulus 1e200 give P coefficients beyond the
+        # double range: P is refused as it is, and nothing is written
+        # to stderr.
+        zeros = "[[1e200,0],[-1e200,0],[1e200,1]]"
+        out = run_cli(argv[0], "--P-roots", zeros, *argv[1:])
+        assert out.returncode == 1
+        payload = json.loads(out.stdout)
+        assert payload["error"] == "NonFinite"
+        assert payload["message"].startswith("P ") == names_p
+        assert out.stderr == ""
+
     def test_roots_linear(self, run_cli):
         out = run_cli("roots", "--P", "[[2,0],[1,0]]")
         payload = json.loads(out.stdout)
@@ -379,6 +400,19 @@ class TestLocalize:
         out = run_cli("localize", "--P", coeffs, "--xi", "0", "--k", "1")
         assert out.returncode == 1
         assert json.loads(out.stdout)["error"] == "NotMonic"
+
+    def test_top_of_the_accepted_range(self, capsys):
+        # n + k = 1029, the largest S accepts: the command ends in an
+        # answer or a domain error, whichever it is, not in a traceback
+        # or a usage error.
+        n = 1024
+        rng = np.random.default_rng(0)
+        zeros = np.sqrt(rng.random(n)) * np.exp(2j * np.pi * rng.random(n))
+        argv = ["localize", "--P-roots", json.dumps(jsonable(zeros))]
+        code = main(argv + ["--xi", "1", "--k", "5"])
+        payload = json.loads(capsys.readouterr().out)
+        assert code in (0, 1)
+        assert ("contained" if code == 0 else "error") in payload
 
     def test_pipeline_contained(self, run_cli):
         out = run_cli(

@@ -35,6 +35,7 @@ from polarpoly.polynomial import (
     taylor_shift,
 )
 from polarpoly.roots import _Evaluator, find_roots
+from polarpoly.verify import residual_norm
 
 from oracles import (
     band_back_substitute,
@@ -48,6 +49,7 @@ from oracles import (
     rising_scale,
     s_zeros_k1,
     sort_roots,
+    two_mode_polar_solution,
 )
 
 # The largest n + k that s_poly and s_zeros accept: C(1029, 514) is
@@ -244,6 +246,48 @@ class TestSameBitsAsScalarLoops:
         # Q leaves the double range only at n >= 512 with k >= 20 (one
         # case at 512, four at 1000), so nearly all compare numbers.
         assert refused <= (n >= 512) * 4
+
+
+class TestOneBackSubstitutionMode:
+    """solve_polar, with the correction's top fixed to 0 and the scale
+    read from the cached row, against the two-mode solve of oracles.py,
+    which solves for that top, overwrites it with 1 and takes the scale
+    from one exact integer."""
+
+    def test_same_bits_on_exactly_monic_input(self):
+        rng = np.random.default_rng(20)
+        for _ in range(300):
+            n = int(rng.integers(1, 257))
+            k = int(rng.integers(1, 8))
+            p = poly_from_roots(unit_disk(rng, n))
+            if rng.random() < 0.5:
+                xi = complex(*rng.uniform(-2.0, 2.0, 2))
+                prob = PolarProblem.centered(p, xi, k)
+            else:
+                prob = PolarProblem(p, poly_from_roots(2 * unit_disk(rng, k)))
+            assert p.leading == prob.R.leading == 1.0
+            want = two_mode_polar_solution(prob)
+            assert solve_polar(prob).coeffs.tobytes() == want.tobytes()
+
+    def test_leading_coefficient_near_one(self):
+        # P's leading coefficient is 1 + 3e-13, inside MONIC_TOL: the
+        # correction's top is 0, so Q's top is 1 exactly, and the
+        # residual stays at the rounding level.
+        rng = np.random.default_rng(21)
+        worst = 0.0
+        for _ in range(400):
+            n = int(rng.integers(1, 31))
+            k = int(rng.integers(1, 8))
+            a = poly_from_roots(unit_disk(rng, n)).coeffs.copy()
+            a[-1] = 1.0 + 3e-13
+            p = Polynomial(a)
+            xi = complex(*unit_disk(rng, 1))
+            prob = PolarProblem.centered(p, xi, k)
+            q = solve_polar(prob)
+            assert q.coeffs[-1] == 1.0
+            scale = float(rising_factorial(n + 1, k)) * sup_norm(p)
+            worst = max(worst, residual_norm(p, prob.R, q) / scale)
+        assert worst <= 1e-9
 
 
 class TestNonFiniteQ:

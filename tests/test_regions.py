@@ -267,6 +267,25 @@ class TestEnclosingDisk:
             enclosing_disk(pts)
         assert info.value.code == "NonFinite"
 
+    def test_distance_beyond_the_double_range(self):
+        # Finite points 2.3e308 apart: |p - q| exceeds the doubles, and
+        # Python's complex abs raised OverflowError.
+        with pytest.raises(NonFiniteError) as info:
+            enclosing_disk([1.5e308, 1.6e308 + 1e308j, 1.7e308j])
+        assert info.value.code == "NonFinite"
+
+    def test_circumcircle_midpoint_near_the_top_of_the_range(self):
+        # The sum of the bounding box's ends, 2.6e308 and 2.7e308,
+        # overflows; the sum of their halves does not.
+        a, b, c = 1.5e308, 1.6e308 + 0.1e308j, 1e308 + 1.7e308j
+        center, radius = regions._circumcircle(a, b, c)
+        assert cmath.isfinite(center) and math.isfinite(radius)
+        # The same triangle at 2^-1000 gives the same circle, scaled.
+        down = 2.0**-1000
+        small = regions._circumcircle(a * down, b * down, c * down)
+        assert abs(center * down - small[0]) <= 1e-14 * radius * down
+        assert abs(radius * down - small[1]) <= 1e-14 * radius * down
+
 
 class TestLocalizationCheck:
     def test_free_case_degenerate_region(self):
