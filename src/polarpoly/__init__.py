@@ -27,6 +27,7 @@ from .polar import (
     apply_tr,
     grace_convolve,
     grace_factorize,
+    q_zeros,
     s_poly,
     s_zeros,
     solve_polar,
@@ -38,7 +39,6 @@ from .polynomial import (
     poly_from_pairs,
     poly_from_roots,
     poly_mul,
-    rising_factorial,
     taylor_shift,
 )
 from .regions import (
@@ -96,11 +96,11 @@ __all__ = [
     "poly_from_pairs",
     "poly_from_roots",
     "poly_mul",
+    "q_zeros",
     "region_contains",
     "replay_case",
     "reproduce_paper_examples",
     "residual_norm",
-    "rising_factorial",
     "run_property_suite",
     "s_poly",
     "s_zeros",

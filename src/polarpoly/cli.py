@@ -20,6 +20,7 @@ from .errors import DomainError
 from .polar import (
     PolarProblem,
     grace_factorize,
+    q_zeros,
     s_poly,
     s_zeros,
     solve_polar,
@@ -260,7 +261,7 @@ def _cmd_localize(args, parser):
     S = s_poly(n, k)
     s_roots = s_zeros(n, k)
     Q = solve_polar(problem)
-    q_roots = find_roots(Q)
+    q_roots = q_zeros(P, xi, Q, s_roots)
     region = args.K
     if region is None:
         zeros = args.P_roots or find_roots(P).roots

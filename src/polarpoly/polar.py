@@ -16,6 +16,9 @@ Grace convolution (Schur-Szego composition) of the shifted P with the
 fixed polynomial S(w) = sum_j C(n+k, j+k) w^j.  That identity is what
 turns zero localization of Q into zero localization of S; the solver
 does not use it, so it stays an independent check of the solver.
+``q_zeros`` puts the localization to work: beyond degree 40 it starts
+the search for the zeros of Q at xi - (c - xi) Z(S), the zeros of Q
+for P = (z - c)^n, with c the centroid of the zeros of P.
 """
 
 from __future__ import annotations
@@ -46,12 +49,15 @@ from .polynomial import (
     taylor_shift,
 )
 from .roots import (
+    _EIG_MAX,
     _EPS,
     RootSet,
     _aberth,
     _Evaluator,
     _newton_polish,
     _root_set,
+    _starts,
+    _zeros,
 )
 
 # Relative threshold below which a binomial coefficient counts as zero
@@ -392,6 +398,47 @@ def s_zeros(n: int, k: int) -> RootSet:
         start, converged = _aberth(_s_starts(n, k, log_t), evaluate)
         z, f, _, noise = _newton_polish(evaluate, *start)
     return _root_set(z, f, noise, converged)
+
+
+def q_zeros(
+    P: Polynomial, xi: complex, Q: Polynomial, s_roots: RootSet
+) -> RootSet:
+    """The zeros of Q = ``solve_polar(PolarProblem.centered(P, xi, k))``
+    for the monic P, given the zeros ``s_roots`` of S(n, k), with the
+    contract of ``find_roots``.
+
+    The zeros of Q lie in xi - K Z(S) for every disk K that holds the
+    zeros of P shifted by -xi; for P = (z - c)^n they are exactly
+    xi - (c - xi) s_j over the zeros s_j of S.  Up to degree
+    ``_EIG_MAX`` this is ``find_roots(Q)``.  Beyond, the sweeps start
+    from that one-point model, with c = -P_(n-1)/n the centroid of the
+    zeros of P, where |c - xi| exceeds their geometric spread
+    |P(c)|^(1/n) about c (compared in logarithms, so that no n-th
+    power overflows); where it does not, where the spread is not
+    finite, or where c = xi, from the Newton polygon.  Only the starts
+    differ: the sweeps, the settle test and the polish decide every
+    zero.  Raises ValueError unless P, Q and ``s_roots`` share the
+    degree.
+    """
+    n = Q.degree
+    if P.degree != n or len(s_roots) != n:
+        raise ValueError("P, Q and the zeros of S must share the degree")
+    model = None
+    if n > _EIG_MAX:
+        c = -P.coeffs[n - 1] / n
+        d = c - xi
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            # The evaluator gives P(c), or c^-n P(c) beyond |c| = 1.
+            value = _Evaluator(P.coeffs)(np.array([c]))[0][0]
+            log_spread = np.log(abs(value)) / n + max(np.log(abs(c)), 0.0)
+            if np.log(abs(d)) > log_spread:
+                model = xi - d * np.array(s_roots.roots)
+
+    def starts(a):
+        # Exact zeros of Q at 0 leave fewer than n zeros to find.
+        return _starts(a) if model is None or len(a) <= n else model
+
+    return _zeros(Q, starts)
 
 
 def grace_convolve(p: Polynomial, q: Polynomial) -> Polynomial:

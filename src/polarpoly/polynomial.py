@@ -148,15 +148,6 @@ def from_binomial(gamma: np.ndarray) -> Polynomial:
     return Polynomial(gamma * binomial_row(len(gamma) - 1))
 
 
-def rising_factorial(a: int, k: int) -> int:
-    """Exact integer ``a * (a+1) * ... * (a+k-1)``; empty product is 1."""
-    if a < 1:
-        raise ValueError("rising factorial base must be >= 1")
-    if k < 0:
-        raise ValueError("rising factorial order must be >= 0")
-    return math.perm(a + k - 1, k)
-
-
 @functools.lru_cache(maxsize=64)
 def rising_row(n: int, k: int) -> np.ndarray:
     """Read-only (j+1)_k, j = 0..n, each rounded once from the exact

@@ -143,7 +143,9 @@ def _in_circle(center: complex, radius: float, p: complex) -> bool:
 
 
 def _diameter(a: complex, b: complex) -> tuple[complex, float]:
-    center = (a + b) / 2.0
+    # A sum of halves, which cannot overflow; halving is exact from
+    # 2^-1021 on.
+    center = a / 2.0 + b / 2.0
     return center, max(abs(a - center), abs(b - center))
 
 

@@ -2,8 +2,8 @@
 
 Simultaneous Aberth-Ehrlich iteration with a short Newton polish per
 root.  There is no randomness anywhere: the starts are a fixed function
-of the coefficients, so identical inputs give bit-identical outputs on
-one build.  The last bits follow numpy's SIMD paths and, up to
+of the input, so identical inputs give bit-identical outputs on one
+build.  The last bits follow numpy's SIMD paths and, up to
 ``_EIG_MAX``, the LAPACK build.  Multiple roots are returned as
 clusters; the residual and Vieta diagnostics are the arbiters of
 quality in that case.
@@ -18,15 +18,10 @@ finds the eigenvalues unusable, the starts come from the Newton polygon
 of the coefficients (Bini 1996; MPSolve).
 
 One evaluator, ``_Evaluator``, gives p, p' and the noise floor of the
-evaluation: on the coefficients at z where |z| <= 1 and on the reversed
-coefficients at x = 1/z beyond, so no power of a large z is formed.
-Both orientations are built once per polynomial as rows of blocks of b
-coefficients: b = 1 (plain Horner) up to 16 coefficients, and beyond,
-for N coefficients, the power of two in [sqrt N, 2 sqrt N).  Each call
-picks every point's rows by its side of |z| = 1 and runs one Horner
-loop in y = x^b over the block sums (Higham, Accuracy and Stability of
-Numerical Algorithms, 2nd ed., 5.1), so the step count grows like
-sqrt N.
+evaluation by one Horner loop in y = x^b over blocks of b coefficients:
+b = 1 up to 16 coefficients and beyond, for N of them, the power of two
+in [sqrt N, 2 sqrt N) (Higham, Accuracy and Stability of Numerical
+Algorithms, 2nd ed., 5.1), so the step count grows like sqrt N.
 
 A root counts as settled when its Newton correction |p/p'| drops below
 ``tol`` or when the polynomial value at the iterate is already below
@@ -44,9 +39,10 @@ compensated Horner (Graillat, Langlois and Louvet), which is as
 accurate as evaluation in twice the working precision.
 
 The iteration (``_aberth``) and the polish (``_newton_polish``) take
-the evaluator as an argument, and ``_root_set`` builds the result, so
-a polynomial with a better form than its dense coefficients (see
-``polar.s_zeros``) runs the same pipeline with its own evaluator.  The
+the evaluator as an argument, so ``polar.s_zeros`` runs them on the
+sparse form of S with its own evaluator; ``_zeros`` runs the whole of
+``find_roots`` from starts of the caller's choice, so ``polar.q_zeros``
+runs it from where the localization theorem puts the zeros of Q.  The
 iteration hands the polish p, p' and the noise floor of the sweep each
 root settled in, so no iterate is evaluated twice.
 """
@@ -455,9 +451,8 @@ def find_roots(
     """Compute all zeros of ``p``.
 
     The sweeps start from the companion eigenvalues up to degree
-    ``_EIG_MAX`` and from the Newton polygon beyond, where the O(n^3)
-    eigenvalues cost more than the sweeps they save.  Either way the
-    sweeps, the settle test and the polish decide every returned zero.
+    ``_EIG_MAX`` and from the Newton polygon beyond; the sweeps, the
+    settle test and the polish decide every returned zero.
 
     Parameters
     ----------
@@ -475,10 +470,15 @@ def find_roots(
     -------
     RootSet
         Zeros with multiplicity, ordered by (modulus, argument), with
-        the normwise residual and an honest ``converged`` flag; a result
-        that ran out of iterations is returned with converged=False
-        rather than silently.
+        the normwise residual and an honest ``converged`` flag, False
+        for a result that ran out of iterations.
     """
+    return _zeros(p, _starts, tol, max_iter)
+
+
+def _zeros(p, starts, tol=_DEFAULT_TOL, max_iter=_DEFAULT_MAX_ITER):
+    # find_roots with the sweeps started from starts(a), where a are the
+    # coefficients left once exact zeros at 0 are split off.
     if not np.isfinite(p.coeffs).all():
         raise NonFiniteError("coefficients must be finite")
     n = p.degree
@@ -492,7 +492,7 @@ def find_roots(
 
     evaluate = _Evaluator(a)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        start, converged = _aberth(_starts(a), evaluate, tol, max_iter)
+        start, converged = _aberth(starts(a), evaluate, tol, max_iter)
         z, pv, dv, noise = _newton_polish(evaluate, *start)
         # One compensated step where the attainable plain accuracy
         # noise/|p'| is poor (heavy cancellation), with p' and the

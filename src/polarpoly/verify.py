@@ -24,6 +24,7 @@ from .polar import (
     PolarProblem,
     grace_convolve,
     grace_factorize,
+    q_zeros,
     s_poly,
     s_zeros,
     solve_polar,
@@ -238,11 +239,11 @@ def case_metrics(
     convolution_rel = max_coeff_diff(qs, rhs) / sup_norm(qs)
     path_rel = max_coeff_diff(Q, taylor_shift(rhs, -xi)) / sup_norm(Q)
 
-    q_roots = find_roots(Q)
     s_cache = {} if s_cache is None else s_cache
     s_roots = s_cache.get((n, k))
     if s_roots is None:
         s_roots = s_cache[(n, k)] = s_zeros(n, k)
+    q_roots = q_zeros(P, xi, Q, s_roots)
 
     region = enclosing_disk([z - xi for z in inst.zeros])
     report = localization_check(

@@ -42,6 +42,15 @@ def expand_roots(roots):
     return acc
 
 
+def rising_factorial(a, k):
+    """Exact integer ``a * (a+1) * ... * (a+k-1)``; empty product is 1."""
+    if a < 1:
+        raise ValueError("rising factorial base must be >= 1")
+    if k < 0:
+        raise ValueError("rising factorial order must be >= 0")
+    return math.perm(a + k - 1, k)
+
+
 def sort_roots(roots):
     """Order by (modulus, argument in (-pi, pi])."""
 
@@ -476,7 +485,6 @@ def two_mode_polar_solution(problem):
     and does not check; the two-mode solve and the padded residual are
     its own.  Non-finite coefficients are returned as they are."""
     from polarpoly.polar import _operator_band
-    from polarpoly.polynomial import rising_factorial
 
     n, k = problem.n, problem.k
     rows = _operator_band(problem.R, n).tolist()

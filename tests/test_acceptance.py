@@ -31,7 +31,6 @@ from polarpoly.polynomial import (
     binomial_coeffs,
     max_coeff_diff,
     poly_from_roots,
-    rising_factorial,
     sup_norm,
     taylor_shift,
 )
@@ -44,7 +43,12 @@ from polarpoly.verify import (
     sample_case,
 )
 
-from oracles import closed_form_roots, s_radius_k1, sort_roots
+from oracles import (
+    closed_form_roots,
+    rising_factorial,
+    s_radius_k1,
+    sort_roots,
+)
 
 
 def report(number: int, name: str, ok: bool, detail: str):

@@ -612,6 +612,28 @@ ZEROS40 = (
     "[0.004,-0.907],[0.618,0.681],[-0.928,-0.086],[0.752,-0.571]]"
 )
 
+# The same spiral with 64 zeros: about xi = 1.5+0.3i, far outside the
+# spread of the zeros, localize starts the sweeps for Q's zeros from
+# xi - (c - xi) Z(S), c the centroid of the zeros.
+ZEROS64 = (
+    "[[0.084,0.0],[-0.107,0.098],[0.016,-0.187],[0.135,0.176],"
+    "[-0.248,-0.044],[0.235,-0.149],[-0.079,0.292],[-0.15,-0.289],"
+    "[0.325,0.119],[-0.338,0.14],[0.163,-0.349],[0.121,0.384],"
+    "[-0.363,-0.211],[0.426,-0.094],[-0.26,0.37],[-0.06,-0.464],"
+    "[0.369,0.311],[-0.496,0.021],[0.362,-0.36],[-0.024,0.524],"
+    "[-0.344,-0.413],[0.546,0.073],[-0.462,0.322],[0.126,-0.562],"
+    "[0.292,0.51],[-0.571,-0.182],[0.555,-0.256],[-0.24,0.574],"
+    "[-0.215,-0.597],[0.571,0.3],[-0.634,0.167],[0.36,-0.561],"
+    "[0.115,0.667],[-0.543,-0.421],[0.695,-0.058],[-0.48,0.519],"
+    "[0.003,-0.717],[0.489,0.539],[-0.734,-0.068],[0.594,-0.451],"
+    "[-0.135,0.744],[-0.407,-0.647],[0.747,0.205],[-0.697,0.358],"
+    "[0.275,-0.743],[0.302,0.742],[-0.732,-0.347],[0.782,-0.241],"
+    "[-0.418,0.713],[-0.175,-0.817],[0.688,0.489],[-0.846,0.105],"
+    "[0.558,-0.655],[0.032,0.868],[-0.615,-0.624],[0.884,0.045],"
+    "[-0.688,0.569],[0.124,-0.892],[0.515,0.748],[-0.893,-0.205],"
+    "[0.804,-0.455],[-0.287,0.886],[-0.39,-0.854],[0.871,0.37]]"
+)
+
 # (argv, golden file under tests/data); an "error_" golden exits 1.
 GOLDENS = [
     (["verify", "--seed", "42"], "verify_seed42.json"),
@@ -654,6 +676,10 @@ GOLDENS = [
     (
         ["localize", "--P-roots", ZEROS40, "--xi", "0.64+0.48i", "--k", "3"],
         "localize_degree40.json",
+    ),
+    (
+        ["localize", "--P-roots", ZEROS64, "--xi", "1.5+0.3i", "--k", "3"],
+        "localize_degree64.json",
     ),
 ]
 

@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from polarpoly import polar
+from polarpoly import polar, roots
 from polarpoly.errors import (
     DegreeTooLargeError,
     DegreeZeroError,
@@ -19,6 +19,7 @@ from polarpoly.polar import (
     apply_tr,
     grace_convolve,
     grace_factorize,
+    q_zeros,
     s_poly,
     s_zeros,
     solve_polar,
@@ -30,10 +31,10 @@ from polarpoly.polynomial import (
     max_coeff_diff,
     poly_from_roots,
     poly_mul,
-    rising_factorial,
     sup_norm,
     taylor_shift,
 )
+from polarpoly.regions import enclosing_disk, localization_check
 from polarpoly.roots import _Evaluator, find_roots
 from polarpoly.verify import residual_norm
 
@@ -43,9 +44,11 @@ from oracles import (
     eval_poly,
     kth_derivative,
     newton_s_zero,
+    newton_zero,
     polar_backward_error,
     polar_solution,
     ray_start_s_zeros,
+    rising_factorial,
     rising_scale,
     s_zeros_k1,
     sort_roots,
@@ -594,6 +597,139 @@ class TestSZeroStarts:
             steps = polar._START_STEPS + polar._BRANCH_STEPS
             assert starts == (2 if k == 1 else steps), (n, k)
             assert sweeps <= 2, (n, k)
+
+
+def centered_case(n, k, xi, zeros):
+    """P from its zeros, the centered Q about xi and the zeros of S."""
+    P = poly_from_roots(zeros)
+    Q = solve_polar(PolarProblem.centered(P, xi, k))
+    return P, Q, s_zeros(n, k)
+
+
+# The large grid of (n, k) for q_zeros, each at |xi| = 0.3, 1.0, 1.5
+# and 1.9: the model starts are taken at the last three.
+Q_GRID = [(64, 50), (128, 30), (256, 16), (256, 20), (512, 5), (1024, 5)]
+
+
+class TestQZeros:
+    """q_zeros against find_roots(Q): the same sweeps, polish and
+    result, started beyond degree 40 from the theorem's one-point model
+    xi - (c - xi) Z(S)."""
+
+    def test_equality_case_settles_in_two_sweeps(self, monkeypatch):
+        # P = (z - c)^n: the zeros of Q are exactly xi - (c - xi) s_j
+        # over the zeros s_j of S, so the starts are the zeros, up to
+        # the conditioning of the dense Q.
+        n, k, c, xi = 64, 3, 0.1 + 0.2j, 1.5 + 0.3j
+        P, Q, S = centered_case(n, k, xi, [c] * n)
+        sweeps = []
+        aberth = roots._aberth
+
+        def counted_aberth(start, evaluate, *args):
+            def counted(z):
+                sweeps.append(len(z))
+                return evaluate(z)
+
+            return aberth(start, counted, *args)
+
+        monkeypatch.setattr(roots, "_aberth", counted_aberth)
+        rs = q_zeros(P, xi, Q, S)
+        assert rs.converged
+        assert len(sweeps) <= 2
+        want = xi - (c - xi) * np.array(S.roots)
+        tol = 1e-9 * np.abs(want).min()
+        assert match_zeros(rs.roots, want, tol) <= tol
+
+    @pytest.mark.parametrize(
+        ("n", "xi", "zeros"),
+        [
+            (40, 1.5 + 0.3j, "disk"),  # at _EIG_MAX
+            (64, 0.1 - 0.05j, "disk"),  # xi within the spread of P's zeros
+            (64, 0.0, "origin"),  # d = 0: P = z^n about xi = 0
+        ],
+        ids=["eig_max", "inside_spread", "d_zero"],
+    )
+    def test_find_roots_where_the_model_is_not_taken(self, n, xi, zeros):
+        rng = np.random.default_rng(n)
+        z = unit_disk(rng, n) if zeros == "disk" else np.zeros(n)
+        P, Q, S = centered_case(n, 3, xi, z)
+        assert q_zeros(P, xi, Q, S) == find_roots(Q)
+
+    def test_half_the_evaluations_and_the_same_verdicts(self, monkeypatch):
+        # A guard on the work the model starts save, counted rather than
+        # timed: evaluator calls of the sweeps and the polish (21 from
+        # the polygon, 8 from the model here).  Every zero lies within
+        # 4 noise/|p'|, the attainable accuracy, of find_roots' zero.
+        n, k, xi = 128, 3, 1.5
+        zeros = unit_disk(np.random.default_rng(0), n)
+        P, Q, S = centered_case(n, k, xi, zeros)
+        calls = []
+
+        class Counting(_Evaluator):
+            def __call__(self, z):
+                calls.append(len(z))
+                return super().__call__(z)
+
+        monkeypatch.setattr(roots, "_Evaluator", Counting)
+        dense = find_roots(Q)
+        dense_calls = len(calls)
+        calls.clear()
+        rs = q_zeros(P, xi, Q, S)
+        assert 2 * len(calls) <= dense_calls
+        assert rs.converged == dense.converged
+        region = enclosing_disk(zeros - xi)
+        assert (
+            localization_check(rs, xi, region, S).contained
+            == localization_check(dense, xi, region, S).contained
+        )
+        want = np.array(dense.roots)
+        _, dp, noise = _Evaluator(Q.coeffs)(want)
+        moved = np.abs(np.array(rs.roots) - want)
+        assert (moved <= 4 * noise / np.abs(dp)).all()
+
+    def test_degrees_must_agree(self):
+        P, Q, _ = centered_case(4, 2, 0.5, [0.1, 0.2j, -0.3, 0.4])
+        with pytest.raises(ValueError):
+            q_zeros(P, 0.5, Q, s_zeros(3, 2))
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("size", [0.3, 1.0, 1.5, 1.9])
+    @pytest.mark.parametrize(("n", "k"), Q_GRID)
+    def test_verdicts_on_the_large_grid(self, n, k, size):
+        # Converged wherever find_roots(Q) converged, and the same
+        # containment verdict.  At (256, 16) and |xi| = 1.9 find_roots
+        # leaves a zero unsettled after 200 sweeps and q_zeros does not.
+        zeros = unit_disk(np.random.default_rng(0), n)
+        P, Q, S = centered_case(n, k, size, zeros)
+        dense, rs = find_roots(Q), q_zeros(P, size, Q, S)
+        assert rs.converged or not dense.converged
+        region = enclosing_disk(zeros - size)
+        assert (
+            localization_check(rs, size, region, S).contained
+            == localization_check(dense, size, region, S).contained
+        )
+
+    @pytest.mark.slow
+    def test_forward_errors_match_find_roots(self):
+        # Forward errors against Newton's limits in 50-digit mpmath on
+        # the double coefficients of Q, over 20 localize-shaped cells
+        # with 40 < n <= 100: the worst error of a cell moves either
+        # way by up to a factor of 2.4 with the starts, and the
+        # geometric mean of the ratios stays near 1.
+        rng = np.random.default_rng(0)
+        ratios = []
+        for _ in range(20):
+            n, k = int(rng.integers(41, 101)), int(rng.integers(1, 6))
+            zeros = unit_disk(rng, n)
+            size, angle = 2.0 * math.sqrt(rng.random()), rng.random()
+            xi = size * cmath.exp(2j * math.pi * angle)
+            P, Q, S = centered_case(n, k, xi, zeros)
+            worst = [
+                max(abs(z - newton_zero(Q.coeffs, z, 50)) for z in rs.roots)
+                for rs in (find_roots(Q), q_zeros(P, xi, Q, S))
+            ]
+            ratios.append(worst[1] / worst[0])
+        assert 0.8 <= math.exp(np.mean(np.log(ratios))) <= 1.25
 
 
 class TestGraceConvolve:

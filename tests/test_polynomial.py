@@ -17,7 +17,6 @@ from polarpoly.polynomial import (
     poly_from_pairs,
     poly_from_roots,
     poly_mul,
-    rising_factorial,
     rising_row,
     sup_norm,
     taylor_shift,
@@ -25,7 +24,7 @@ from polarpoly.polynomial import (
 from polarpoly.polar import PolarProblem
 from polarpoly.roots import _Evaluator
 
-from oracles import convolve, eval_poly, expand_roots
+from oracles import convolve, eval_poly, expand_roots, rising_factorial
 
 EPS = 2.0**-52
 

@@ -286,6 +286,13 @@ class TestEnclosingDisk:
         assert abs(center * down - small[0]) <= 1e-14 * radius * down
         assert abs(radius * down - small[1]) <= 1e-14 * radius * down
 
+    def test_diameter_midpoint_near_the_top_of_the_range(self):
+        # 1.6e308 + 1.5e308 overflows; the disk on the two points as a
+        # diameter does not.
+        disk = enclosing_disk([1.6e308, 1.5e308])
+        assert disk.center == 1.55e308
+        assert disk.radius == pytest.approx(5e306, rel=1e-14)
+
 
 class TestLocalizationCheck:
     def test_free_case_degenerate_region(self):

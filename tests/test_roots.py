@@ -22,7 +22,6 @@ from polarpoly.polynomial import (
     Polynomial,
     max_coeff_diff,
     poly_from_roots,
-    rising_factorial,
     sup_norm,
 )
 from polarpoly.roots import (
@@ -44,6 +43,7 @@ from oracles import (
     compensated_horner,
     newton_zero,
     normwise_residual,
+    rising_factorial,
     sort_roots,
 )
 
