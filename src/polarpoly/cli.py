@@ -97,6 +97,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _seed(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError("must be a non-negative integer")
+    return value
+
+
 def _index_rows(values) -> list[list]:
     return [[i, v.real, v.imag] for i, v in enumerate(values)]
 
@@ -208,7 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify = subs.add_parser(
         "verify", help="run the randomized property suite"
     )
-    verify.add_argument("--seed", type=int, default=42)
+    verify.add_argument("--seed", type=_seed, default=42)
     verify.add_argument("--cases", type=_positive_int, default=500)
     _add_output_flags(verify)
     verify.set_defaults(func=_cmd_verify)

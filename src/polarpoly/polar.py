@@ -56,7 +56,6 @@ from .roots import (
     _Evaluator,
     _newton_polish,
     _root_set,
-    _starts,
     _zeros,
 )
 
@@ -433,12 +432,7 @@ def q_zeros(
             log_spread = np.log(abs(value)) / n + max(np.log(abs(c)), 0.0)
             if np.log(abs(d)) > log_spread:
                 model = xi - d * np.array(s_roots.roots)
-
-    def starts(a):
-        # Exact zeros of Q at 0 leave fewer than n zeros to find.
-        return _starts(a) if model is None or len(a) <= n else model
-
-    return _zeros(Q, starts)
+    return _zeros(Q, model)
 
 
 def grace_convolve(p: Polynomial, q: Polynomial) -> Polynomial:

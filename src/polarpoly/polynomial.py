@@ -152,7 +152,10 @@ def from_binomial(gamma: np.ndarray) -> Polynomial:
 def rising_row(n: int, k: int) -> np.ndarray:
     """Read-only (j+1)_k, j = 0..n, each rounded once from the exact
     integer, which the recurrence (j+2)_k = (j+1)_k (j+1+k) / (j+1)
-    gives from k!; OverflowError where one exceeds the double range."""
+    gives from k!; OverflowError where one exceeds the double range,
+    before forming k! for k >= 171, where k! alone exceeds it."""
+    if k > 170:
+        raise OverflowError("int too large to convert to float")
     exact = itertools.accumulate(
         range(1, n + 1),
         lambda value, j: value * (j + k) // j,

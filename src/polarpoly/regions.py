@@ -50,10 +50,15 @@ class Region:
             raise ValueError(f"unknown region kind {self.kind!r}")
         object.__setattr__(self, "center", complex(self.center))
         if self.kind == "half_plane":
-            mag = abs(complex(self.normal))
+            normal = complex(self.normal)
+            try:
+                mag = abs(normal)
+            except OverflowError:  # a finite normal; its half is exact
+                normal = complex(normal.real / 2.0, normal.imag / 2.0)
+                mag = abs(normal)
             if mag == 0:
                 raise ValueError("half-plane normal must be non-zero")
-            object.__setattr__(self, "normal", complex(self.normal) / mag)
+            object.__setattr__(self, "normal", normal / mag)
         else:
             if self.radius < 0:
                 raise ValueError("radius must be nonnegative")
@@ -289,9 +294,16 @@ def polar_zero_bound(xi: complex, k: int) -> float:
 
     Valid for every monic P with all zeros in the closed unit disk; it
     can be arbitrarily loose (the centered monomial family keeps all
-    zeros at the origin for every k).
+    zeros at the origin for every k).  NonFiniteError where the radius
+    exceeds the double range.
     """
     if k < 1:
         raise ValueError("k must be a positive integer")
-    mag = abs(complex(xi))
-    return mag + (mag + 1.0) * (k + 1)
+    try:
+        mag = abs(complex(xi))
+        radius = mag + (mag + 1.0) * (k + 1)
+    except OverflowError:  # |xi| or k beyond the double range
+        radius = math.inf
+    if not math.isfinite(radius):
+        raise NonFiniteError("the disk radius exceeds the double range")
+    return radius

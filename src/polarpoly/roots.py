@@ -36,15 +36,16 @@ to where every term of p is smaller, while the residual there is far
 larger.  Roots whose attainable plain accuracy is poor (heavy
 coefficient cancellation) get one more such step with the value from
 compensated Horner (Graillat, Langlois and Louvet), which is as
-accurate as evaluation in twice the working precision.
+accurate as evaluation in twice the working precision.  At every size
+it runs within the evaluator's blocks, then over the blocks in x^b.
 
 The iteration (``_aberth``) and the polish (``_newton_polish``) take
 the evaluator as an argument, so ``polar.s_zeros`` runs them on the
 sparse form of S with its own evaluator; ``_zeros`` runs the whole of
-``find_roots`` from starts of the caller's choice, so ``polar.q_zeros``
-runs it from where the localization theorem puts the zeros of Q.  The
-iteration hands the polish p, p' and the noise floor of the sweep each
-root settled in, so no iterate is evaluated twice.
+``find_roots`` from a start vector the caller hands it, so
+``polar.q_zeros`` runs it from where the localization theorem puts the
+zeros of Q.  The iteration hands the polish p, p' and the noise floor
+of the sweep each root settled in, so no iterate is evaluated twice.
 """
 
 from __future__ import annotations
@@ -227,22 +228,19 @@ class _Evaluator:
 
     def compensated(self, z: np.ndarray):
         # p as accurate as in twice the working precision: about eps |p|
-        # + n^2 eps^2 sum_i |a_i| |x|^i.  Beyond one block, compensated
-        # Horner in x within every block at once gives each block as a
-        # double-double B_j, then compensated Horner runs over the
-        # blocks in y = x^b, formed in double-double by squaring.
+        # + n^2 eps^2 sum_i |a_i| |x|^i.  Compensated Horner in x within
+        # every block at once gives each block as a double-double B_j,
+        # then compensated Horner runs over the blocks in y = x^b,
+        # formed in double-double by squaring (y = x where b = 1).
         far = np.abs(z) > 1.0
         x = np.where(far, 1.0 / z, z)
         columns = np.where(far, self.columns[1], self.columns[0])
-        if self.b == 1:
-            p, err = _horner_comp(columns[0], x)
-        else:
-            p, err = _horner_comp(columns, x[None, :])
-            y, y_lo = x, np.zeros_like(x)
-            for _ in range(self.b.bit_length() - 1):
-                s, e = _two_prod(y, y)
-                y, y_lo = s, e + 2.0 * y * y_lo
-            p, err = _horner_comp(p, y, err, y_lo)
+        p, err = _horner_comp(columns, x[None, :])
+        y, y_lo = x, np.zeros_like(x)
+        for _ in range(self.b.bit_length() - 1):
+            s, e = _two_prod(y, y)
+            y, y_lo = s, e + 2.0 * y * y_lo
+        p, err = _horner_comp(p, y, err, y_lo)
         return p + err
 
 
@@ -300,18 +298,16 @@ def _horner_comp(
     # (TwoProduct, TwoSum) run through a second Horner, so that p + err
     # is within about eps |p| + n^2 eps^2 sum_i |c_i| |x|^i, as in twice
     # the working precision.  Coefficient j is coeffs[j], broadcast
-    # against x: one column per point, or per block and point.  With
-    # coeffs_lo and x_lo the coefficients and x are the double-doubles
-    # coeffs + coeffs_lo and x + x_lo, whose low parts join the second
-    # Horner.
-    rows = coeffs if coeffs.ndim > 1 else coeffs[:, None]
+    # against x: per point, or per block and point.  With coeffs_lo and
+    # x_lo the coefficients and x are the double-doubles coeffs +
+    # coeffs_lo and x + x_lo, whose low parts join the second Horner.
     # Real and imaginary parts stacked: row j is [re c_j, im c_j].
-    c = np.stack([rows.real, rows.imag], axis=1)
+    c = np.stack([coeffs.real, coeffs.imag], axis=1)
     # p x as the four real products [pr xr, pi (-xi), pr xi, pi xr].
     xs = np.stack([x.real, -x.imag, x.imag, x.real])
     xs_hi, xs_lo = _split(xs)
     p = np.zeros((2,) + x.shape) + c[-1]
-    err = np.zeros_like(x)
+    err = np.zeros(p.shape[1:], np.complex128)
     if coeffs_lo is not None:
         err = err + coeffs_lo[-1]
     for j in range(len(c) - 2, -1, -1):
@@ -404,19 +400,13 @@ def _aberth(
             move = ~((np.abs(w) <= tol) | (np.abs(pv) <= noise))
             rows, zm, wm = active[move], za[move], w[move]
             if rows.size:
+                # A zero difference is the root itself or an iterate
+                # that coincides with it.  Coincident iterates exert no
+                # repulsion on each other; they then merge into a
+                # cluster, which the diagnostics accept.
                 diff = zm[:, None] - z[None, :]
-                diff[np.arange(len(rows)), rows] = np.inf
+                diff[diff == 0] = np.inf
                 s = np.divide(1.0, diff, out=diff).sum(axis=1)
-                # Coincident approximations exert no repulsion on each
-                # other; they then merge into a cluster, which the
-                # diagnostics accept.  A zero difference makes its row's
-                # sum non-finite, and only such rows are summed again.
-                if not np.isfinite(s).all():
-                    redo = ~np.isfinite(s)
-                    diff = zm[redo, None] - z[None, :]
-                    diff[np.arange(len(diff)), rows[redo]] = np.inf
-                    diff[diff == 0] = np.inf
-                    s[redo] = np.divide(1.0, diff, out=diff).sum(axis=1)
                 denom = 1.0 - wm * s
                 denom = np.where(denom == 0, 1.0, denom)
                 z[rows] = zm - np.where(at_root[move], 0.0, wm / denom)
@@ -473,12 +463,13 @@ def find_roots(
         the normwise residual and an honest ``converged`` flag, False
         for a result that ran out of iterations.
     """
-    return _zeros(p, _starts, tol, max_iter)
+    return _zeros(p, None, tol, max_iter)
 
 
-def _zeros(p, starts, tol=_DEFAULT_TOL, max_iter=_DEFAULT_MAX_ITER):
-    # find_roots with the sweeps started from starts(a), where a are the
-    # coefficients left once exact zeros at 0 are split off.
+def _zeros(p, starts=None, tol=_DEFAULT_TOL, max_iter=_DEFAULT_MAX_ITER):
+    # find_roots with the sweeps started from the vector ``starts``, or
+    # from _starts(a) where it is None or p has exact zeros at 0, with
+    # a the coefficients left once those are split off.
     if not np.isfinite(p.coeffs).all():
         raise NonFiniteError("coefficients must be finite")
     n = p.degree
@@ -492,7 +483,9 @@ def _zeros(p, starts, tol=_DEFAULT_TOL, max_iter=_DEFAULT_MAX_ITER):
 
     evaluate = _Evaluator(a)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        start, converged = _aberth(starts(a), evaluate, tol, max_iter)
+        if starts is None or m:
+            starts = _starts(a)
+        start, converged = _aberth(starts, evaluate, tol, max_iter)
         z, pv, dv, noise = _newton_polish(evaluate, *start)
         # One compensated step where the attainable plain accuracy
         # noise/|p'| is poor (heavy cancellation), with p' and the

@@ -88,6 +88,8 @@ class SuiteConfig:
             raise ValueError("empty or invalid k range")
         if self.cases < 1:
             raise ValueError("need at least one case")
+        if self.seed < 0:
+            raise ValueError("seed must be a non-negative integer")
         if self.zero_sampler not in SAMPLERS:
             raise ValueError(f"unknown sampler {self.zero_sampler!r}")
         if self.zero_sampler == "grid" and not self.grid_points:

@@ -607,3 +607,45 @@ def two_boundary_disk(points):
             circle = one_boundary(pts[: i + 1], p)
     center, radius = circle
     return center, max(radius, max(abs(p - center) for p in pts))
+
+
+def two_pass_aberth(z, evaluate, tol=1e-12, max_iter=200):
+    """``roots._aberth`` as it was before its Aberth sum took one pass:
+    each moving root's sum 1/(z_i - z_j) leaves out the root itself,
+    and only the rows whose sum comes out non-finite (an iterate that
+    coincides with another) are summed again without every zero
+    difference.  Returns what ``_aberth`` returns."""
+    z = np.array(z, dtype=np.complex128)
+    pz, dz, nz = np.empty_like(z), np.empty_like(z), np.empty(len(z))
+    active = np.arange(len(z))
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for _ in range(max_iter):
+            za = z[active]
+            pv, dv, noise = evaluate(za)
+            pz[active], dz[active], nz[active] = pv, dv, noise
+            at_root = pv == 0
+            w = pv / np.where(dv == 0, 1.0, dv)
+            stuck = (dv == 0) & ~at_root
+            if stuck.any():
+                w = np.where(stuck, 0.1 * (1.0 + np.abs(za)), w)
+            move = ~((np.abs(w) <= tol) | (np.abs(pv) <= noise))
+            rows, zm, wm = active[move], za[move], w[move]
+            if rows.size:
+                diff = zm[:, None] - z[None, :]
+                diff[np.arange(len(rows)), rows] = np.inf
+                s = np.divide(1.0, diff, out=diff).sum(axis=1)
+                if not np.isfinite(s).all():
+                    redo = ~np.isfinite(s)
+                    diff = zm[redo, None] - z[None, :]
+                    diff[np.arange(len(diff)), rows[redo]] = np.inf
+                    diff[diff == 0] = np.inf
+                    s[redo] = np.divide(1.0, diff, out=diff).sum(axis=1)
+                denom = 1.0 - wm * s
+                denom = np.where(denom == 0, 1.0, denom)
+                z[rows] = zm - np.where(at_root[move], 0.0, wm / denom)
+            active = rows
+            if not active.size:
+                break
+        if active.size:
+            pz[active], dz[active], nz[active] = evaluate(z[active])
+    return (z, pz, dz, nz), not active.size

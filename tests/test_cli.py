@@ -334,6 +334,17 @@ class TestSPolyRootsBound:
     def test_bound_usage(self, run_cli):
         assert run_cli("bound", "--xi", "nope", "--k", "2").returncode == 2
 
+    @pytest.mark.parametrize(
+        ("xi", "k"), [("0", "1" + "0" * 400), ("1e308", "10")]
+    )
+    def test_bound_beyond_the_double_range(self, run_cli, xi, k):
+        # A k with 401 digits does not convert to a double, and the
+        # radius at |xi| = 1e308 overflows: both are NonFinite.
+        out = run_cli("bound", "--xi", xi, "--k", k)
+        assert out.returncode == 1
+        assert json.loads(out.stdout)["error"] == "NonFinite"
+        assert "Traceback" not in out.stderr
+
 
 class TestFactorize:
     def test_counterexample_reports_domain_error(self, run_cli):
@@ -496,6 +507,17 @@ class TestLocalize:
         assert payload["contained"] is True
         assert payload["K"]["radius"] == 3.0
 
+    def test_half_plane_normal_whose_modulus_overflows(self, run_cli):
+        region = '{"kind":"half_plane","normal":[1.5e308,1.5e308]}'
+        out = run_cli(
+            "localize", "--P", "[[-0.25,0],[0,0],[1,0]]",
+            "--xi", "0", "--k", "1", "--K", region,
+        )
+        assert out.returncode == 0
+        assert "Traceback" not in out.stderr
+        normal = json.loads(out.stdout)["K"]["normal"]
+        assert normal == [math.sqrt(0.5), math.sqrt(0.5)]
+
     def test_round_trip_solve_roots_localize(self, run_cli):
         solved = json.loads(
             run_cli(
@@ -576,6 +598,12 @@ class TestSuiteCommands:
         payload = json.loads(out.stdout)
         assert payload["all_passed"] is True
         assert payload["seed"] == 4
+
+    def test_verify_negative_seed_is_a_usage_error(self, run_cli):
+        out = run_cli("verify", "--seed", "-1")
+        assert out.returncode == 2
+        assert "--seed" in out.stderr
+        assert "Traceback" not in out.stderr
 
     def test_verify_csv(self, run_cli):
         out = run_cli("verify", "--cases", "10", "--format", "csv")

@@ -1,5 +1,6 @@
 import cmath
 import math
+import time
 
 import numpy as np
 import pytest
@@ -381,6 +382,17 @@ class TestScalars:
                 rising_row(n + 1, k)
             with pytest.raises(DegreeTooLargeError):
                 PolarProblem.centered(Polynomial([0] * (n + 1) + [1]), 0.5, k)
+
+    @pytest.mark.parametrize("k", [171, 10**8])
+    def test_large_order_refused_before_its_factorial(self, k):
+        # (j+1)_k >= k! exceeds the doubles from k = 171 on; forming
+        # k! alone takes seconds from k = 10^6 on.
+        start = time.perf_counter()
+        with pytest.raises(OverflowError):
+            rising_row(0, k)
+        with pytest.raises(DegreeTooLargeError):
+            PolarProblem.centered(Polynomial([0, 1]), 0, k)
+        assert time.perf_counter() - start < 1.0
 
 
 class TestJsonForm:

@@ -89,6 +89,15 @@ class TestRegion:
         region = Region(kind="half_plane", center=0j, normal=3 + 4j)
         assert abs(abs(region.normal) - 1.0) <= 1e-15
 
+    def test_normal_whose_modulus_overflows(self):
+        # |1.5e308 (1 + i)| exceeds the doubles; half the normal does
+        # not, and points the same way.
+        region = Region(kind="half_plane", normal=1.5e308 + 1.5e308j)
+        assert region.normal == complex(0.75e308, 0.75e308) / abs(
+            complex(0.75e308, 0.75e308)
+        )
+        assert abs(abs(region.normal) - 1.0) <= 1e-15
+
     def test_json_round_trip(self):
         for region in (
             Region(kind="disk", center=1 - 2j, radius=0.5, closed=False),
@@ -286,6 +295,10 @@ class TestEnclosingDisk:
         assert abs(center * down - small[0]) <= 1e-14 * radius * down
         assert abs(radius * down - small[1]) <= 1e-14 * radius * down
 
+    def test_circumcircle_of_collinear_points(self):
+        # Three points on a line have no circumcircle.
+        assert regions._circumcircle(0, 1, 2) is None
+
     def test_diameter_midpoint_near_the_top_of_the_range(self):
         # 1.6e308 + 1.5e308 overflows; the disk on the two points as a
         # diameter does not.
@@ -449,6 +462,13 @@ class TestPolarZeroBound:
     def test_validation(self):
         with pytest.raises(ValueError):
             polar_zero_bound(0.0, 0)
+
+    @pytest.mark.parametrize(
+        ("xi", "k"), [(1e308, 10), (0.0, 10**400), (1.5e308 + 1.5e308j, 1)]
+    )
+    def test_radius_beyond_the_double_range(self, xi, k):
+        with pytest.raises(NonFiniteError):
+            polar_zero_bound(xi, k)
 
     def test_bounds_random_instances(self):
         rng = np.random.default_rng(73)

@@ -45,6 +45,7 @@ from oracles import (
     normwise_residual,
     rising_factorial,
     sort_roots,
+    two_pass_aberth,
 )
 
 EPS = 2.0**-52
@@ -513,6 +514,68 @@ class TestSharedPipeline:
                 assert done == (max_iter == 200)
                 for got, want in zip(values, evaluate(z)):
                     assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("max_iter", [200, 3])
+    def test_one_pass_aberth_matches_the_two_pass_sums(self, max_iter):
+        # Setting every zero difference to infinity before the one sum
+        # gives the bits of the sum that left out the root itself and
+        # summed again only the rows that came out non-finite: on
+        # random starts, on clustered ones and on exactly coincident
+        # ones, where the second pass ran.
+        rng = np.random.default_rng(23)
+        quartic = poly_from_roots([0.3 + 0.1j, 0.3 + 0.1j, -1.0, 2j]).coeffs
+        cases = [(quartic, np.array([0.3 + 0.1j] * 3 + [1.5]))]
+        for n in (5, 12, 30, 70):
+            a = [1.0, 1j] @ rng.normal(size=(2, n + 1))
+            cases.append((a, _hull_starts(a)))
+            cluster = 0.5 + 1e-7 * rng.normal(size=n)
+            cases.append((poly_from_roots(cluster).coeffs, _hull_starts(a)))
+            twice = np.repeat(_hull_starts(a)[: (n + 1) // 2], 2)[:n]
+            cases.append((a, twice))
+        with np.errstate(all="ignore"):
+            for a, start in cases:
+                evaluate = _Evaluator(a)
+                got, done = _aberth(start, evaluate, 1e-12, max_iter)
+                want, want_done = two_pass_aberth(start, evaluate, 1e-12, max_iter)
+                assert done == want_done
+                for g, w in zip(got, want):
+                    assert g.tobytes() == w.tobytes()
+
+    def test_aberth_nudges_out_of_a_stationary_point(self):
+        # z^2 + 1 has p' = 0 at the start 0, where p = 1: the nudge
+        # moves it, and both starts reach a zero.
+        evaluate = _Evaluator(np.array([1.0, 0.0, 1.0], complex))
+        start = np.array([0.0, 2.0 + 0.5j])
+        with np.errstate(all="ignore"):
+            (z, *_), done = _aberth(start, evaluate)
+        assert done
+        assert sorted(z.tolist(), key=lambda v: v.imag) == pytest.approx(
+            [-1j, 1j], abs=1e-12
+        )
+
+    def test_zeros_run_from_the_start_vector_it_is_handed(self, monkeypatch):
+        # The vector is taken as it is where no zero lies at 0; where
+        # one does, fewer zeros are left than it holds, and the
+        # sweeps start from _starts of the rest.
+        seen = []
+        real_aberth = roots._aberth
+
+        def recording(z, *args):
+            seen.append(np.array(z))
+            return real_aberth(z, *args)
+
+        monkeypatch.setattr(roots, "_aberth", recording)
+        start = np.array([0.9 + 0.1j, -1.1 - 0.2j, 0.1 + 1.2j])
+        p = poly_from_roots([1.0, -1.0, 1j])
+        rs = roots._zeros(p, start)
+        assert seen[-1].tobytes() == start.tobytes()
+        assert sort_roots(rs.roots) == pytest.approx(
+            sort_roots([1.0, -1.0, 1j]), abs=1e-14
+        )
+        at_zero = poly_from_roots([0.0, -1.0, 1j])
+        roots._zeros(at_zero, start)
+        a = at_zero.coeffs[1:]
+        assert seen[-1].tobytes() == roots._starts(a).tobytes()
 
     def test_find_roots_evaluates_no_iterate_twice_in_a_row(self, monkeypatch):
         # The polish starts from the values of the sweep each root

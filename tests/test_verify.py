@@ -86,6 +86,7 @@ class TestSuiteConfig:
             {"cases": 0},
             {"zero_sampler": "gaussian"},
             {"zero_sampler": "grid", "grid_points": ()},
+            {"seed": -1},
         ],
     )
     def test_validation(self, kwargs):
@@ -232,6 +233,25 @@ class TestCaseMetrics:
         monkeypatch.setattr(verify, "localization_check", check)
         inst = CaseInstance(n=2, k=1, zeros=(0.5 + 0j, -0.5 + 0j), xi=0j)
         assert math.isnan(case_metrics(inst)["containment_margin"])
+
+    def test_factorization_impossible_is_reported_and_noted(self, monkeypatch):
+        # All six zeros at 0.01, xi = 0: alpha_0 = 1e-12 counts as
+        # vanishing while beta_0, about 4.6e-10, does not.  The case
+        # has no factorize_error, passes the round trip, and the suite
+        # notes it.
+        inst = CaseInstance(n=6, k=5, zeros=(0.01 + 0j,) * 6, xi=0j)
+        metrics = case_metrics(inst)
+        assert metrics["factorize_impossible"]
+        assert metrics["factorize_error"] is None
+
+        monkeypatch.setattr(verify, "sample_case", lambda rng, cfg: inst)
+        report = run_property_suite(SuiteConfig(cases=2))
+        roundtrip = report.property_by_name("factorize_roundtrip")
+        assert (roundtrip.passes, roundtrip.failures) == (2, 0)
+        assert roundtrip.notes == [
+            "2 degenerate instances reported FactorizationImpossible "
+            "(counted as conforming)"
+        ]
 
     def test_nan_factor_error_propagates(self, monkeypatch):
         def factorize(P, Q, xi):
