@@ -22,9 +22,7 @@ from .errors import (
     SZeroAtOriginError,
 )
 from .polar import (
-    GraceFactorization,
     PolarProblem,
-    apply_tr,
     grace_convolve,
     grace_factorize,
     q_zeros,
@@ -71,7 +69,6 @@ __all__ = [
     "EmptyInputError",
     "EmptyRootSetError",
     "FactorizationImpossible",
-    "GraceFactorization",
     "LocalizationReport",
     "NonFiniteError",
     "NotMonicError",
@@ -83,7 +80,6 @@ __all__ = [
     "SuiteConfig",
     "SuiteReport",
     "Witness",
-    "apply_tr",
     "derivative_k",
     "enclosing_disk",
     "find_roots",

@@ -269,9 +269,12 @@ def _cmd_localize(args, parser):
     s_roots = s_zeros(n, k)
     Q = solve_polar(problem)
     q_roots = q_zeros(P, xi, Q, s_roots)
+    root_sets = {"Q": q_roots, "S": s_roots}
     region = args.K
     if region is None:
-        zeros = args.P_roots or find_roots(P).roots
+        if not args.P_roots:
+            root_sets["P"] = find_roots(P)
+        zeros = args.P_roots or root_sets["P"].roots
         region = enclosing_disk([z - xi for z in zeros])
     report = localization_check(q_roots, xi, region, s_roots, tol=args.tol)
     payload = {
@@ -283,6 +286,11 @@ def _cmd_localize(args, parser):
         "K": region.to_dict(),
         "Q_roots": q_roots.roots,
         "S_roots": s_roots.roots,
+        **{
+            f"{name}_{flag}": getattr(rs, flag)
+            for name, rs in root_sets.items()
+            for flag in ("converged", "max_residual")
+        },
         **vars(report),
         "bound_radius": polar_zero_bound(xi, k),
         "max_zero_modulus": max_modulus(q_roots),

@@ -150,17 +150,12 @@ def from_binomial(gamma: np.ndarray) -> Polynomial:
 
 @functools.lru_cache(maxsize=64)
 def rising_row(n: int, k: int) -> np.ndarray:
-    """Read-only (j+1)_k, j = 0..n, each rounded once from the exact
-    integer, which the recurrence (j+2)_k = (j+1)_k (j+1+k) / (j+1)
-    gives from k!; OverflowError where one exceeds the double range,
-    before forming k! for k >= 171, where k! alone exceeds it."""
+    """Read-only (j+1)_k = perm(j + k, k), j = 0..n, each rounded once
+    from the exact integer; OverflowError where one exceeds the double
+    range, first of all for k >= 171, where k! alone exceeds it."""
     if k > 170:
         raise OverflowError("int too large to convert to float")
-    exact = itertools.accumulate(
-        range(1, n + 1),
-        lambda value, j: value * (j + k) // j,
-        initial=math.factorial(k),
-    )
+    exact = (math.perm(j + k, k) for j in range(n + 1))
     row = np.fromiter(map(float, exact), np.float64, n + 1)
     row.setflags(write=False)
     return row

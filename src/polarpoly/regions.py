@@ -272,13 +272,13 @@ def localization_check(
     with np.errstate(invalid="ignore", over="ignore"):
         quotients = (xi - zeta)[:, None] / np.array(s_zeros.roots)
     margins = region_contains(region, quotients)
-    witnesses = tuple(
-        Witness(zero, s_zeros.roots[j], complex(row[j]), float(m[j]))
-        for zero, row, m, j in zip(
-            q_zeros.roots, quotients, margins, margins.argmax(axis=1)
-        )
-    )
-    chosen = np.array([w.margin for w in witnesses])
+    best = margins.argmax(axis=1)
+    rows = np.arange(len(best))
+    chosen = margins[rows, best]
+    witnesses = tuple(map(
+        Witness, q_zeros.roots, [s_zeros.roots[j] for j in best.tolist()],
+        quotients[rows, best].tolist(), chosen.tolist(),
+    ))
     # Adding 0.0 turns the -0.0 of a smallest margin of 0.0 into 0.0 and
     # keeps NaN.
     return LocalizationReport(

@@ -76,6 +76,9 @@ _ONE_BLOCK = 16
 # their O(n^3) cost exceeded the sweeps they save, measured on Q.
 _EIG_MAX = 40
 
+# The largest max_residual of a converged root set (verify's residual_tol).
+_RESIDUAL_TOL = 1e-9
+
 
 @dataclass(frozen=True)
 class RootSet:
@@ -85,6 +88,8 @@ class RootSet:
     is ordered by nondecreasing modulus, ties by ascending argument in
     (-pi, pi].  ``max_residual`` is the normwise residual
     max_j |p(root_j)| / sum_i |coeff_i| |root_j|^i, a few eps at best.
+    ``converged`` holds where every zero settled within the sweeps and
+    ``max_residual`` is at most ``_RESIDUAL_TOL`` (1e-9).
     """
 
     roots: tuple[complex, ...]
@@ -432,6 +437,7 @@ def _root_set(z, p, noise, converged: bool) -> RootSet:
     with np.errstate(invalid="ignore", divide="ignore"):
         residual = float((4.0 * _EPS * np.abs(p) / noise).max(initial=0.0))
     roots = tuple(sorted(np.asarray(z, complex).tolist(), key=_sort_key))
+    converged = converged and residual <= _RESIDUAL_TOL
     return RootSet(roots=roots, max_residual=residual, converged=converged)
 
 
@@ -460,8 +466,8 @@ def find_roots(
     -------
     RootSet
         Zeros with multiplicity, ordered by (modulus, argument), with
-        the normwise residual and an honest ``converged`` flag, False
-        for a result that ran out of iterations.
+        the normwise residual and ``converged``, False for a result
+        that ran out of iterations or whose residual exceeds 1e-9.
     """
     return _zeros(p, None, tol, max_iter)
 

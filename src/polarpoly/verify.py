@@ -6,9 +6,9 @@ aggregates pass/fail counts with worst-case margins.  Failing cases are
 dumped as self-contained JSON instances; ``replay_case`` recomputes the
 metrics of such a dump and reproduces the failure bit for bit.
 
-``residual_norm`` checks a claimed solution through the base
-polynomial layer only, not through the solver's band; the check that
-shares no code with the library is ``bench/oracle.py``.
+``residual_norm`` checks a claimed solution through ``apply_tr``, not
+through the solver's band; the check that shares no code with the
+library is ``bench/oracle.py``.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ import numpy as np
 from .errors import FactorizationImpossible
 from .polar import (
     PolarProblem,
+    apply_tr,
     grace_convolve,
     grace_factorize,
     q_zeros,
@@ -31,14 +32,12 @@ from .polar import (
 )
 from .polynomial import (
     Polynomial,
-    derivative_k,
     from_pair,
     from_pairs,
     json_text,
     jsonable,
     max_coeff_diff,
     poly_from_roots,
-    poly_mul,
     rising_row,
     sup_norm,
     taylor_shift,
@@ -183,16 +182,15 @@ class SuiteReport:
 
 
 def residual_norm(P: Polynomial, R: Polynomial, Q: Polynomial) -> float:
-    """Sup norm of d^k/dz^k(R*Q) - (n+1)_k * P, built from base ops only.
+    """Sup norm of d^k/dz^k(R*Q) - (n+1)_k * P.
 
-    It shares with the solver only (n+1)_k, read from the cached row
-    ``rising_row(n, k)`` of exact integers rounded once, not the band or
-    the back substitution; ``bench/oracle.py`` shares no code with it.
+    The image is ``apply_tr(R, Q)``, the one the solver's refinement
+    forms, not the band or the back substitution; ``bench/oracle.py``
+    shares no code with it.
     """
-    k = R.degree
     n = P.degree
-    lhs = derivative_k(poly_mul(R, Q), k)
-    scale = float(rising_row(n, k)[n])
+    lhs = apply_tr(R, Q)
+    scale = float(rising_row(n, R.degree)[n])
     rhs = Polynomial(scale * P.coeffs)
     return max_coeff_diff(lhs, rhs)
 

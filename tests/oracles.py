@@ -160,6 +160,33 @@ def best_factors(q_zeros, xi, s_zeros, margin):
     return out
 
 
+def per_row_localization_check(q_zeros, xi, region, s_zeros, tol=1e-6):
+    """``regions.localization_check`` as it was before it read its
+    witnesses from the quotient and margin matrices: one ``Witness``
+    per row, zipped from the rows and their argmax, and the chosen
+    margins read back from the witnesses.  It shares the library's
+    ``region_contains`` and skips the input checks."""
+    from polarpoly.regions import LocalizationReport, Witness, region_contains
+
+    zeta = np.array(q_zeros.roots)
+    with np.errstate(invalid="ignore", over="ignore"):
+        quotients = (complex(xi) - zeta)[:, None] / np.array(s_zeros.roots)
+    margins = region_contains(region, quotients)
+    witnesses = tuple(
+        Witness(zero, s_zeros.roots[j], complex(row[j]), float(m[j]))
+        for zero, row, m, j in zip(
+            q_zeros.roots, quotients, margins, margins.argmax(axis=1)
+        )
+    )
+    chosen = np.array([w.margin for w in witnesses])
+    return LocalizationReport(
+        contained=bool((chosen >= -tol).all()),
+        witnesses=witnesses,
+        max_violation=float(np.maximum(0.0, -chosen.min()) + 0.0),
+        tol=tol,
+    )
+
+
 def s_radius_k1(n):
     """Largest zero modulus of S for k = 1, from the roots of unity.
 

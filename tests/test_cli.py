@@ -425,6 +425,32 @@ class TestLocalize:
         assert code in (0, 1)
         assert ("contained" if code == 0 else "error") in payload
 
+    def test_root_set_flags(self, capsys):
+        # Q's and S's flags always; P's only where K is the disk of the
+        # zeros find_roots found for --P.
+        p = "[[-0.25,0],[0,0],[1,0]]"
+        disk = '{"kind": "disk", "center": [0, 0], "radius": 2}'
+        cases = {
+            "--P": ["--P", p],
+            "--P-roots": ["--P-roots", "[[0.5,0],[-0.5,0]]"],
+            "--K": ["--P", p, "--K", disk],
+        }
+        flags = {}
+        for name, argv in cases.items():
+            assert main(["localize", *argv, "--xi", "0.5", "--k", "2"]) == 0
+            payload = json.loads(capsys.readouterr().out)
+            flags[name] = sorted(
+                key for key in payload
+                if key.endswith(("_converged", "_max_residual"))
+            )
+            for key in flags[name]:
+                want = bool if key.endswith("_converged") else float
+                assert type(payload[key]) is want
+            assert payload["Q_converged"] and payload["S_converged"]
+        qs = ["Q_converged", "Q_max_residual", "S_converged", "S_max_residual"]
+        assert flags["--P"] == ["P_converged", "P_max_residual", *qs]
+        assert flags["--P-roots"] == flags["--K"] == qs
+
     def test_pipeline_contained(self, run_cli):
         out = run_cli(
             "localize", "--P", "[[-0.25,0],[0,0],[1,0]]",

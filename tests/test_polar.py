@@ -126,6 +126,36 @@ class TestApplyTr:
             q = sample_monic(rng, int(rng.integers(1, 8)))
             assert apply_tr(r, q).degree == q.degree
 
+    def test_lives_in_polar_only(self):
+        # apply_tr and GraceFactorization are not package exports.
+        import polarpoly
+
+        for name in ("apply_tr", "GraceFactorization"):
+            assert name not in polarpoly.__all__
+            with pytest.raises(AttributeError):
+                getattr(polarpoly, name)
+            assert hasattr(polar, name)
+        assert len(polarpoly.__all__) == 41
+        assert all(hasattr(polarpoly, name) for name in polarpoly.__all__)
+
+    def test_residual_norm_reads_the_image(self, monkeypatch):
+        # residual_norm forms d^k/dz^k(R*Q) as apply_tr(R, Q), the image
+        # the refinement uses, and nothing else.
+        from polarpoly import verify
+
+        calls = []
+
+        def spy(r, q):
+            calls.append((r, q))
+            return apply_tr(r, q)
+
+        monkeypatch.setattr(verify, "apply_tr", spy)
+        p = Polynomial([0.25, 0, 1])
+        r = Polynomial([0.25, -1, 1])
+        q = solve_polar(PolarProblem(p, r))
+        assert verify.residual_norm(p, r, q) <= 1e-15
+        assert calls == [(r, q)]
+
 
 class TestSolvePolar:
     def test_free_case(self):

@@ -25,6 +25,7 @@ from polarpoly.roots import RootSet, find_roots
 from oracles import (
     best_factors,
     brute_force_disk,
+    per_row_localization_check,
     region_margin,
     two_boundary_disk,
 )
@@ -443,6 +444,63 @@ class TestLocalizationCheck:
                 find_roots(q), xi, region, find_roots(s_poly(n, k)), tol=1e-6
             )
             assert report.contained
+
+
+def report_bytes(report):
+    # Every number of a report as bytes, so that NaN and -0.0 compare.
+    numbers = [report.contained, report.max_violation, report.tol]
+    for w in report.witnesses:
+        numbers += [w.zero, w.beta, w.quotient, w.margin]
+    return np.array(numbers, dtype=np.complex128).tobytes()
+
+
+class TestWitnessReadOut:
+    """localization_check reads each witness from its matrices once;
+    the per-row construction it replaced is the reference, bit for
+    bit."""
+
+    def check(self, q_roots, xi, region, s_roots, tol=1e-6):
+        q, s = root_set(q_roots), root_set(s_roots)
+        got = localization_check(q, xi, region, s, tol=tol)
+        want = per_row_localization_check(q, xi, region, s, tol=tol)
+        assert report_bytes(got) == report_bytes(want)
+        for w in got.witnesses:
+            assert type(w.beta) is complex and type(w.margin) is float
+        return got
+
+    @pytest.mark.parametrize("region", REGIONS, ids=lambda r: r.kind)
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_margins(self, region, seed):
+        rng = np.random.default_rng(400 + seed)
+        for rows, cols in [(1, 1), (3, 7), (40, 45)]:
+            q_roots = [complex(z) for z in random_points(rng, rows, 2.0)]
+            s_roots = [complex(b) for b in random_points(rng, cols, 3.0)]
+            self.check(q_roots, 0.7 - 0.4j, region, s_roots)
+
+    def test_tied_margins(self):
+        # About the origin every beta of modulus 1 gives the same
+        # margin, so each row is one tie, won by the first beta; the
+        # margin of 0.0 comes out unsigned in max_violation.
+        s_roots = [1 + 0j, -1 + 0j, 1j, -1j]
+        for radius in (0.25, 0.5, 1.0):
+            report = self.check(
+                [0.5 + 0j, -0.5j, 0.3 + 0.4j], 0.0,
+                Region(kind="disk", center=0j, radius=radius), s_roots,
+            )
+            assert all(w.beta == s_roots[0] for w in report.witnesses)
+            assert math.copysign(1.0, report.max_violation) == 1.0
+        assert report.contained
+
+    @pytest.mark.parametrize("region", REGIONS, ids=lambda r: r.kind)
+    def test_nan_margins(self, region):
+        nan = complex(math.nan, 0.0)
+        report = self.check(
+            [0.1 + 0j, nan, -0.3 + 0.2j], 0.2j, region,
+            [-1.5 + 0.8j, nan, 0.5 - 0.2j],
+        )
+        assert not report.contained
+        assert math.isnan(report.max_violation)
+        assert all(math.isnan(w.margin) for w in report.witnesses)
 
 
 class TestPolarZeroBound:

@@ -215,6 +215,30 @@ class TestDeterminismAndFlags:
         rs = find_roots(Polynomial([3, 3, 1]))
         assert 0.0 <= rs.max_residual <= 1e-14
 
+    def test_settled_set_with_a_large_residual_is_not_converged(self):
+        # (z^3 + 1e-60) q(z): the settle test accepts the three tiny
+        # zeros off by 4.3%, and only the residual shows it.
+        rng = np.random.default_rng(0)
+        q = poly_from_roots(np.exp(2j * np.pi * rng.random(9)))
+        p = Polynomial(np.convolve([1e-60, 0, 0, 1], q.coeffs))
+        rs = find_roots(p)
+        assert rs.max_residual > roots._RESIDUAL_TOL
+        assert not rs.converged
+
+    def test_converged_needs_the_residual_bound(self):
+        assert roots._RESIDUAL_TOL == 1e-9
+        z = np.array([0.5 + 0j])
+        noise = np.array([4 * EPS])
+        seen = set()
+        for value in np.geomspace(1e-10, 1e-8, 41).tolist() + [1e-9, 0.0]:
+            rs = _root_set(z, np.array([value]), noise, True)
+            assert rs.converged == (rs.max_residual <= 1e-9)
+            assert not _root_set(z, np.array([value]), noise, False).converged
+            seen.add(rs.converged)
+        assert seen == {True, False}
+        # A NaN residual does not hold.
+        assert not _root_set(z, np.array([math.nan]), noise, True).converged
+
 
 class TestMaxModulus:
     def test_s_poly_2_1(self):
