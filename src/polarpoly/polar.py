@@ -462,7 +462,9 @@ def grace_factorize(
     Vanishing is judged relative to the largest coefficient of the
     respective polynomial (threshold ``VANISHING_RTOL``), which keeps
     the test independent of an overall scale.  Raises
-    DegreeTooLargeError where ``grace_convolve`` does, before shifting.
+    DegreeTooLargeError where ``grace_convolve`` does, before shifting,
+    and NonFiniteError where P(xi+w), Q(xi+w) or the factor leaves the
+    double range.
     """
     if P.degree != Q.degree:
         raise ValueError("P and Q must have the same degree")
@@ -471,6 +473,9 @@ def grace_factorize(
     xi = complex(xi)
     ps = taylor_shift(P, xi)
     qs = taylor_shift(Q, xi)
+    for name, shifted in (("P", ps), ("Q", qs)):
+        if not np.isfinite(shifted.coeffs).all():
+            raise NonFiniteError(f"{name}(xi+w) has a non-finite coefficient")
     alpha = binomial_coeffs(ps, n)
     beta = binomial_coeffs(qs, n)
     size_a, size_b = np.abs(alpha), np.abs(beta)
@@ -484,11 +489,14 @@ def grace_factorize(
             alpha=complex(alpha[j]),
             beta=complex(beta[j]),
         )
-    c = np.divide(beta, alpha, out=np.zeros_like(beta), where=~vanishing)
-    s_r = from_binomial(c)
+    with np.errstate(over="ignore", invalid="ignore"):
+        c = np.divide(beta, alpha, out=np.zeros_like(beta), where=~vanishing)
+        s_r = from_binomial(c)
+    if not np.isfinite(s_r.coeffs).all():
+        raise NonFiniteError("the factor S_R exceeds the double range")
     diffs = np.abs(coeff_diff(grace_convolve(ps, s_r), qs))
     error = float(diffs.max()) / sup_norm(qs)
-    if error > RECONSTRUCTION_RTOL:
+    if not error <= RECONSTRUCTION_RTOL:
         worst = int(diffs.argmax())
         raise FactorizationImpossible(
             "recovered factor does not reproduce Q(xi+w)",

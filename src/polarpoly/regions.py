@@ -48,21 +48,25 @@ class Region:
     def __post_init__(self):
         if self.kind not in REGION_KINDS:
             raise ValueError(f"unknown region kind {self.kind!r}")
+        if not isinstance(self.closed, bool):
+            raise ValueError("region field 'closed' must be true or false")
         object.__setattr__(self, "center", complex(self.center))
+        if not cmath.isfinite(self.center):
+            raise ValueError("region center must be finite")
         if self.kind == "half_plane":
             normal = complex(self.normal)
+            if not (cmath.isfinite(normal) and normal):
+                raise ValueError("normal must be finite and non-zero")
             try:
                 mag = abs(normal)
             except OverflowError:  # a finite normal; its half is exact
                 normal = complex(normal.real / 2.0, normal.imag / 2.0)
                 mag = abs(normal)
-            if mag == 0:
-                raise ValueError("half-plane normal must be non-zero")
             object.__setattr__(self, "normal", normal / mag)
         else:
-            if self.radius < 0:
-                raise ValueError("radius must be nonnegative")
             object.__setattr__(self, "radius", float(self.radius))
+            if not 0.0 <= self.radius < math.inf:
+                raise ValueError("radius must be finite and nonnegative")
 
     def to_dict(self) -> dict:
         out = {
@@ -78,32 +82,20 @@ class Region:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Region":
-        if not isinstance(data, dict) or "kind" not in data:
-            raise ValueError("region JSON must be an object with a 'kind'")
-        kind = data["kind"]
+        """Read the JSON form; the constructor checks the values."""
+        if not isinstance(data, dict) or data.get("kind") not in REGION_KINDS:
+            raise ValueError(f"region 'kind' must be one of {REGION_KINDS}")
+
+        def field(name, read, default=None):
+            return read(data.get(name, default), f"region field {name!r}")
+
+        center = field("center", from_pair, [0, 0])
+        if data["kind"] == "half_plane":
+            shape = {"normal": field("normal", from_pair)}
+        else:
+            shape = {"radius": field("radius", from_number)}
         closed = data.get("closed", True)
-        if not isinstance(closed, bool):
-            raise ValueError("region field 'closed' must be true or false")
-
-        def pair(name, default=None):
-            return from_pair(data.get(name, default), f"region field {name!r}")
-
-        if kind == "half_plane":
-            return cls(
-                kind=kind,
-                center=pair("center", [0, 0]),
-                normal=pair("normal"),
-                closed=closed,
-            )
-        if kind in ("disk", "exterior_disk"):
-            radius = from_number(data.get("radius"), "region field 'radius'")
-            return cls(
-                kind=kind,
-                center=pair("center", [0, 0]),
-                radius=radius,
-                closed=closed,
-            )
-        raise ValueError(f"unknown region kind {kind!r}")
+        return cls(kind=data["kind"], center=center, closed=closed, **shape)
 
 
 @dataclass(frozen=True)

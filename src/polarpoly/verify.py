@@ -104,17 +104,27 @@ class CaseInstance:
     zeros: tuple[complex, ...]
     xi: complex
 
+    def __post_init__(self):
+        if self.k < 1:
+            raise ValueError("case field 'k' must be a positive integer")
+        if self.n != len(self.zeros):
+            raise ValueError("case field 'n' must be the number of zeros")
+
     @property
     def P(self) -> Polynomial:
         return poly_from_roots(self.zeros)
 
     @classmethod
     def from_dict(cls, data: dict) -> "CaseInstance":
+        """Read a dumped instance; ValueError on a malformed field."""
+        for name in ("n", "k"):  # exactly int: JSON's true is refused
+            if type(data.get(name)) is not int:
+                raise ValueError(f"case field {name!r} must be an integer")
         return cls(
-            n=int(data["n"]),
-            k=int(data["k"]),
-            zeros=tuple(from_pairs(data["zeros"], "zero")),
-            xi=from_pair(data["xi"], "xi"),
+            n=data["n"],
+            k=data["k"],
+            zeros=tuple(from_pairs(data.get("zeros"), "zero")),
+            xi=from_pair(data.get("xi"), "xi"),
         )
 
 

@@ -676,3 +676,39 @@ def two_pass_aberth(z, evaluate, tol=1e-12, max_iter=200):
         if active.size:
             pz[active], dz[active], nz[active] = evaluate(z[active])
     return (z, pz, dz, nz), not active.size
+
+
+def region_from_dict(data):
+    """``Region.from_dict`` as it was before the constructor became the
+    one check of a region's values: one constructor call per kind, and
+    an unknown kind refused after both.  It shares the library's JSON
+    readers and ``Region``, which it does not check."""
+    from polarpoly.polynomial import from_number, from_pair
+    from polarpoly.regions import Region
+
+    if not isinstance(data, dict) or "kind" not in data:
+        raise ValueError("region JSON must be an object with a 'kind'")
+    kind = data["kind"]
+    closed = data.get("closed", True)
+    if not isinstance(closed, bool):
+        raise ValueError("region field 'closed' must be true or false")
+
+    def pair(name, default=None):
+        return from_pair(data.get(name, default), f"region field {name!r}")
+
+    if kind == "half_plane":
+        return Region(
+            kind=kind,
+            center=pair("center", [0, 0]),
+            normal=pair("normal"),
+            closed=closed,
+        )
+    if kind in ("disk", "exterior_disk"):
+        radius = from_number(data.get("radius"), "region field 'radius'")
+        return Region(
+            kind=kind,
+            center=pair("center", [0, 0]),
+            radius=radius,
+            closed=closed,
+        )
+    raise ValueError(f"unknown region kind {kind!r}")

@@ -385,6 +385,15 @@ class TestFactorize:
         assert payload["error"] == "DegreeTooLarge"
         assert payload["n"] == 1030
 
+    def test_shift_overflow_is_non_finite(self, run_cli):
+        # The shift by xi overflows: a domain error, with no numpy
+        # warning on stderr.
+        big = "[[1,0],[1e308,0],[1e308,0]]"
+        out = run_cli("factorize", "--P", big, "--Q", big, "--xi", "1e5")
+        assert out.returncode == 1
+        assert json.loads(out.stdout)["error"] == "NonFinite"
+        assert out.stderr == ""
+
     def test_unequal_degrees_usage_error(self, run_cli):
         out = run_cli(
             "factorize", "--P", "[[1,0],[1,0]]",

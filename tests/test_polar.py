@@ -843,6 +843,22 @@ class TestGraceFactorize:
         with pytest.raises(ValueError):
             grace_factorize(Polynomial([0, 1]), Polynomial([0, 0, 1]), 0.0)
 
+    @pytest.mark.parametrize(
+        ("p", "q", "xi"),
+        [
+            ([1, math.nan], [1, 1], 0.0),
+            ([1, 1], [math.inf, 1], 0.0),
+            ([1, 1e308, 1e308], [1, 1e308, 1e308], 1e5),
+            ([1, 2e-9, 1], [1e300, 1e300, 1e300], 0.0),
+            ([1, 1, 1], [1e308, 1e308, 1e308], 0.0),
+        ],
+        ids=["nan_p", "inf_q", "shift_overflows", "ratio_overflows",
+             "factor_overflows"],
+    )
+    def test_non_finite_is_refused(self, p, q, xi):
+        with pytest.raises(NonFiniteError):
+            grace_factorize(Polynomial(p), Polynomial(q), xi)
+
     def test_never_returns_non_reproducing_factor(self):
         rng = np.random.default_rng(37)
         for _ in range(60):

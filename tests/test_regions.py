@@ -26,6 +26,7 @@ from oracles import (
     best_factors,
     brute_force_disk,
     per_row_localization_check,
+    region_from_dict,
     region_margin,
     two_boundary_disk,
 )
@@ -36,6 +37,23 @@ REGIONS = (
     Region(kind="half_plane", center=0.3j, normal=1 + 1j),
     Region(kind="exterior_disk", center=-0.2 + 0j, radius=0.8),
 )
+
+# JSON that Region.from_dict must refuse.
+MALFORMED_REGIONS = [
+    {},
+    {"kind": "blob"},
+    {"kind": "disk", "center": [0, 0]},
+    {"kind": "disk", "center": [0], "radius": 1},
+    {"kind": "half_plane", "center": [0, 0]},
+    {"kind": "disk", "center": [0, 0], "radius": math.nan},
+    {"kind": "disk", "center": [0, 0], "radius": math.inf},
+    {"kind": "disk", "center": [0, 0], "radius": True},
+    {"kind": "disk", "center": [True, 0], "radius": 1},
+    {"kind": "exterior_disk", "center": [math.nan, 0], "radius": 1},
+    {"kind": "half_plane", "center": [0, 0], "normal": [math.inf, 0]},
+    {"kind": "disk", "center": [0, 0], "radius": 1, "closed": "false"},
+    {"kind": "half_plane", "normal": [1, 0], "closed": 0},
+]
 
 
 def random_points(rng, count, scale):
@@ -110,27 +128,65 @@ class TestRegion:
             assert again.center == region.center
             assert again.closed == region.closed
 
-    @pytest.mark.parametrize(
-        "bad",
-        [
-            {},
-            {"kind": "blob"},
-            {"kind": "disk", "center": [0, 0]},
-            {"kind": "disk", "center": [0], "radius": 1},
-            {"kind": "half_plane", "center": [0, 0]},
-            {"kind": "disk", "center": [0, 0], "radius": math.nan},
-            {"kind": "disk", "center": [0, 0], "radius": math.inf},
-            {"kind": "disk", "center": [0, 0], "radius": True},
-            {"kind": "disk", "center": [True, 0], "radius": 1},
-            {"kind": "exterior_disk", "center": [math.nan, 0], "radius": 1},
-            {"kind": "half_plane", "center": [0, 0], "normal": [math.inf, 0]},
-            {"kind": "disk", "center": [0, 0], "radius": 1, "closed": "false"},
-            {"kind": "half_plane", "normal": [1, 0], "closed": 0},
-        ],
-    )
+    @pytest.mark.parametrize("bad", MALFORMED_REGIONS)
     def test_from_dict_rejects_malformed(self, bad):
         with pytest.raises(ValueError):
             Region.from_dict(bad)
+
+
+def valid_region_json(rng):
+    """Region JSON of all three kinds, with 'closed' true, false or
+    left out, a center given or left out, integer or float values,
+    and half-plane normals of every scale, the overflowing one too."""
+    out = []
+    for kind in ("disk", "half_plane", "exterior_disk"):
+        for closed in (True, False, None):
+            for scale in (1e-300, 1.0, 3, 1e300, 1.5e308):
+                data = {"kind": kind}
+                if closed is not None:
+                    data["closed"] = closed
+                if scale != 3:
+                    data["center"] = (rng.uniform(-1, 1, 2) * scale).tolist()
+                if kind == "half_plane":
+                    data["normal"] = [scale, -scale]
+                else:
+                    data["radius"] = scale
+                out.append(data)
+    return out
+
+
+class TestOneCheckPerRegion:
+    @pytest.mark.parametrize(
+        "data", valid_region_json(np.random.default_rng(5))
+    )
+    def test_reads_as_before(self, data):
+        region = Region.from_dict(data)
+        assert region == region_from_dict(data)
+
+    @pytest.mark.parametrize("bad", MALFORMED_REGIONS)
+    def test_reference_rejects_malformed(self, bad):
+        with pytest.raises(ValueError):
+            region_from_dict(bad)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_code_built_non_finite_values(self, value):
+        bad = (
+            dict(kind="disk", radius=value),
+            dict(kind="exterior_disk", radius=value),
+            dict(kind="disk", center=complex(value, 0), radius=1.0),
+            dict(kind="exterior_disk", center=complex(0, value), radius=1.0),
+            dict(kind="half_plane", center=complex(value, 0)),
+            dict(kind="half_plane", normal=value),
+            dict(kind="half_plane", normal=complex(1, value)),
+        )
+        for fields in bad:
+            with pytest.raises(ValueError):
+                Region(**fields)
+
+    @pytest.mark.parametrize("closed", ["false", 0, None])
+    def test_code_built_closed_must_be_a_bool(self, closed):
+        with pytest.raises(ValueError):
+            Region(kind="disk", radius=1.0, closed=closed)
 
 
 class TestEnclosingDisk:

@@ -221,6 +221,22 @@ class TestCaseMetrics:
         again = CaseInstance.from_dict(jsonable(inst))
         assert again == inst
 
+    @pytest.mark.parametrize(
+        ("change", "field"),
+        [
+            ({"n": 5}, "'n'"),
+            ({"n": 2.7}, "'n'"),
+            ({"n": True}, "'n'"),
+            ({"k": 1.0}, "'k'"),
+            ({"k": True}, "'k'"),
+            ({"k": 0}, "'k'"),
+        ],
+    )
+    def test_malformed_dump_is_refused(self, change, field):
+        dump = {"n": 2, "k": 1, "zeros": [[0.1, 0], [0.2, 0]], "xi": [0, 0]}
+        with pytest.raises(ValueError, match=field):
+            replay_case({**dump, **change})
+
     def test_nan_witness_margin_propagates(self, monkeypatch):
         # A report that says contained=false must not yield a margin
         # that passes the localization property.
