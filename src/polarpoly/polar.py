@@ -9,7 +9,8 @@ there is a unique monic Q of degree n with
     d^k/dz^k (R(z) * Q(z)) = (n+1)_k * P(z).
 
 One solver, ``solve_polar``, finds it for every R, the centered
-R = (z - xi)^k (``PolarProblem.centered``) included.  For that choice
+R = (z - xi)^k (``PolarProblem.centered``) included, as the quotient
+of the k-fold antiderivative of (n+1)_k P by R.  For that choice
 the solution also has a closed form in the shifted binomial basis,
 beta_j = (n+1)_k / (j+1)_k * alpha_j, which is the same thing as the
 Grace convolution (Schur-Szego composition) of the shifted P with the
@@ -85,8 +86,9 @@ def _check_factor(name: str, poly: Polynomial) -> None:
 
 
 def _check_scale(n: int, k: int) -> None:
-    # The operator's diagonal (j+1)_k, j = 0..n, is the row the band
-    # reads; it peaks at (n+1)_k, the scale of the right-hand side.
+    # The operator's diagonal (j+1)_k, j = 0..n, is the row from which
+    # the solver forms the antiderivative; it peaks at (n+1)_k, the
+    # scale of the right-hand side.
     try:
         rising_row(n, k)
     except OverflowError:
@@ -152,65 +154,43 @@ def apply_tr(R: Polynomial, Q: Polynomial) -> Polynomial:
     return derivative_k(poly_mul(R, Q), R.degree)
 
 
-def _operator_band(R: Polynomial, n: int) -> np.ndarray:
-    # Row i holds the entries (i, i), .., (i, i+k) of the operator
-    # matrix, the only ones that can be nonzero: the image of z^j has
-    # degree j and lowest term z^(j-k).  Entry (i, i+d) is the
-    # coefficient of z^i in d^k/dz^k(R * z^(i+d)), (i+1)_k * R_(k-d),
-    # with (i+1)_k from the one cached row that derivative_k also reads;
-    # those of columns beyond n are never read, and may overflow.
-    with np.errstate(over="ignore", invalid="ignore"):
-        return np.outer(rising_row(n, R.degree), R.coeffs[::-1])
-
-
-def _band_back_substitute(
-    rows: list, rhs: np.ndarray, top: complex
-) -> np.ndarray:
-    # Solves the banded triangular system, given as the band's rows of
-    # Python scalars, from the top degree down: O(n*k) sequential steps.
-    # The top unknown is fixed to ``top``; row i meets the unknowns
-    # i+1 .. min(i+k, n), so all rows but the top k run over one fixed
-    # range of offsets.
-    rhs = rhs.tolist()
-    n, k = len(rhs) - 1, len(rows[0]) - 1
-    out = [0j] * n + [top]
-    full = range(1, k + 1)
-    for i in range(n - 1, -1, -1):
-        row, acc = rows[i], rhs[i]
-        for d in full if i + k <= n else range(1, n + 1 - i):
-            acc -= row[d] * out[i + d]
-        out[i] = acc / row[0]
-    return np.array(out)
-
-
 def solve_polar(problem: PolarProblem) -> Polynomial:
     """Unique monic Q with apply_tr(R, Q) = (n+1)_k * P.
 
     The one solver for every R; the centered R = (z - xi)^k comes from
-    ``PolarProblem.centered(P, xi, k)``.  The operator is upper
-    triangular with bandwidth k, so one banded back substitution from
-    the top degree down solves it in O(n*k) without forming the matrix,
-    with the top coefficient fixed to 1, as comparing leading
-    coefficients dictates.  One refinement pass, on the residual
-    through apply_tr rather than the band (of degree n, as Q's top is 1
-    and R is monic), with the correction's top fixed to 0, keeps the
-    backward error at the rounding level even when the coefficients of
-    Q grow large.  Raises NonFiniteError where a coefficient of Q
-    exceeds the double range, which shows first in the back
-    substitution or, near that edge, in the refinement.
+    ``PolarProblem.centered(P, xi, k)``.  R*Q is the k-fold
+    antiderivative J of (n+1)_k P, J_(j+k) = (n+1)_k P_j / (j+1)_k, plus
+    a polynomial of degree below k, so Q is the quotient of J by R: one
+    unit-diagonal back substitution from the top degree down,
+    q_i = J_(i+k)/R_k - sum_d (R_(k-d)/R_k) q_(i+d), in O(n*k), with the
+    top coefficient fixed to 1 as comparing leading coefficients
+    dictates.  Triangular substitution is componentwise backward stable,
+    so the backward error stays at the rounding level even when the
+    coefficients of Q grow large.  Raises NonFiniteError where a
+    coefficient of Q is not finite.
     """
     P, R = problem.P, problem.R
     n, k = problem.n, problem.k
-    rows = _operator_band(R, n).tolist()
-    rhs = rising_row(n, k)[n] * P.coeffs
-    b = _band_back_substitute(rows, rhs, 1.0)
-    residual = rhs - apply_tr(R, Polynomial(b)).coeffs
-    b += _band_back_substitute(rows, residual, 0j)
-    if not np.isfinite(b).all():
+    row = rising_row(n, k)
+    lead = R.coeffs[k]
+    with np.errstate(over="ignore", invalid="ignore"):
+        y = (P.coeffs * (row[n] / row) / lead).tolist()
+    r = (R.coeffs[::-1] / lead).tolist()
+    # r[d] = R_(k-d)/R_k.  Row i meets q_(i+1) .. q_(min(i+k, n)), so all
+    # rows but the top k run over one fixed range of offsets.
+    q = [0j] * n + [1 + 0j]
+    full = range(1, k + 1)
+    for i in range(n - 1, -1, -1):
+        acc = y[i]
+        for d in full if i + k <= n else range(1, n + 1 - i):
+            acc -= r[d] * q[i + d]
+        q[i] = acc
+    Q = Polynomial(q)
+    if not np.isfinite(Q.coeffs).all():
         raise NonFiniteError(
             f"Q for n = {n}, k = {k} exceeds the double range", n=n, k=k
         )
-    return Polynomial(b)
+    return Q
 
 
 # Kept for bench/spans.py and bench/ledger.py, which look the name up.

@@ -62,7 +62,12 @@ class Region:
             except OverflowError:  # a finite normal; its half is exact
                 normal = complex(normal.real / 2.0, normal.imag / 2.0)
                 mag = abs(normal)
-            object.__setattr__(self, "normal", normal / mag)
+            # A normal within two ulps of unit length, as normalizing
+            # leaves it and to_dict writes it, is kept: dividing it by its
+            # modulus again can move its last bit.
+            if abs(mag - 1.0) > 2.0**-51:
+                normal = normal / mag
+            object.__setattr__(self, "normal", normal)
         else:
             object.__setattr__(self, "radius", float(self.radius))
             if not 0.0 <= self.radius < math.inf:

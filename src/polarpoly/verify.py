@@ -6,8 +6,8 @@ aggregates pass/fail counts with worst-case margins.  Failing cases are
 dumped as self-contained JSON instances; ``replay_case`` recomputes the
 metrics of such a dump and reproduces the failure bit for bit.
 
-``residual_norm`` checks a claimed solution through ``apply_tr``, not
-through the solver's band; the check that shares no code with the
+``residual_norm`` checks a claimed solution through ``apply_tr``, which
+the solver does not call; the check that shares no code with the
 library is ``bench/oracle.py``.
 """
 
@@ -194,8 +194,8 @@ class SuiteReport:
 def residual_norm(P: Polynomial, R: Polynomial, Q: Polynomial) -> float:
     """Sup norm of d^k/dz^k(R*Q) - (n+1)_k * P.
 
-    The image is ``apply_tr(R, Q)``, the one the solver's refinement
-    forms, not the band or the back substitution; ``bench/oracle.py``
+    The image is ``apply_tr(R, Q)``, a product and a derivative that
+    share no code with the solver's substitution; ``bench/oracle.py``
     shares no code with it.
     """
     n = P.degree

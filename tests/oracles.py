@@ -502,25 +502,90 @@ def operator_residual(r, q, rhs):
     return out
 
 
+def operator_band(r, n):
+    """Row i holds the entries (i, i), .., (i, i+k) of the operator
+    matrix of Q -> (R Q)^(k) on the monomial basis, the only ones that
+    can be nonzero: the image of z^j has degree j and lowest term
+    z^(j-k).  Entry (i, i+d) is (i+1)_k * R_(k-d); those of columns
+    beyond n are never read, and may overflow."""
+    r = np.asarray(r, np.complex128)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.outer(rising_scale(n, len(r) - 1), r[::-1])
+
+
 def two_mode_polar_solution(problem):
     """The monic Q of a ``PolarProblem`` in doubles: the scale (n+1)_k
     from the exact integer ``rising_factorial(n + 1, k)``, one back
     substitution with the top coefficient fixed to 1, one refinement
     whose correction solves for its top coefficient too, and the top
-    then overwritten by 1.  The band and ``apply_tr`` are the
-    library's (``polar._operator_band``), which this reference shares
-    and does not check; the two-mode solve and the padded residual are
-    its own.  Non-finite coefficients are returned as they are."""
-    from polarpoly.polar import _operator_band
-
+    then overwritten by 1.  The residual goes through the library's
+    ``apply_tr``, which this reference shares and does not check; the
+    band, the two-mode solve and the padded residual are its own.  Non-
+    finite coefficients are returned as they are."""
     n, k = problem.n, problem.k
-    rows = _operator_band(problem.R, n).tolist()
+    rows = operator_band(problem.R.coeffs, n).tolist()
     rhs = float(rising_factorial(n + 1, k)) * problem.P.coeffs
     b = two_mode_back_substitute(rows, rhs, top=1.0)
     b += two_mode_back_substitute(rows, operator_residual(problem.R, b, rhs))
     b[n] = 1.0
     return b
 
+
+def quotient_polar_solution(p, r):
+    """The monic Q with (R Q)^(k) = (n+1)_k P in doubles, as the quotient
+    of the antiderivative J, J_(i+k) = (n+1)_k p_i / (i+1)_k, by R: each
+    y_i = p_i ((n+1)_k / (i+1)_k) / r_k with both rising factorials
+    rounded once from exact integers, then q_n = 1 and, from the top
+    down, q_i = y_i - sum_{d=1..min(k, n-i)} (r_(k-d) / r_k) q_(i+d), one
+    scalar step per term.  Non-finite coefficients are returned as they
+    are."""
+    p = [complex(c) for c in p]
+    r = [complex(c) for c in r]
+    n, k = len(p) - 1, len(r) - 1
+    top = float(math.perm(n + k, k))
+    y = []
+    for i, c in enumerate(p):
+        ratio = top / float(math.perm(i + k, k))
+        y.append(complex(c.real * ratio, c.imag * ratio) / r[k])
+    q = [0j] * (n + 1)
+    q[n] = 1 + 0j
+    for i in range(n - 1, -1, -1):
+        acc = y[i]
+        for d in range(1, min(k, n - i) + 1):
+            acc -= (r[k - d] / r[k]) * q[i + d]
+        q[i] = acc
+    return np.array(q)
+
+
+def polar_componentwise_backward_error(p, r, q, prec=250):
+    """Componentwise backward error of q as a solution of
+    (R Q)^(k) = (n+1)_k P, from a residual formed in ``prec``-bit mpmath
+    on the doubles as given: the largest over i of
+    |(n+1)_k p_i - (i+1)_k sum_d r_(k-d) q_(i+d)| divided by
+    (n+1)_k |p_i| + (i+1)_k sum_d |r_(k-d)| |q_(i+d)|, the perturbation
+    of each matrix and right-hand side entry relative to its own size
+    (Oettli and Prager) that q solves exactly.  Rows whose denominator
+    vanishes have a zero residual and count as 0."""
+    import mpmath
+
+    p, r, q = (list(map(complex, v)) for v in (p, r, q))
+    n, k = len(p) - 1, len(r) - 1
+    worst = mpmath.mpf(0)
+    with mpmath.workprec(prec):
+        top = mpmath.mpf(math.perm(n + k, k))
+        pm = [mpmath.mpc(c) for c in p]
+        rm = [mpmath.mpc(c) for c in r]
+        qm = [mpmath.mpc(c) for c in q]
+        for i in range(n + 1):
+            scale = mpmath.mpf(math.perm(i + k, k))
+            acc, size = mpmath.mpc(0), mpmath.mpf(0)
+            for d in range(min(k, n - i) + 1):
+                acc += rm[k - d] * qm[i + d]
+                size += abs(rm[k - d]) * abs(qm[i + d])
+            denom = top * abs(pm[i]) + scale * size
+            if denom:
+                worst = max(worst, abs(top * pm[i] - scale * acc) / denom)
+    return float(worst)
 
 
 def ray_start_s_zeros(n, k):

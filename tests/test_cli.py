@@ -259,15 +259,28 @@ class TestSPolyRootsBound:
         assert (payload["n"], payload["k"]) == (1029, 1)
 
     def test_localize_q_beyond_the_double_range(self, capsys):
-        # Q at n = 700, k = 20, xi = 1.9 overflows; the solver refuses it
-        # before any zero of Q is sought.
+        # Q at n = 1000, k = 20, xi = 1.9 overflows (exact max |Q|
+        # 5.2e411); the solver refuses it before any zero of Q is sought.
         rng = np.random.default_rng(0)
-        zeros = np.sqrt(rng.random(700)) * np.exp(2j * np.pi * rng.random(700))
+        zeros = np.sqrt(rng.random(1000)) * np.exp(2j * np.pi * rng.random(1000))
         argv = ["localize", "--P-roots", json.dumps(jsonable(zeros))]
         assert main(argv + ["--xi", "1.9", "--k", "20"]) == 1
         payload = json.loads(capsys.readouterr().out)
         assert payload["error"] == "NonFinite"
-        assert (payload["n"], payload["k"]) == (700, 20)
+        assert (payload["n"], payload["k"]) == (1000, 20)
+
+    def test_localize_q_near_the_top_of_the_double_range(self, capsys):
+        # Q at n = 700, k = 20, xi = 1.9 fits (exact max |Q| 6.3e295), so
+        # localize answers.  It answers wrongly, with zeros of Q that read
+        # converged: the dense zero search on a Q this ill conditioned is
+        # the high-k defect that the antiderivative form of Q mends.
+        rng = np.random.default_rng(0)
+        zeros = np.sqrt(rng.random(700)) * np.exp(2j * np.pi * rng.random(700))
+        argv = ["localize", "--P-roots", json.dumps(jsonable(zeros))]
+        assert main(argv + ["--xi", "1.9", "--k", "20"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["Q_converged"] is True
+        assert payload["contained"] is False
 
     def test_localize_nan_zero_of_p(self, monkeypatch, capsys):
         # A NaN zero of P leaves no default K: enclosing_disk refuses it

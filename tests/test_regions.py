@@ -128,6 +128,21 @@ class TestRegion:
             assert again.center == region.center
             assert again.closed == region.closed
 
+    def test_half_plane_round_trip_keeps_every_bit(self):
+        # The written normal is already of unit length; dividing it by its
+        # modulus again on reading moved the last bit of 1 + 1j and of 43
+        # of the 200 random normals here.
+        rng = np.random.default_rng(26)
+        normals = [1 + 1j, 3 + 4j, 1j, -1.0] + [
+            complex(*rng.normal(size=2)) * 10.0 ** rng.uniform(-300, 300)
+            for _ in range(200)
+        ]
+        for normal in normals:
+            region = Region(kind="half_plane", center=0.5j, normal=normal)
+            again = Region.from_dict(region.to_dict()).normal
+            assert again.real.hex() == region.normal.real.hex()
+            assert again.imag.hex() == region.normal.imag.hex()
+
     @pytest.mark.parametrize("bad", MALFORMED_REGIONS)
     def test_from_dict_rejects_malformed(self, bad):
         with pytest.raises(ValueError):

@@ -11,8 +11,6 @@ from polarpoly.errors import DegreeZeroError, EmptyRootSetError, NonFiniteError
 from polarpoly import roots
 from polarpoly.polar import (
     PolarProblem,
-    _band_back_substitute,
-    _operator_band,
     _s_form,
     s_poly,
     s_zeros,
@@ -43,7 +41,7 @@ from oracles import (
     compensated_horner,
     newton_zero,
     normwise_residual,
-    rising_factorial,
+    quotient_polar_solution,
     sort_roots,
     two_pass_aberth,
 )
@@ -815,20 +813,19 @@ class TestNonFinite:
         assert info.value.code == "NonFinite"
 
     def test_overflowed_solve_polar(self):
-        # Q at n = 700, k = 20, |xi| = 1.9 is beyond the double range:
-        # solve_polar refuses it, and find_roots refuses the NaN
-        # coefficients the band solve leaves, before 200 sweeps (6.7 s).
+        # Q at n = 1000, k = 20, |xi| = 1.9 is beyond the double range
+        # (exact max |Q| 5.2e411): solve_polar refuses it, and find_roots
+        # refuses the NaN coefficients the substitution leaves, before
+        # any sweep.
         rng = np.random.default_rng(0)
-        zeros = np.sqrt(rng.random(700)) * np.exp(2j * np.pi * rng.random(700))
+        zeros = np.sqrt(rng.random(1000)) * np.exp(2j * np.pi * rng.random(1000))
         problem = PolarProblem.centered(poly_from_roots(zeros), 1.9, 20)
         with pytest.raises(NonFiniteError):
             solve_polar(problem)
-        rhs = float(rising_factorial(701, 20)) * problem.P.coeffs
-        rows = _operator_band(problem.R, 700).tolist()
-        q = Polynomial(_band_back_substitute(rows, rhs, top=1.0))
-        assert np.isnan(q.coeffs).any()
+        q = quotient_polar_solution(problem.P.coeffs, problem.R.coeffs)
+        assert np.isnan(q).any()
         with pytest.raises(NonFiniteError):
-            find_roots(q)
+            find_roots(Polynomial(q))
 
 
 def polygon_pipeline(p):
