@@ -49,16 +49,7 @@ from .polynomial import (
     sup_norm,
     taylor_shift,
 )
-from .roots import (
-    _EIG_MAX,
-    _EPS,
-    RootSet,
-    _aberth,
-    _Evaluator,
-    _newton_polish,
-    _root_set,
-    _zeros,
-)
+from .roots import _EIG_MAX, _EPS, RootSet, _Evaluator, _zeros, find_roots
 
 # Relative threshold below which a binomial coefficient counts as zero
 # when extracting a convolution factor.
@@ -350,10 +341,11 @@ def s_zeros(n: int, k: int) -> RootSet:
     them, but computed from the form w^k S(w) = (1+w)^(n+k) - t(w), with
     t(w) = sum_{j<k} C(n+k, j) w^j.
 
-    Runs the pipeline of ``find_roots`` (the same iteration, settle
-    rule, defaults, polish rule, ordering and ``RootSet`` contract) with
-    Newton ratios from S'/S = F'/F - k/w at O(k) cost per point, t'/t
-    coming from the evaluator of ``find_roots``.  In the monomial basis
+    Hands this form and its starts to the one search of ``find_roots``,
+    ``roots._zeros`` (the same iteration, settle rule, defaults, polish
+    rule, ordering and ``RootSet`` contract; the form offers no
+    compensated step), with Newton ratios from S'/S = F'/F - k/w at O(k)
+    cost per point, t'/t coming from the evaluator of ``find_roots``.  In the monomial basis
     S is ill conditioned from n of about 40 on (the dense finder reports
     converged zeros of S(41, 1) that are off by 0.3); in this form the
     zeros come out to a few units of rounding at every accepted degree.
@@ -373,10 +365,7 @@ def s_zeros(n: int, k: int) -> RootSet:
     """
     _check_s_degree(n, k)
     log_t, evaluate = _s_form(n, k)
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        start, converged = _aberth(_s_starts(n, k, log_t), evaluate)
-        z, f, _, noise = _newton_polish(evaluate, *start)
-    return _root_set(z, f, noise, converged)
+    return _zeros(evaluate, _s_starts(n, k, log_t))
 
 
 def q_zeros(
@@ -388,22 +377,20 @@ def q_zeros(
 
     The zeros of Q lie in xi - K Z(S) for every disk K that holds the
     zeros of P shifted by -xi; for P = (z - c)^n they are exactly
-    xi - (c - xi) s_j over the zeros s_j of S.  Up to degree
-    ``_EIG_MAX`` this is ``find_roots(Q)``.  Beyond, the sweeps start
-    from that one-point model, with c = -P_(n-1)/n the centroid of the
-    zeros of P, where |c - xi| exceeds their geometric spread
-    |P(c)|^(1/n) about c (compared in logarithms, so that no n-th
-    power overflows); where it does not, where the spread is not
-    finite, or where c = xi, from the Newton polygon.  Only the starts
-    differ: the sweeps, the settle test and the polish decide every
-    zero.  Raises ValueError unless P, Q and ``s_roots`` share the
-    degree.
+    xi - (c - xi) s_j over the zeros s_j of S.  Beyond degree
+    ``_EIG_MAX`` the one search ``roots._zeros`` runs on Q from that
+    one-point model, with c = -P_(n-1)/n the centroid of the zeros of
+    P, where |c - xi| exceeds their geometric spread |P(c)|^(1/n) about
+    c (compared in logarithms, so that no n-th power overflows).
+    Everywhere else, and where Q(0) = 0 or a coefficient of Q is not
+    finite, this is ``find_roots(Q)``.  Only the starts differ: the
+    sweeps, the settle test and the polish decide every zero.  Raises
+    ValueError unless P, Q and ``s_roots`` share the degree.
     """
     n = Q.degree
     if P.degree != n or len(s_roots) != n:
         raise ValueError("P, Q and the zeros of S must share the degree")
-    model = None
-    if n > _EIG_MAX:
+    if n > _EIG_MAX and Q.coeffs[0] != 0 and np.isfinite(Q.coeffs).all():
         c = -P.coeffs[n - 1] / n
         d = c - xi
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -412,7 +399,8 @@ def q_zeros(
             log_spread = np.log(abs(value)) / n + max(np.log(abs(c)), 0.0)
             if np.log(abs(d)) > log_spread:
                 model = xi - d * np.array(s_roots.roots)
-    return _zeros(Q, model)
+                return _zeros(_Evaluator(Q.coeffs), model)
+    return find_roots(Q)
 
 
 def grace_convolve(p: Polynomial, q: Polynomial) -> Polynomial:
@@ -421,11 +409,13 @@ def grace_convolve(p: Polynomial, q: Polynomial) -> Polynomial:
     The working size is n = max(deg p, deg q); output coefficient j is
     C(n, j) * alpha_j * beta_j.  The polynomial (1+w)^n is the identity
     element for this product.  Raises DegreeTooLargeError from n = 1030
-    on, where C(n, j) exceeds the double range.
+    on, where C(n, j) exceeds the double range; a coefficient beyond the
+    double range comes out infinite.
     """
     n = max(p.degree, q.degree)
     _check_binomial_row("the Grace convolution", "n", n, n=n)
-    return from_binomial(binomial_coeffs(p, n) * binomial_coeffs(q, n))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return from_binomial(binomial_coeffs(p, n) * binomial_coeffs(q, n))
 
 
 def grace_factorize(

@@ -98,7 +98,9 @@ def derivative_k(p: Polynomial, k: int) -> Polynomial:
         raise ValueError("derivative order must be nonnegative")
     if k > p.degree:
         return Polynomial([0])
-    return Polynomial(p.coeffs[k:] * rising_row(p.degree - k, k))
+    # A product beyond the double range comes out infinite, as in poly_mul.
+    with np.errstate(over="ignore", invalid="ignore"):
+        return Polynomial(p.coeffs[k:] * rising_row(p.degree - k, k))
 
 
 def taylor_shift(p: Polynomial, xi: complex) -> Polynomial:
@@ -144,8 +146,10 @@ def binomial_coeffs(p: Polynomial, n: int | None = None) -> np.ndarray:
 
 
 def from_binomial(gamma: np.ndarray) -> Polynomial:
-    """Inverse of :func:`binomial_coeffs`, with n = len(gamma) - 1."""
-    return Polynomial(gamma * binomial_row(len(gamma) - 1))
+    """Inverse of :func:`binomial_coeffs`, with n = len(gamma) - 1; a
+    coefficient beyond the double range comes out infinite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return Polynomial(gamma * binomial_row(len(gamma) - 1))
 
 
 @functools.lru_cache(maxsize=64)

@@ -39,20 +39,22 @@ compensated Horner (Graillat, Langlois and Louvet), which is as
 accurate as evaluation in twice the working precision.  At every size
 it runs within the evaluator's blocks, then over the blocks in x^b.
 
-The iteration (``_aberth``) and the polish (``_newton_polish``) take
-the evaluator as an argument, so ``polar.s_zeros`` runs them on the
-sparse form of S with its own evaluator; ``_zeros`` runs the whole of
-``find_roots`` from a start vector the caller hands it, so
-``polar.q_zeros`` runs it from where the localization theorem puts the
-zeros of Q.  The iteration hands the polish p, p' and the noise floor
-of the sweep each root settled in, so no iterate is evaluated twice.
+One search, ``_zeros``, finds the zeros of P, Q and S: the sweeps
+(``_aberth``) from a start vector, the polish (``_newton_polish``) and,
+where the evaluator offers a ``compensated`` value, the compensated
+step.  ``find_roots`` hands it ``_Evaluator`` and ``_starts``,
+``polar.q_zeros`` the evaluator of Q and the starts where the
+localization theorem puts its zeros, and ``polar.s_zeros`` the sparse
+form of S with its own evaluator and starts.  The iteration hands the
+polish p, p' and the noise floor of the sweep each root settled in, so
+no iterate is evaluated twice.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -62,7 +64,7 @@ from .polynomial import Polynomial
 # Fixed angular twist keeping initial guesses off symmetry axes.
 _ANGLE_TWIST = 0.4241438680420134
 
-# Defaults of find_roots and of _aberth, which s_zeros runs with them.
+# Defaults of find_roots and of _zeros, which s_zeros runs with them.
 _DEFAULT_TOL = 1e-12
 _DEFAULT_MAX_ITER = 200
 
@@ -236,14 +238,15 @@ class _Evaluator:
         # + n^2 eps^2 sum_i |a_i| |x|^i.  Compensated Horner in x within
         # every block at once gives each block as a double-double B_j,
         # then compensated Horner runs over the blocks in y = x^b,
-        # formed in double-double by squaring (y = x where b = 1).
+        # formed in double-double by squaring (y = x where b = 1): each
+        # square is the compensated Horner value of 0 + y x at x = y.
         far = np.abs(z) > 1.0
         x = np.where(far, 1.0 / z, z)
         columns = np.where(far, self.columns[1], self.columns[0])
         p, err = _horner_comp(columns, x[None, :])
         y, y_lo = x, np.zeros_like(x)
         for _ in range(self.b.bit_length() - 1):
-            s, e = _two_prod(y, y)
+            s, e = _horner_comp(np.stack([np.zeros_like(y), y]), y)
             y, y_lo = s, e + 2.0 * y * y_lo
         p, err = _horner_comp(p, y, err, y_lo)
         return p + err
@@ -278,21 +281,6 @@ def _two_sum(a: np.ndarray, b: np.ndarray):
     s = a + b
     bb = s - a
     return s, (a - (s - bb)) + (b - bb)
-
-
-def _two_prod(a: np.ndarray, b: np.ndarray):
-    # The complex products a b as s + e: the four real products formed
-    # exactly (TwoProduct), each part of s their sum with TwoSum, e the
-    # errors summed once more.
-    a4 = np.stack([a.real, a.imag, a.real, a.imag])
-    b4 = np.stack([b.real, -b.imag, b.imag, b.real])
-    h = a4 * b4
-    a_hi, a_lo = _split(a4)
-    b_hi, b_lo = _split(b4)
-    lo = a_lo * b_lo - (((h - a_hi * b_hi) - a_lo * b_hi) - a_hi * b_lo)
-    s, e = _two_sum(h[0::2], h[1::2])
-    e = (lo[0::2] + lo[1::2]) + e
-    return s[0] + 1j * s[1], e[0] + 1j * e[1]
 
 
 def _horner_comp(
@@ -371,14 +359,13 @@ def _aberth(
     all three in one per-point scale of the caller's choice: only the
     Newton ratio p/p' and the comparison of |p| with the noise floor
     are used.  ``_Evaluator`` is that evaluator for dense coefficients;
-    ``polar.s_zeros`` passes its own, built on it.  Each sweep
+    ``polar.s_zeros`` hands ``_zeros`` its own, built on it.  Each sweep
     evaluates and moves the active roots only; settled roots freeze but
     keep repelling the others.  Returns (z, p, p', noise), the final
     iterates with the values of the sweep each settled in (roots still
     active after ``max_iter`` sweeps are evaluated once at the end),
-    and whether every root settled.  The caller then polishes with
-    ``_newton_polish(evaluate, z, p, p', noise)`` (same evaluator, one
-    acceptance rule) and builds the result with ``_root_set``.
+    and whether every root settled.  Only ``_zeros`` runs it, and then
+    polishes with ``_newton_polish`` on the same evaluator.
     """
     z = np.array(z, dtype=np.complex128)
     pz, dz, nz = np.empty_like(z), np.empty_like(z), np.empty(len(z))
@@ -469,13 +456,6 @@ def find_roots(
         the normwise residual and ``converged``, False for a result
         that ran out of iterations or whose residual exceeds 1e-9.
     """
-    return _zeros(p, None, tol, max_iter)
-
-
-def _zeros(p, starts=None, tol=_DEFAULT_TOL, max_iter=_DEFAULT_MAX_ITER):
-    # find_roots with the sweeps started from the vector ``starts``, or
-    # from _starts(a) where it is None or p has exact zeros at 0, with
-    # a the coefficients left once those are split off.
     if not np.isfinite(p.coeffs).all():
         raise NonFiniteError("coefficients must be finite")
     n = p.degree
@@ -486,24 +466,30 @@ def _zeros(p, starts=None, tol=_DEFAULT_TOL, max_iter=_DEFAULT_MAX_ITER):
     a = p.coeffs[m:]
     if m == n:
         return RootSet(roots=(0j,) * n, max_residual=0.0, converged=True)
-
-    evaluate = _Evaluator(a)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        if starts is None or m:
-            starts = _starts(a)
+        starts = _starts(a)
+    rs = _zeros(_Evaluator(a), starts, tol, max_iter)
+    return replace(rs, roots=(0j,) * m + rs.roots)
+
+
+def _zeros(evaluate, starts, tol=_DEFAULT_TOL, max_iter=_DEFAULT_MAX_ITER):
+    # The one search: the sweeps from the vector ``starts`` and the
+    # polish, both on ``evaluate``.  Where it offers a compensated value
+    # (the dense _Evaluator does, the form of S does not), one more
+    # step where the attainable plain accuracy noise/|p'| is poor
+    # (heavy cancellation), with p' and the noise floor of the plain
+    # evaluator.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         start, converged = _aberth(starts, evaluate, tol, max_iter)
         z, pv, dv, noise = _newton_polish(evaluate, *start)
-        # One compensated step where the attainable plain accuracy
-        # noise/|p'| is poor (heavy cancellation), with p' and the
-        # noise floor of the plain evaluator.
         poor = noise > 2e-11 * (1.0 + np.abs(z)) * np.abs(dv)
-        if poor.any():
+        if hasattr(evaluate, "compensated") and poor.any():
             zp = z[poor]
             z[poor], pv[poor], _, noise[poor] = _newton_polish(
                 lambda v: (evaluate.compensated(v), *evaluate(v)[1:]),
                 zp, evaluate.compensated(zp), dv[poor], noise[poor], 1
             )
-    return _root_set(np.concatenate([np.zeros(m), z]), pv, noise, converged)
+    return _root_set(z, pv, noise, converged)
 
 
 def max_modulus(rs: RootSet) -> float:

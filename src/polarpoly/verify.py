@@ -196,7 +196,8 @@ def residual_norm(P: Polynomial, R: Polynomial, Q: Polynomial) -> float:
 
     The image is ``apply_tr(R, Q)``, a product and a derivative that
     share no code with the solver's substitution; ``bench/oracle.py``
-    shares no code with it.
+    shares no code with it.  Reads inf where the image leaves the double
+    range, as it can for R*Q near the top of the range.
     """
     n = P.degree
     lhs = apply_tr(R, Q)

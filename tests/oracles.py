@@ -310,6 +310,36 @@ def polar_solution(p, r, dps=120):
         return [complex(c) for c in q]
 
 
+def split(v):
+    """Dekker's split v = hi + lo, each half with 26 bits."""
+    t = 134217729.0 * v
+    hi = t - (t - v)
+    return hi, v - hi
+
+
+def two_sum(u, v):
+    """Knuth's TwoSum: u + v = s + e exactly, part by part."""
+    s = u + v
+    vv = s - u
+    return s, (u - (s - vv)) + (v - vv)
+
+
+def two_prod(a, b):
+    """The complex products a b as s + e, the way the root finder's
+    double-double squaring once formed them on its own: the four real
+    products exactly (TwoProduct with Dekker's split), each part of s
+    their sum with TwoSum, e the errors summed once more."""
+    a4 = np.stack([a.real, a.imag, a.real, a.imag])
+    b4 = np.stack([b.real, -b.imag, b.imag, b.real])
+    h = a4 * b4
+    a_hi, a_lo = split(a4)
+    b_hi, b_lo = split(b4)
+    lo = a_lo * b_lo - (((h - a_hi * b_hi) - a_lo * b_hi) - a_hi * b_lo)
+    s, e = two_sum(h[0::2], h[1::2])
+    e = (lo[0::2] + lo[1::2]) + e
+    return s[0] + 1j * s[1], e[0] + 1j * e[1]
+
+
 def compensated_horner(coeffs, z):
     """p at each point of z by compensated Horner (Graillat, Langlois
     and Louvet), as accurate as in twice the working precision: the
@@ -323,17 +353,6 @@ def compensated_horner(coeffs, z):
     far = np.abs(z) > 1.0
     x = np.where(far, 1.0 / z, z)
     cols = np.where(far, a[::-1, None], a[:, None])
-
-    def split(v):
-        t = 134217729.0 * v
-        hi = t - (t - v)
-        return hi, v - hi
-
-    def two_sum(u, v):
-        s = u + v
-        vv = s - u
-        return s, (u - (s - vv)) + (v - vv)
-
     # Row j is [re c_j, im c_j]; p x is the four real products
     # [pr xr, pi (-xi), pr xi, pi xr].
     c = np.stack([cols.real, cols.imag], axis=1)
@@ -593,18 +612,12 @@ def ray_start_s_zeros(n, k):
     along the rays exp(2 pi i m / (n+1)), m = 1..n, onto the curve
     |1+w|^(n+k) = |t(w)|, t(w) = sum_{j<k} C(n+k, j) w^j, then the sweeps,
     polish and result of ``find_roots`` on the form w^k S(w) =
-    (1+w)^(n+k) - t(w) alone.  The iteration is the library's
-    (``roots._aberth``, ``_newton_polish``, ``_root_set``), which this
-    reference shares and does not check; the starts and the form are
-    its own.  Deep inside |w| < (k+1)/n, where S has no zero, the form
-    reads as zero, and at S(514, 515) two of these zeros settle there."""
-    from polarpoly.roots import (
-        _EPS,
-        _Evaluator,
-        _aberth,
-        _newton_polish,
-        _root_set,
-    )
+    (1+w)^(n+k) - t(w) alone.  The search is the library's
+    (``roots._zeros``), which this reference shares and does not check;
+    the starts and the form are its own.  Deep inside |w| < (k+1)/n,
+    where S has no zero, the form reads as zero, and at S(514, 515) two
+    of these zeros settle there."""
+    from polarpoly.roots import _EPS, _Evaluator, _zeros
 
     big_n = n + k
     top = math.comb(big_n, min(k - 1, big_n // 2))
@@ -638,9 +651,7 @@ def ray_start_s_zeros(n, k):
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for _ in range(4):
             radius = np.exp(log_t(radius * ray - 1.0)[0].real / big_n)
-        start, converged = _aberth(radius * ray - 1.0, evaluate)
-        z, f, _, noise = _newton_polish(evaluate, *start)
-    return _root_set(z, f, noise, converged)
+    return _zeros(evaluate, radius * ray - 1.0)
 
 
 def two_boundary_disk(points):

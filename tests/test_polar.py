@@ -686,7 +686,7 @@ class TestSZeroStarts:
                 calls.append(len(z))
                 return super().__call__(z)
 
-        aberth = polar._aberth
+        aberth = roots._aberth
 
         def counted_aberth(*args):
             before = len(calls)
@@ -695,7 +695,7 @@ class TestSZeroStarts:
             return out
 
         monkeypatch.setattr(polar, "_Evaluator", Counting)
-        monkeypatch.setattr(polar, "_aberth", counted_aberth)
+        monkeypatch.setattr(roots, "_aberth", counted_aberth)
         for n, k in LOCALIZE_PAIRS + BRANCH_HAZARDS[:3]:
             calls.clear()
             phases.clear()
@@ -762,6 +762,28 @@ class TestQZeros:
         P, Q, S = centered_case(n, 3, xi, z)
         assert q_zeros(P, xi, Q, S) == find_roots(Q)
 
+    def test_find_roots_where_q_has_a_zero_at_0(self):
+        # Beyond _EIG_MAX with the model in reach, but Q(0) = 0: the
+        # exact zero is split off and the rest starts from the polygon,
+        # so the result is find_roots(Q) to the last bit.
+        n, k, xi = 64, 3, 1.5
+        zeros = unit_disk(np.random.default_rng(n), n)
+        P, Q, S = centered_case(n, k, xi, zeros)
+        at_zero = Polynomial(np.concatenate([[0], Q.coeffs[1:]]))
+        rs = q_zeros(P, xi, at_zero, S)
+        assert rs == find_roots(at_zero)
+        assert rs.roots[0] == 0
+
+    def test_non_finite_q_is_refused_beyond_eig_max(self):
+        n, k, xi = 64, 3, 1.5
+        zeros = unit_disk(np.random.default_rng(n), n)
+        P, Q, S = centered_case(n, k, xi, zeros)
+        for bad in (math.nan, math.inf):
+            a = Q.coeffs.copy()
+            a[5] = bad
+            with pytest.raises(NonFiniteError):
+                q_zeros(P, xi, Polynomial(a), S)
+
     def test_half_the_evaluations_and_the_same_verdicts(self, monkeypatch):
         # A guard on the work the model starts save, counted rather than
         # timed: evaluator calls of the sweeps and the polish (21 from
@@ -770,19 +792,27 @@ class TestQZeros:
         n, k, xi = 128, 3, 1.5
         zeros = unit_disk(np.random.default_rng(0), n)
         P, Q, S = centered_case(n, k, xi, zeros)
+        # find_roots builds Q's evaluator in roots.py, q_zeros on the
+        # model path in polar.py; only calls on Q's coefficients count.
         calls = []
 
         class Counting(_Evaluator):
+            def __init__(self, a):
+                super().__init__(a)
+                self.of_q = np.array_equal(a, Q.coeffs)
+
             def __call__(self, z):
-                calls.append(len(z))
+                if self.of_q:
+                    calls.append(len(z))
                 return super().__call__(z)
 
         monkeypatch.setattr(roots, "_Evaluator", Counting)
+        monkeypatch.setattr(polar, "_Evaluator", Counting)
         dense = find_roots(Q)
         dense_calls = len(calls)
         calls.clear()
         rs = q_zeros(P, xi, Q, S)
-        assert 2 * len(calls) <= dense_calls
+        assert 0 < 2 * len(calls) <= dense_calls
         assert rs.converged == dense.converged
         region = enclosing_disk(zeros - xi)
         assert (
@@ -856,6 +886,15 @@ class TestGraceConvolve:
     def test_quarter_example(self):
         out = grace_convolve(Polynomial([-0.25, 0, 1]), Polynomial([3, 0, 1]))
         assert out.coeffs.tolist() == [-0.75 + 0j, 0j, 1 + 0j]
+
+    def test_overflow_is_infinite_without_a_warning(self):
+        # alpha_0 beta_0 = 1e600 and 2 alpha_1 beta_1 = 5e309 leave the
+        # double range; the top coefficient stays 1.
+        out = grace_convolve(
+            Polynomial([1e300, 1e300, 1]), Polynomial([1e300, 1e10, 1])
+        )
+        assert np.isinf(out.coeffs[:2]).all()
+        assert out.coeffs[2] == 1
 
     def test_convolution_identity_with_solver(self):
         rng = np.random.default_rng(29)

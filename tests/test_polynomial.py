@@ -249,6 +249,14 @@ class TestDerivative:
         out = derivative_k(Polynomial([0, 0, 1e15, 0, 1]), 2)
         assert out.coeffs.tolist() == [2e15 + 0j, 0j, 12 + 0j]
 
+    def test_overflow_is_infinite_without_a_warning(self):
+        # (z^300)^(100) = 300!/200! z^200: 1e300 times that exceeds the
+        # double range; the pyproject filter makes a warning an error.
+        out = derivative_k(Polynomial([0] * 300 + [1e300]), 100)
+        assert out.degree == 200
+        assert out.coeffs[-1] == math.inf
+        assert (out.coeffs[:-1] == 0).all()
+
     def test_linearity(self):
         rng = np.random.default_rng(17)
         for _ in range(25):
@@ -334,6 +342,14 @@ class TestBinomialForm:
             p = Polynomial(rng.normal(size=deg + 1) + 1j * rng.normal(size=deg + 1))
             back = from_binomial(binomial_coeffs(p))
             assert coeffs_close(p, back, 1e-12)
+
+    def test_overflow_is_infinite_without_a_warning(self):
+        # 1e300 C(599, j) leaves the double range for all but the four
+        # coefficients at each end, with no warning.
+        out = from_binomial(np.full(600, 1e300 + 0j)).coeffs
+        big = np.abs(out) == math.inf
+        assert big.sum() == 592
+        assert np.isfinite(out[~big]).all()
 
 
 class TestScalars:

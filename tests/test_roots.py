@@ -1,6 +1,8 @@
+import ast
 import cmath
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,6 +28,7 @@ from polarpoly.roots import (
     RootSet,
     _aberth,
     _Evaluator,
+    _horner_comp,
     _hull_starts,
     _newton_polish,
     _powers,
@@ -44,6 +47,7 @@ from oracles import (
     quotient_polar_solution,
     sort_roots,
     two_pass_aberth,
+    two_prod,
 )
 
 EPS = 2.0**-52
@@ -354,6 +358,22 @@ class TestCompensatedHorner:
             size = sum(abs(c) * abs(x) ** i for i, c in enumerate(col))
             assert err <= EPS * exact + n**2 * EPS**2 * size
 
+    def test_products_match_two_product(self):
+        # compensated() squares y through _horner_comp, as 0 + a x at
+        # x = b with a = b = y; any a and b give the bits of TwoProduct
+        # and its error term, also at scales 1e-150 and 1e150, on the
+        # axes and at signed zeros.
+        rng = np.random.default_rng(2000)
+        signed = [complex(x, y) for x in (0.0, -0.0) for y in (0.0, -0.0)]
+        for scale in (1e-150, 1e-8, 1.0, 1e8, 1e150):
+            a, b = scale * (rng.normal(size=(2, 400, 2)) @ [1.0, 1j])
+            axes = np.concatenate([a.real + 0j, 1j * a.imag, -a.real - 0j])
+            axes = np.concatenate([axes, signed])
+            for x, y in ((a, b), (a, a), (axes, axes), (a.real * (1 + 1j), b)):
+                got = _horner_comp(np.stack([np.zeros_like(x), x]), y)
+                for g, w in zip(got, two_prod(x, y)):
+                    assert g.tobytes() == w.tobytes()
+
     def test_at_zeros_of_s(self):
         # Near the zeros the terms cancel to about 1e-16 of their size;
         # |w| runs from 0.5 to 2, so both forms are taken.
@@ -576,9 +596,8 @@ class TestSharedPipeline:
         )
 
     def test_zeros_run_from_the_start_vector_it_is_handed(self, monkeypatch):
-        # The vector is taken as it is where no zero lies at 0; where
-        # one does, fewer zeros are left than it holds, and the
-        # sweeps start from _starts of the rest.
+        # The vector is taken as it is; where a zero lies at 0 the caller
+        # (find_roots, q_zeros) splits it off first.
         seen = []
         real_aberth = roots._aberth
 
@@ -589,15 +608,11 @@ class TestSharedPipeline:
         monkeypatch.setattr(roots, "_aberth", recording)
         start = np.array([0.9 + 0.1j, -1.1 - 0.2j, 0.1 + 1.2j])
         p = poly_from_roots([1.0, -1.0, 1j])
-        rs = roots._zeros(p, start)
+        rs = roots._zeros(_Evaluator(p.coeffs), start)
         assert seen[-1].tobytes() == start.tobytes()
         assert sort_roots(rs.roots) == pytest.approx(
             sort_roots([1.0, -1.0, 1j]), abs=1e-14
         )
-        at_zero = poly_from_roots([0.0, -1.0, 1j])
-        roots._zeros(at_zero, start)
-        a = at_zero.coeffs[1:]
-        assert seen[-1].tobytes() == roots._starts(a).tobytes()
 
     def test_find_roots_evaluates_no_iterate_twice_in_a_row(self, monkeypatch):
         # The polish starts from the values of the sweep each root
@@ -768,6 +783,21 @@ class TestSharedPipeline:
         assert rs.max_residual == 2 * EPS
         assert rs.converged
         assert _root_set(z[:1], [], [], False).max_residual == 0.0
+
+    def test_no_other_module_runs_the_sweeps_or_the_polish(self):
+        # One search: only roots._zeros runs _aberth and _newton_polish,
+        # so no module of the package but roots.py names either.
+        package = Path(roots.__file__).parent
+        pieces = {"_aberth", "_newton_polish"}
+        for path in sorted(package.glob("*.py")):
+            if path.name == "roots.py":
+                continue
+            for node in ast.walk(ast.parse(path.read_text())):
+                names = {
+                    getattr(node, field, None)
+                    for field in ("id", "attr", "name", "asname")
+                }
+                assert not names & pieces, f"{path.name}:{node.lineno}"
 
 
 class TestTopDegree:

@@ -11,6 +11,7 @@ from polarpoly.polynomial import (
     sup_norm,
 )
 from polarpoly import verify
+from polarpoly.errors import NonFiniteError
 from polarpoly.polar import GraceFactorization, PolarProblem, solve_polar
 from polarpoly.regions import LocalizationReport, Witness
 from polarpoly.verify import (
@@ -63,6 +64,34 @@ class TestResidualNorm:
             residual_norm(p, poly_from_roots([0.5, 0.5]), corrupted)
             > 1e-9 * scale
         )
+
+    def test_reads_inf_without_a_warning_where_the_image_overflows(self):
+        # The n = 1000 draw of test_polar's TestSameBitsAsScalarLoops:
+        # for a k = 20 and a k = 50 problem R*Q is finite (max |Q| 5.9e301
+        # and 2.3e300) and its k-th derivative is not.  The pyproject
+        # filter turns a RuntimeWarning into an error.
+        n = 1000
+        rng = np.random.default_rng(n)
+        readings = []
+        for k in (1, 2, 3, 4, 5, 20, 50):
+            p = poly_from_roots(unit_disk(rng, n))
+            for prob in (
+                PolarProblem.centered(p, 0.3 + 0.2j, k),
+                PolarProblem.centered(p, -1.5j, k),
+                PolarProblem(p, poly_from_roots(2.0 * unit_disk(rng, k))),
+            ):
+                try:
+                    q = solve_polar(prob)
+                except NonFiniteError:
+                    continue
+                readings.append((k, residual_norm(p, prob.R, q)))
+                rng.normal(size=(2, n + k + 1))
+        assert [k for k, r in readings if r == math.inf] == [20, 50]
+        assert all(math.isfinite(r) for _, r in readings if r != math.inf)
+
+
+def unit_disk(rng, count):
+    return np.sqrt(rng.random(count)) * np.exp(2j * np.pi * rng.random(count))
 
 
 class TestSuiteConfig:
