@@ -1,6 +1,6 @@
 """Numerical zeros of complex polynomials.
 
-Simultaneous Aberth-Ehrlich iteration with a short Newton polish per
+Simultaneous Aberth-Ehrlich iteration with one Newton polish step per
 root.  There is no randomness anywhere: the starts are a fixed function
 of the input, so identical inputs give bit-identical outputs on one
 build.  The last bits follow numpy's SIMD paths and, up to
@@ -33,11 +33,13 @@ together, also when both approach the same zero and another is missed.
 One polish rule follows: a Newton step is kept only where the
 normwise residual |p|/noise drops.  |p| alone can drop on a long step
 to where every term of p is smaller, while the residual there is far
-larger.  Roots whose attainable plain accuracy is poor (heavy
-coefficient cancellation) get one more such step with the value from
-compensated Horner (Graillat, Langlois and Louvet), which is as
-accurate as evaluation in twice the working precision.  At every size
-it runs within the evaluator's blocks, then over the blocks in x^b.
+larger.  The polish is one step: after it p is at the rounding level
+of its Horner value, which a further step only re-samples (Higham
+5.1).  Roots whose attainable plain accuracy is poor (heavy
+cancellation) get one more step with the value from compensated Horner
+(Graillat, Langlois and Louvet), as accurate as evaluation in twice the
+working precision, within the evaluator's blocks, then over the blocks
+in x^b.
 
 One search, ``_zeros``, finds the zeros of P, Q and S: the sweeps
 (``_aberth``) from a start vector, the polish (``_newton_polish``) and,
@@ -88,7 +90,7 @@ class RootSet:
 
     ``roots`` has length equal to the degree (multiplicity included) and
     is ordered by nondecreasing modulus, ties by ascending argument in
-    (-pi, pi].  ``max_residual`` is the normwise residual
+    (-pi, pi], NaN zeros last.  ``max_residual`` is the normwise residual
     max_j |p(root_j)| / sum_i |coeff_i| |root_j|^i, a few eps at best.
     ``converged`` holds where every zero settled within the sweeps and
     ``max_residual`` is at most ``_RESIDUAL_TOL`` (1e-9).
@@ -321,29 +323,22 @@ def _horner_comp(
     return p[0] + 1j * p[1], err
 
 
-def _newton_polish(evaluate, z, pv, dv, noise, steps: int = 3):
-    # Up to ``steps`` Newton steps from z, where pv, dv and noise are
-    # p, p' and the noise floor, each step kept only where it lowers
-    # the normwise residual |p|/noise, so never from p' = 0.
+def _newton_polish(evaluate, z, pv, dv, noise):
+    # One Newton step from z, where pv, dv and noise are p, p' and the
+    # noise floor; a further step would only re-sample the rounding of
+    # p (module docstring).  It is kept only where it lowers the
+    # normwise residual |p|/noise, so never from p' = 0, and is not
+    # evaluated where it rounds back to z, where it would be refused.
     # ``evaluate`` gives those three at new points, in any per-point
     # scale that varies smoothly with z; returns z and the three at z.
-    # A point whose step was refused would take the same step again,
-    # and one whose step rounds back to it would be refused, so only
-    # points whose last step was kept and moved them are stepped.
     z, pv, dv, noise = (np.array(v) for v in (z, pv, dv, noise))
-    live = np.arange(len(z))
-    for _ in range(steps):
-        zl, pl, dl = z[live], pv[live], dv[live]
-        cand = np.where(dl == 0, zl, zl - pl / np.where(dl == 0, 1.0, dl))
-        moved = cand != zl
-        live, cand, pl = live[moved], cand[moved], pl[moved]
-        if not live.size:
-            break
-        pc, dc, nc = evaluate(cand)
-        improved = np.abs(pc) / nc < np.abs(pl) / noise[live]
-        live = live[improved]
-        for out, new in zip((z, pv, dv, noise), (cand, pc, dc, nc)):
-            out[live] = new[improved]
+    cand = np.where(dv == 0, z, z - pv / np.where(dv == 0, 1.0, dv))
+    live = np.flatnonzero(cand != z)
+    if live.size:
+        pc, dc, nc = evaluate(cand[live])
+        kept = np.abs(pc) / nc < np.abs(pv[live]) / noise[live]
+        for out, new in zip((z, pv, dv, noise), (cand[live], pc, dc, nc)):
+            out[live[kept]] = new[kept]
     return z, pv, dv, noise
 
 
@@ -411,10 +406,14 @@ def _aberth(
 
 
 def _sort_key(z: complex):
+    # A total order: NaN zeros last, and ties broken by repr, so that
+    # the order does not depend on the order the zeros come in.
+    if cmath.isnan(z):
+        return (True, 0.0, 0.0, repr(z))
     phase = cmath.phase(z)
     if phase <= -math.pi:
         phase = math.pi
-    return (abs(z), phase)
+    return (False, abs(z), phase, repr(z))
 
 
 def _root_set(z, p, noise, converged: bool) -> RootSet:
@@ -487,7 +486,7 @@ def _zeros(evaluate, starts, tol=_DEFAULT_TOL, max_iter=_DEFAULT_MAX_ITER):
             zp = z[poor]
             z[poor], pv[poor], _, noise[poor] = _newton_polish(
                 lambda v: (evaluate.compensated(v), *evaluate(v)[1:]),
-                zp, evaluate.compensated(zp), dv[poor], noise[poor], 1
+                zp, evaluate.compensated(zp), dv[poor], noise[poor]
             )
     return _root_set(z, pv, noise, converged)
 

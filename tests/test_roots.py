@@ -142,6 +142,26 @@ class TestOrdering:
         assert abs(rs.roots[0] - 1) <= 1e-12
         assert abs(rs.roots[1] - (-1)) <= 1e-12
 
+    def test_nan_zeros_last_in_any_input_order(self):
+        # The 39 zeros of modulus 1e-8 whose root set find_roots returns
+        # all NaN, with some replaced by NaN values: in two orders of
+        # the same values _root_set gives the same roots, finite zeros
+        # by modulus and NaN zeros after them.
+        rng = np.random.default_rng(0)
+        z = 1e-8 * np.sqrt(rng.random(39)) * np.exp(2j * np.pi * rng.random(39))
+        z[::4] = complex(math.nan, math.nan)
+        z[1::8] = complex(math.nan, 1.0)
+        z[2::8] = complex(1.0, math.nan)
+        got = [
+            _root_set(v, np.zeros(39), np.ones(39), True).roots
+            for v in (z, rng.permutation(z))
+        ]
+        assert repr(got[0]) == repr(got[1])
+        nan = [cmath.isnan(r) for r in got[0]]
+        assert nan == sorted(nan)
+        mods = [abs(r) for r in got[0] if not cmath.isnan(r)]
+        assert mods == sorted(mods)
+
     def test_nondecreasing_modulus(self):
         rng = np.random.default_rng(5)
         for _ in range(10):
@@ -618,6 +638,9 @@ class TestSharedPipeline:
         # The polish starts from the values of the sweep each root
         # settled in and leaves out steps that round back to their
         # point, so no call evaluates a point the call before it did.
+        # Up to degree _EIG_MAX one sweep from the eigenvalues settles
+        # every zero, and the one polish step makes the second and last
+        # call; the Q of degree 64 takes several sweeps from the polygon.
         calls = []
 
         class Counting(_Evaluator):
@@ -629,10 +652,14 @@ class TestSharedPipeline:
         rng = np.random.default_rng(11)
         polys = [[1.0, 1j] @ rng.normal(size=(2, n + 1)) for n in (3, 12, 40)]
         polys.append(centered_q(64, 64, 0.6).coeffs)
+        polys += [[1.0, 1j] @ rng.normal(size=(2, 9)) for _ in range(3)]
         for a in polys:
             calls.clear()
             find_roots(Polynomial(a))
-            assert len(calls) > 2
+            if len(a) <= roots._EIG_MAX + 1:
+                assert len(calls) == 2
+            else:
+                assert len(calls) > 2
             for before, after in zip(calls, calls[1:]):
                 assert not np.isin(after, before).any()
 
@@ -712,66 +739,20 @@ class TestSharedPipeline:
 
     def test_polish_keeps_step_that_lowers_normwise_residual(self):
         # Same step, same |p| drop, but the noise floor stays: kept, and
-        # only as many steps as asked for are taken.
+        # it is the only step, though a second would lower |p| again.
+        calls = []
+
         def evaluate(z):
+            calls.append(z.copy())
             p = 0.5**z.real + 0j
             return p, np.full(z.shape, -1.0 + 0j), np.ones(z.shape)
 
         z0 = np.zeros(1, complex)
-        z, p, _, _ = _newton_polish(evaluate, z0, *evaluate(z0), 1)
+        start = evaluate(z0)
+        calls.clear()
+        z, p, _, _ = _newton_polish(evaluate, z0, *start)
         assert (z[0], p[0]) == (1, 0.5)
-        want = 0.0
-        for _ in range(3):
-            want += 0.5**want
-        z, p, _, _ = _newton_polish(evaluate, z0, *evaluate(z0))
-        assert (z[0], p[0]) == (want, 0.5**want)
-
-    def test_polish_steps_only_points_whose_step_was_kept(self):
-        # Zeros of a degree-40 polynomial, some exact to the last bit
-        # (their first step rounds back to them or is refused) and some
-        # moved off by 1e-6 to 1e-3 (kept for a step or more).  A refused
-        # point would take the same step again, and a step that rounds
-        # back would be refused, so neither is evaluated, and the result
-        # is that of stepping every point every round.
-        rng = np.random.default_rng(7)
-        a = [1.0, 1j] @ rng.normal(size=(2, 41))
-        zeros = np.array(find_roots(Polynomial(a)).roots)
-        moved = np.arange(40) % 3 != 0
-        off = 10.0 ** -rng.uniform(3, 6, 40)
-        off = off * np.exp(2j * np.pi * rng.random(40))
-        z0 = np.where(moved, zeros + off, zeros)
-        calls = []
-
-        def counting(v):
-            calls.append(v.copy())
-            return _Evaluator(a)(v)
-
-        # Reference: every point stepped every round, from the values
-        # at z0, which the polish takes and does not evaluate again.
-        start = z0, *_Evaluator(a)(z0)
-        want = start
-        stepped = []
-        live = np.ones(40, bool)
-        for _ in range(3):
-            z, pv, dv, noise = want
-            cand = np.where(dv == 0, z, z - pv / np.where(dv == 0, 1.0, dv))
-            live &= cand != z
-            if not live.any():
-                break
-            stepped.append(int(live.sum()))
-            pc, dc, nc = _Evaluator(a)(cand)
-            kept = np.abs(pc) * noise < np.abs(pv) * nc
-            want = tuple(
-                np.where(kept, new, old)
-                for new, old in zip((cand, pc, dc, nc), want)
-            )
-            live = kept
-        got = _newton_polish(counting, *start)
-        for g, w in zip(got, want):
-            assert (g == w).all()
-        assert (start[0] == z0).all()
-        assert 0 < stepped[1] < stepped[0] < 40
-        assert [len(v) for v in calls] == stepped
+        assert len(calls) == 1
 
     def test_root_set_orders_and_skips_exact_zeros(self):
         # Zeros found exactly have no polish values; the residual is the
@@ -927,9 +908,11 @@ class TestCompanionStarts:
         d = (1.0 + 10.0**-k) - 1.0
         rs = find_roots(Polynomial([1.0 + d, -2.0, 1.0]))
         assert rs.converged
-        want = (1 - 1j * math.sqrt(d), 1 + 1j * math.sqrt(d))
-        for got, w in zip(rs.roots, want):
-            assert abs(got - w) <= 4 * EPS / math.sqrt(d)
+        # Both zeros have the same exact modulus, so their computed
+        # order is rounding: each is matched to its nearest zero.
+        got = np.array(rs.roots)
+        for w in (1 - 1j * math.sqrt(d), 1 + 1j * math.sqrt(d)):
+            assert np.abs(got - w).min() <= 4 * EPS / math.sqrt(d)
 
     @pytest.mark.parametrize("n", [2, 3, 5, 8, 12, 16, 24, 32, 40])
     def test_multiple_zero_and_wilkinson(self, n):
