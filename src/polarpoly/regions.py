@@ -201,10 +201,12 @@ def enclosing_disk(points) -> Region:
     order, and sorted input, such as zeros ordered by modulus, does not
     meet a new extreme point at almost every step, as it would in its
     own order, where the search turns quadratic.  The returned radius
-    is raised to the exact farthest point distance, so every input
-    point has a nonnegative membership margin.  A NaN or infinite
-    point raises NonFiniteError, and so do finite points for which a
-    distance or the disk itself leaves the double range.
+    is raised to the farthest point distance as ``region_contains``
+    measures it, by numpy's complex modulus (np.abs, which differs from
+    Python's abs in the last bit), so every input point has a
+    nonnegative membership margin.  A NaN or infinite point raises
+    NonFiniteError, and so do finite points for which a distance or
+    the disk itself leaves the double range.
     """
     pts = [complex(p) for p in points]
     if not pts:
@@ -231,9 +233,10 @@ def enclosing_disk(points) -> Region:
                         circle = _circumcircle(p, q, s)
                         if circle is not None:
                             center, radius = circle
-        radius = max(radius, max(abs(p - center) for p in pts))
     except OverflowError:  # a distance beyond the double range
         radius = math.inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        radius = max(radius, float(np.abs(np.array(pts) - center).max()))
     if not (cmath.isfinite(center) and math.isfinite(radius)):
         raise NonFiniteError("the enclosing disk exceeds the double range")
     return Region(kind="disk", center=center, radius=radius, closed=True)

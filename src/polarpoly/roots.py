@@ -54,7 +54,6 @@ no iterate is evaluated twice.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, replace
 
@@ -89,9 +88,9 @@ class RootSet:
     """All zeros of a polynomial, with residual diagnostics.
 
     ``roots`` has length equal to the degree (multiplicity included) and
-    is ordered by nondecreasing modulus, ties by ascending argument in
-    (-pi, pi], NaN zeros last.  ``max_residual`` is the normwise residual
-    max_j |p(root_j)| / sum_i |coeff_i| |root_j|^i, a few eps at best.
+    is ordered by modulus, then argument in (-pi, pi], then real and
+    imaginary part, NaN zeros last.  ``max_residual`` is the normwise
+    residual max_j |p(root_j)| / sum_i |coeff_i| |root_j|^i, a few eps at best.
     ``converged`` holds where every zero settled within the sweeps and
     ``max_residual`` is at most ``_RESIDUAL_TOL`` (1e-9).
     """
@@ -405,24 +404,20 @@ def _aberth(
     return (z, pz, dz, nz), not active.size
 
 
-def _sort_key(z: complex):
-    # A total order: NaN zeros last, and ties broken by repr, so that
-    # the order does not depend on the order the zeros come in.
-    if cmath.isnan(z):
-        return (True, 0.0, 0.0, repr(z))
-    phase = cmath.phase(z)
-    if phase <= -math.pi:
-        phase = math.pi
-    return (False, abs(z), phase, repr(z))
-
-
 def _root_set(z, p, noise, converged: bool) -> RootSet:
-    # The zeros z, ordered, with the normwise residual max 4 eps |p| /
-    # noise over the values p and noise floors the polish ended with
-    # (zeros found exactly may be left out of p and noise).
+    # The zeros z in RootSet's order, total, so that it does not depend
+    # on the order they come in (np.hypot is Python's abs bit for bit,
+    # np.abs is not; the sign bits tell signed zeros apart), with the
+    # normwise residual max 4 eps |p| / noise over the values p and noise
+    # floors the polish ended with (zeros found exactly may be left out).
+    z = np.asarray(z, complex)
+    x, y = z.real, z.imag
+    arg = np.arctan2(y, x)
+    arg[arg <= -math.pi] = math.pi
+    keys = np.signbit(y), ~np.signbit(x), y, x, arg, np.hypot(x, y)
     with np.errstate(invalid="ignore", divide="ignore"):
         residual = float((4.0 * _EPS * np.abs(p) / noise).max(initial=0.0))
-    roots = tuple(sorted(np.asarray(z, complex).tolist(), key=_sort_key))
+    roots = tuple(z[np.lexsort((*keys, np.isnan(z)))].tolist())
     converged = converged and residual <= _RESIDUAL_TOL
     return RootSet(roots=roots, max_residual=residual, converged=converged)
 
@@ -451,9 +446,8 @@ def find_roots(
     Returns
     -------
     RootSet
-        Zeros with multiplicity, ordered by (modulus, argument), with
-        the normwise residual and ``converged``, False for a result
-        that ran out of iterations or whose residual exceeds 1e-9.
+        Zeros with multiplicity in ``RootSet``'s order, with the
+        normwise residual and ``converged`` as ``RootSet`` states them.
     """
     if not np.isfinite(p.coeffs).all():
         raise NonFiniteError("coefficients must be finite")

@@ -63,6 +63,18 @@ def sort_roots(roots):
     return sorted((complex(r) for r in roots), key=key)
 
 
+def root_order_key(z):
+    """The key the library once sorted zeros by, one zero at a time:
+    NaN zeros last, then modulus and argument in (-pi, pi], ties by
+    repr."""
+    if cmath.isnan(z):
+        return (True, 0.0, 0.0, repr(z))
+    phase = cmath.phase(z)
+    if phase <= -math.pi:
+        phase = math.pi
+    return (False, abs(z), phase, repr(z))
+
+
 def closed_form_roots(coeffs):
     """Roots of a degree <= 2 polynomial via the stable quadratic formula."""
     c = [complex(v) for v in coeffs]
@@ -709,7 +721,7 @@ def two_boundary_disk(points):
         if circle is None or not _in_circle(*circle, p):
             circle = one_boundary(pts[: i + 1], p)
     center, radius = circle
-    return center, max(radius, max(abs(p - center) for p in pts))
+    return center, max(radius, float(np.abs(np.array(pts) - center).max()))
 
 
 def two_pass_aberth(z, evaluate, tol=1e-12, max_iter=200):

@@ -245,6 +245,20 @@ class TestEnclosingDisk:
             for p in pts:
                 assert region_contains(disk, p) >= -1e-12 * (1 + disk.radius)
 
+    def test_every_point_has_a_nonnegative_margin(self):
+        # The promise with no tolerance: the radius is the largest
+        # distance as region_contains measures it (np.abs).  Raised by
+        # Python's abs (libm hypot) instead, some point of 644 of these
+        # 3000 sets lay outside by up to 2.5e-16 of the radius.
+        rng = np.random.default_rng(0)
+        for _ in range(3000):
+            n = rng.integers(2, 60)
+            z = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) * (
+                10 ** rng.uniform(-3, 3)
+            )
+            disk = enclosing_disk(z)
+            assert (region_contains(disk, z) >= 0.0).all()
+
     def test_sorted_input_stays_linear(self, monkeypatch):
         # Points sorted by modulus, the order find_roots returns zeros
         # in: visited in that order, nearly every point is a new extreme

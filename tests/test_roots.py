@@ -45,6 +45,7 @@ from oracles import (
     newton_zero,
     normwise_residual,
     quotient_polar_solution,
+    root_order_key,
     sort_roots,
     two_pass_aberth,
     two_prod,
@@ -161,6 +162,49 @@ class TestOrdering:
         assert nan == sorted(nan)
         mods = [abs(r) for r in got[0] if not cmath.isnan(r)]
         assert mods == sorted(mods)
+
+    def test_same_order_as_the_per_zero_key(self):
+        # _root_set's arrays reproduce the per-zero key: on zeros of
+        # random, real (conjugate pairs), z^n - 1 (all moduli one) and
+        # zero-at-0 polynomials and on zeros of S, handed over shuffled.
+        rng = np.random.default_rng(11)
+        sets = [s_zeros(n, k).roots for n, k in ((7, 1), (30, 3), (120, 5))]
+        for n in (1, 2, 3, 4, 6, 9, 16, 25, 41, 64):
+            unity = np.zeros(n + 1)
+            unity[[0, n]] = -1, 1
+            c = rng.standard_normal(n + 1) + 1j * rng.standard_normal(n + 1)
+            c[: rng.integers(1, n + 1)] = 0
+            sets += [
+                find_roots(Polynomial(unity)).roots,
+                find_roots(Polynomial(rng.standard_normal(n + 1))).roots,
+                find_roots(Polynomial(c)).roots,
+            ]
+        for roots in sets:
+            assert list(roots) == sorted(roots, key=root_order_key)
+            z = rng.permutation(np.array(roots))
+            want = tuple(sorted(z.tolist(), key=root_order_key))
+            assert repr(_root_set(z, [], [], True).roots) == repr(want)
+
+    def test_order_of_nan_and_signed_zeros_ignores_input_order(self):
+        # A total order: 20 shuffles of NaN zeros, signed zeros and equal
+        # moduli give one order.  The sign bits put 0j before -0j, where
+        # the per-zero key's repr put -0j first; every other tie here
+        # comes out as that key orders it.
+        nan = math.nan
+        z = np.array([
+            complex(nan, 1), complex(1, nan), complex(nan, nan), 0j,
+            complex(0, -0.0), complex(-0.0, 0), 0.3 + 0.4j, 0.3 - 0.4j,
+            1j, complex(-0.0, 1),
+        ])
+        rng = np.random.default_rng(13)
+        got = {
+            repr(_root_set(rng.permutation(z), [], [], True).roots)
+            for _ in range(20)
+        }
+        assert got == {
+            "(0j, -0j, (-0+0j), (0.3-0.4j), (0.3+0.4j), (-0+1j), 1j, "
+            "(1+nanj), (nan+1j), (nan+nanj))"
+        }
 
     def test_nondecreasing_modulus(self):
         rng = np.random.default_rng(5)
