@@ -3,17 +3,22 @@
 Subcommands map one to one onto library operations; results are JSON on
 stdout (or CSV with --format csv), diagnostics go to stderr.  Exit
 codes: 0 success, 1 domain errors (reported as structured JSON with an
-"error" field), 2 usage errors.
+"error" field), 2 usage errors, 141 (128 + SIGPIPE) when the reader of
+stdout has gone.
+
+Importing this module loads what every command needs; ``verify``,
+``svgplot`` and ``csv`` are imported by the commands and options that
+use them.
 """
 
 from __future__ import annotations
 
 import argparse
 import cmath
-import csv
 import functools
 import json
 import math
+import os
 import sys
 
 from .errors import DomainError
@@ -35,8 +40,6 @@ from .polynomial import (
 )
 from .regions import Region, enclosing_disk, localization_check, polar_zero_bound
 from .roots import find_roots, max_modulus
-from .svgplot import render_scene
-from .verify import SuiteConfig, reproduce_paper_examples, run_property_suite
 
 
 def parse_complex(text: str) -> complex:
@@ -255,7 +258,7 @@ def _cmd_roots(args, parser):
     P = _require_poly(args, parser)
     rs = find_roots(P, tol=args.tol)
     rows = (["index", "re", "im"], _index_rows(rs.roots))
-    scene = render_scene([("zero", rs.roots)]) if args.svg else None
+    scene = ([("zero", rs.roots)], ()) if args.svg else None
     return rs, rows, scene, 0
 
 
@@ -310,9 +313,8 @@ def _cmd_localize(args, parser):
     )
     scene = None
     if args.svg:
-        scene = render_scene(
-            [("Q zero", q_roots.roots), ("S zero", s_roots.roots)], [region]
-        )
+        series = [("Q zero", q_roots.roots), ("S zero", s_roots.roots)]
+        scene = (series, [region])
     return payload, rows, scene, 0
 
 
@@ -344,12 +346,16 @@ def _report_rows(report):
 
 
 def _cmd_verify(args, parser):
+    from .verify import SuiteConfig, run_property_suite
+
     report = run_property_suite(SuiteConfig(seed=args.seed, cases=args.cases))
     code = 0 if report.all_passed else 1
     return report.to_dict(), _report_rows(report), None, code
 
 
 def _cmd_paper_examples(args, parser):
+    from .verify import reproduce_paper_examples
+
     report = reproduce_paper_examples()
     code = 0 if report.all_passed else 1
     return report.to_dict(), _report_rows(report), None, code
@@ -359,16 +365,47 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        code = _respond(args, parser)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader of stdout has gone (``polarpoly ... | head -1``).
+        # End as a process killed by SIGPIPE would, without a traceback;
+        # fd 1 now points at devnull, so the flush at exit cannot fail.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
+    return code
+
+
+def _respond(args, parser) -> int:
+    # Runs the command and writes its output; returns the exit code.  A
+    # command returns its payload, its CSV rows, and what ``--svg``
+    # draws (``render_scene``'s arguments) or None.
+    try:
         payload, rows, scene, code = args.func(args, parser)
     except DomainError as exc:
         out = {"error": exc.code, "message": str(exc), **exc.details}
         print(json.dumps(jsonable(out), sort_keys=True))
         return 1
     if scene is not None:
-        with open(args.svg, "w", encoding="utf-8") as fh:
-            fh.write(scene)
+        from .svgplot import render_scene
+
+        svg = render_scene(*scene)
+        try:
+            with open(args.svg, "w", encoding="utf-8") as fh:
+                fh.write(svg)
+        except OSError as exc:
+            # A path that cannot be written is a usage error.
+            print(
+                f"polarpoly: error: cannot write {args.svg}: {exc.strerror}",
+                file=sys.stderr,
+            )
+            return 2
         print(f"wrote {args.svg}", file=sys.stderr)
     if args.format == "csv":
+        import csv
+
         writer = csv.writer(sys.stdout)
         header, body = rows
         writer.writerow(header)

@@ -29,12 +29,14 @@ from __future__ import annotations
 import dataclasses
 import functools
 import itertools
-import json
 import math
 import operator
+from typing import TYPE_CHECKING
 
 import numpy as np
-from numpy.typing import ArrayLike
+
+if TYPE_CHECKING:
+    from numpy.typing import ArrayLike
 
 MONIC_TOL = 1e-12
 
@@ -278,11 +280,14 @@ def jsonable(value):
     return value
 
 
-# Every scalar of a tree in one call; the C encoder escapes any line
-# break inside a string, so its output splits at its separator.
-_scalars_text = json.JSONEncoder(separators=("\n", ":")).encode
-# One scalar, as the key of a dict is written.
-_compact = json.JSONEncoder(separators=(",", ":")).encode
+@functools.cache
+def _encoder(separators: tuple[str, str]):
+    # A JSON encoder's ``encode``, built on first use: writing JSON is
+    # the last step of a command, and importing this module need not
+    # pay for ``json``.
+    import json
+
+    return json.JSONEncoder(separators=separators).encode
 
 
 def json_text(value) -> str:
@@ -298,7 +303,9 @@ def json_text(value) -> str:
     parts: list[str] = []
     leaves: list = []
     _layout(value, "\n", parts, leaves)
-    texts = _scalars_text(leaves)[1:-1].split("\n") if leaves else ()
+    # Every scalar of the tree in one call; the C encoder escapes any
+    # line break inside a string, so its output splits at its separator.
+    texts = _encoder(("\n", ":"))(leaves)[1:-1].split("\n") if leaves else ()
     return "".join(parts) % tuple(texts)
 
 
@@ -343,7 +350,7 @@ def _layout(value, nl: str, parts: list[str], leaves: list) -> None:
 def _key(key) -> str:
     # A dict key as the standard library writes it, before quoting.
     if key is None or isinstance(key, (int, float)):
-        return _compact(key)
+        return _encoder((",", ":"))(key)
     if not isinstance(key, str):
         raise TypeError(
             "keys must be str, int, float, bool or None, "

@@ -9,17 +9,24 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 @pytest.fixture
-def run_cli(tmp_path):
+def src_env():
+    """The environment of a child interpreter that imports this
+    checkout's polarpoly."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
+    return env
+
+
+@pytest.fixture
+def run_cli(tmp_path, src_env):
     """Invoke the CLI in a subprocess, working inside a temp directory."""
 
     def _run(*args, cwd=None):
-        env = dict(os.environ)
-        env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
         return subprocess.run(
             [sys.executable, "-m", "polarpoly", *args],
             capture_output=True,
             text=True,
-            env=env,
+            env=src_env,
             cwd=cwd or tmp_path,
         )
 

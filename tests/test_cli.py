@@ -4,6 +4,8 @@ import io
 import json
 import math
 import os
+import subprocess
+import sys
 from dataclasses import replace
 import xml.etree.ElementTree as ET
 from pathlib import Path
@@ -619,7 +621,7 @@ class TestSvgOutput:
         def refuse(*args, **kwargs):
             raise AssertionError("render_scene called without --svg")
 
-        monkeypatch.setattr(cli, "render_scene", refuse)
+        monkeypatch.setattr("polarpoly.svgplot.render_scene", refuse)
         for argv in (
             ["localize", "--P", "[[-0.25,0],[0,0],[1,0]]",
              "--xi", "0", "--k", "1"],
@@ -637,6 +639,33 @@ class TestSvgOutput:
         )
         after = set(os.listdir(tmp_path))
         assert after - before == {"out.svg"}
+
+
+class TestOutputFailures:
+    def test_closed_stdout_ends_like_sigpipe(self, tmp_path, src_env):
+        # ``polarpoly localize ... | head -1``: the reader goes before
+        # the output is written.
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "polarpoly", "localize",
+             "--P-roots", ZEROS64, "--xi=0.5", "--k", "2"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            env=src_env, cwd=tmp_path,
+        )
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 141
+        assert stderr == b""
+
+    def test_unwritable_svg_is_a_usage_error(self, run_cli, tmp_path):
+        target = tmp_path / "missing" / "x.svg"
+        out = run_cli("roots", "--P", "[[1,0],[1,0]]", "--svg", str(target))
+        assert out.returncode == 2
+        assert out.stdout == ""
+        assert out.stderr.splitlines() == [
+            f"polarpoly: error: cannot write {target}: "
+            "No such file or directory"
+        ]
 
 
 class TestSuiteCommands:
