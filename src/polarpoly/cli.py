@@ -38,7 +38,13 @@ from .polynomial import (
     poly_from_pairs,
     poly_from_roots,
 )
-from .regions import Region, enclosing_disk, localization_check, polar_zero_bound
+from .regions import (
+    CONTAINMENT_TOL,
+    Region,
+    enclosing_disk,
+    localization_check,
+    polar_zero_bound,
+)
 from .roots import find_roots, max_modulus
 
 
@@ -194,7 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="region JSON; default is the minimum enclosing disk of "
         "the shifted zeros of P",
     )
-    localize.add_argument("--tol", type=_tolerance, default=1e-6)
+    localize.add_argument("--tol", type=_tolerance, default=CONTAINMENT_TOL)
     _add_output_flags(localize, svg=True)
     localize.set_defaults(func=_cmd_localize)
 

@@ -186,15 +186,19 @@ def sup_norm(p: Polynomial) -> float:
 
 
 def coeff_diff(p: Polynomial, q: Polynomial) -> np.ndarray:
-    """Coefficient-wise p - q, the shorter one padded with zeros."""
+    """Coefficient-wise p - q, the shorter one padded with zeros; a
+    difference beyond the double range comes out infinite, and two
+    infinite coefficients give NaN."""
     out = np.zeros(max(p.coeffs.size, q.coeffs.size), np.complex128)
     out[: p.coeffs.size] = p.coeffs
-    out[: q.coeffs.size] -= q.coeffs
+    with np.errstate(over="ignore", invalid="ignore"):
+        out[: q.coeffs.size] -= q.coeffs
     return out
 
 
 def max_coeff_diff(p: Polynomial, q: Polynomial) -> float:
-    """Infinity norm of the coefficient-wise difference."""
+    """Infinity norm of the coefficient-wise difference; inf or NaN as
+    :func:`coeff_diff` gives them."""
     return float(np.abs(coeff_diff(p, q)).max())
 
 

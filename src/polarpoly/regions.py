@@ -28,6 +28,10 @@ from .roots import RootSet
 
 _WELZL_EPS = 1.0 + 1e-14
 
+# How far outside K a quotient may fall and still count as contained:
+# localization_check's default, localize --tol's and the harness's.
+CONTAINMENT_TOL = 1e-6
+
 REGION_KINDS = ("disk", "half_plane", "exterior_disk")
 
 
@@ -247,7 +251,7 @@ def localization_check(
     xi: complex,
     region: Region,
     s_zeros: RootSet,
-    tol: float = 1e-6,
+    tol: float = CONTAINMENT_TOL,
 ) -> LocalizationReport:
     """Certify that every zero of Q lies in xi - K * Z(S).
 

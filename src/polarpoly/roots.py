@@ -506,7 +506,9 @@ def vieta_residuals(p: Polynomial, rs: RootSet) -> tuple[float, float]:
     roots = np.array(rs.roots)
     sizes = np.abs(roots)
     sum_err = abs(roots.sum() + a[n - 1] / a[n]) / (1.0 + sizes.sum())
-    prod_err = abs(roots.prod() - (-1) ** n * a[0] / a[n]) / (
-        1.0 + np.prod(1.0 + sizes)
-    )
+    # A product beyond the double range comes out infinite, as in poly_mul.
+    with np.errstate(over="ignore", invalid="ignore"):
+        prod_err = abs(roots.prod() - (-1) ** n * a[0] / a[n]) / (
+            1.0 + np.prod(1.0 + sizes)
+        )
     return (float(sum_err), float(prod_err))

@@ -42,30 +42,23 @@ from .polynomial import (
     sup_norm,
     taylor_shift,
 )
-from .regions import enclosing_disk, localization_check, polar_zero_bound
+from .regions import (
+    CONTAINMENT_TOL,
+    enclosing_disk,
+    localization_check,
+    polar_zero_bound,
+)
 from .roots import RootSet, find_roots, max_modulus
 
 GENERATOR_NAME = "numpy-pcg64"
 
-# Fixed slacks for the bound properties.
+# Property tolerances; the sixth, CONTAINMENT_TOL, lives in regions.
+RESIDUAL_TOL = 1e-9
+EQUIVALENCE_TOL = 1e-10
 REMARK_SLACK = 1e-8
 S_RADIUS_SLACK = 1e-9
 FACTORIZE_TOL = 1e-10
 FREE_CASE_TOL = 1e-12
-
-_GRID_DEFAULT = (
-    0j,
-    0.5 + 0j,
-    -0.5 + 0j,
-    0.5j,
-    -0.5j,
-    0.5 + 0.5j,
-    0.5 - 0.5j,
-    -0.5 + 0.5j,
-    -0.5 - 0.5j,
-)
-
-SAMPLERS = ("unit_disk", "annulus", "grid")
 
 
 @dataclass(frozen=True)
@@ -74,11 +67,6 @@ class SuiteConfig:
     k_range: tuple[int, int] = (1, 5)
     cases: int = 500
     seed: int = 42
-    zero_sampler: str = "unit_disk"
-    grid_points: tuple[complex, ...] = _GRID_DEFAULT
-    residual_tol: float = 1e-9
-    equivalence_tol: float = 1e-10
-    containment_tol: float = 1e-6
 
     def __post_init__(self):
         if self.n_range[0] > self.n_range[1] or self.n_range[0] < 1:
@@ -89,10 +77,6 @@ class SuiteConfig:
             raise ValueError("need at least one case")
         if self.seed < 0:
             raise ValueError("seed must be a non-negative integer")
-        if self.zero_sampler not in SAMPLERS:
-            raise ValueError(f"unknown sampler {self.zero_sampler!r}")
-        if self.zero_sampler == "grid" and not self.grid_points:
-            raise ValueError("grid sampler needs at least one point")
 
 
 @dataclass(frozen=True)
@@ -197,7 +181,8 @@ def residual_norm(P: Polynomial, R: Polynomial, Q: Polynomial) -> float:
     The image is ``apply_tr(R, Q)``, a product and a derivative that
     share no code with the solver's substitution; ``bench/oracle.py``
     shares no code with it.  Reads inf where the image leaves the double
-    range, as it can for R*Q near the top of the range.
+    range, as it can for R*Q near the top of the range, or NaN where it
+    and (n+1)_k * P are both infinite at one power (``max_coeff_diff``).
     """
     n = P.degree
     lhs = apply_tr(R, Q)
@@ -206,32 +191,25 @@ def residual_norm(P: Polynomial, R: Polynomial, Q: Polynomial) -> float:
     return max_coeff_diff(lhs, rhs)
 
 
-def _sample_zero(rng: np.random.Generator, cfg: SuiteConfig) -> complex:
-    if cfg.zero_sampler == "grid":
-        return cfg.grid_points[int(rng.integers(0, len(cfg.grid_points)))]
-    u = rng.random()
-    theta = 2.0 * math.pi * rng.random()
-    if cfg.zero_sampler == "unit_disk":
-        r = math.sqrt(u)
-    else:  # annulus with moduli in [1/2, 1], uniform in area
-        r = math.sqrt(0.25 + 0.75 * u)
-    return r * cmath.exp(1j * theta)
+def _disk_point(rng: np.random.Generator) -> complex:
+    """A point uniform in the unit disk."""
+    r = math.sqrt(rng.random())
+    return r * cmath.exp(2j * math.pi * rng.random())
 
 
 def sample_case(rng: np.random.Generator, cfg: SuiteConfig) -> CaseInstance:
+    """P's zeros uniform in the unit disk, xi uniform in |xi| <= 2."""
     n = int(rng.integers(cfg.n_range[0], cfg.n_range[1] + 1))
     k = int(rng.integers(cfg.k_range[0], cfg.k_range[1] + 1))
-    zeros = tuple(_sample_zero(rng, cfg) for _ in range(n))
-    u = rng.random()
-    theta = 2.0 * math.pi * rng.random()
-    xi = 2.0 * math.sqrt(u) * cmath.exp(1j * theta)
+    zeros = tuple(_disk_point(rng) for _ in range(n))
+    xi = 2.0 * _disk_point(rng)
     return CaseInstance(n=n, k=k, zeros=zeros, xi=xi)
 
 
 def case_metrics(
     inst: CaseInstance,
     s_cache: dict[tuple[int, int], RootSet] | None = None,
-    containment_tol: float = 1e-6,
+    containment_tol: float = CONTAINMENT_TOL,
 ) -> dict:
     """All per-instance property metrics, shared by suite and replay."""
     n, k, xi = inst.n, inst.k, inst.xi
@@ -293,23 +271,20 @@ def replay_case(data: dict) -> dict:
     return case_metrics(CaseInstance.from_dict(data))
 
 
-def run_property_suite(cfg: SuiteConfig | None = None) -> SuiteReport:
+def run_property_suite(cfg: SuiteConfig = SuiteConfig()) -> SuiteReport:
     """Run every library property on ``cfg.cases`` sampled instances.
 
     Deterministic for a fixed config: the RNG is seeded PCG64 and the
     aggregation uses associative merges only, so the report serializes
     to identical bytes on every run.
     """
-    if cfg is None:
-        cfg = SuiteConfig()
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
     # (property, case_metrics key, tolerance, sense), in report order.
     table = (
-        ("residual", "residual_rel", cfg.residual_tol, "max"),
-        ("path_equivalence", "path_equivalence_rel", cfg.equivalence_tol,
-         "max"),
-        ("convolution_identity", "convolution_rel", cfg.residual_tol, "max"),
-        ("localization", "containment_margin", cfg.containment_tol, "min"),
+        ("residual", "residual_rel", RESIDUAL_TOL, "max"),
+        ("path_equivalence", "path_equivalence_rel", EQUIVALENCE_TOL, "max"),
+        ("convolution_identity", "convolution_rel", RESIDUAL_TOL, "max"),
+        ("localization", "containment_margin", CONTAINMENT_TOL, "min"),
         ("remark_bound", "remark_excess", REMARK_SLACK, "max"),
         ("s_radius", "s_radius_excess", S_RADIUS_SLACK, "max"),
         ("factorize_roundtrip", "factorize_error", FACTORIZE_TOL, "max"),
@@ -323,7 +298,7 @@ def run_property_suite(cfg: SuiteConfig | None = None) -> SuiteReport:
 
     for _ in range(cfg.cases):
         inst = sample_case(rng, cfg)
-        m = case_metrics(inst, s_cache, cfg.containment_tol)
+        m = case_metrics(inst, s_cache)
         dump = None  # built for the first failing property only
         for name, key, tol, sense in table:
             # A FactorizationImpossible case has no factorize_error and

@@ -9,6 +9,7 @@ from polarpoly.errors import DegreeTooLargeError
 from polarpoly.polynomial import (
     Polynomial,
     binomial_coeffs,
+    coeff_diff,
     derivative_k,
     from_binomial,
     from_pair,
@@ -214,6 +215,24 @@ class TestMul:
                 assert abs(eval_poly(out.coeffs, z) - want) <= 1e-10 * (
                     1 + abs(want)
                 )
+
+
+class TestCoeffDiff:
+    # The pyproject filter turns a RuntimeWarning into an error, so each
+    # reading below also checks that no numpy warning escapes.
+    def test_difference_beyond_the_range_reads_inf(self):
+        p, q = Polynomial([1e308, 1]), Polynomial([-1e308, 1])
+        assert coeff_diff(p, q).tolist() == [complex(math.inf, 0), 0j]
+        assert max_coeff_diff(p, q) == math.inf
+
+    def test_two_infinite_coefficients_read_nan(self):
+        p = Polynomial([math.inf, 1])
+        assert math.isnan(coeff_diff(p, p)[0].real)
+        assert math.isnan(max_coeff_diff(p, p))
+
+    def test_shorter_one_padded(self):
+        out = coeff_diff(Polynomial([1, 2, 3]), Polynomial([1j, 1]))
+        assert out.tolist() == [1 - 1j, 1 + 0j, 3 + 0j]
 
 
 class TestDerivative:

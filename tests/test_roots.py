@@ -261,6 +261,13 @@ class TestReconstruction:
             assert sum_err <= 1e-8
             assert prod_err <= 1e-8
 
+    def test_vieta_product_scale_beyond_the_range(self):
+        # prod(1 + |z_j|) = 2^1024 leaves the double range; the scale
+        # reads inf, so the product error reads 0, without a warning
+        # (the pyproject filter turns a RuntimeWarning into an error).
+        p = Polynomial([-1] + [0] * 1023 + [1])
+        assert vieta_residuals(p, find_roots(p)) == (0.0, 0.0)
+
 
 class TestDeterminismAndFlags:
     def test_bit_for_bit_determinism(self):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -97,14 +98,21 @@ def unit_disk(rng, count):
 class TestSuiteConfig:
     def test_defaults(self):
         cfg = SuiteConfig()
+        assert [f.name for f in dataclasses.fields(cfg)] == [
+            "n_range", "k_range", "cases", "seed",
+        ]
         assert cfg.cases == 500
         assert cfg.seed == 42
         assert cfg.n_range == (2, 12)
         assert cfg.k_range == (1, 5)
-        assert cfg.zero_sampler == "unit_disk"
-        assert cfg.residual_tol == 1e-9
-        assert cfg.equivalence_tol == 1e-10
-        assert cfg.containment_tol == 1e-6
+        assert verify.RESIDUAL_TOL == 1e-9
+        assert verify.EQUIVALENCE_TOL == 1e-10
+        assert verify.CONTAINMENT_TOL == 1e-6
+        # The sampler and the tolerances are fixed, not settings.
+        for name in ("zero_sampler", "grid_points", "residual_tol",
+                     "equivalence_tol", "containment_tol"):
+            with pytest.raises(TypeError):
+                SuiteConfig(**{name: None})
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -113,8 +121,8 @@ class TestSuiteConfig:
             {"n_range": (0, 3)},
             {"k_range": (0, 2)},
             {"cases": 0},
-            {"zero_sampler": "gaussian"},
-            {"zero_sampler": "grid", "grid_points": ()},
+            {"k_range": (3, 2)},
+            {"cases": -1},
             {"seed": -1},
         ],
     )
@@ -157,27 +165,12 @@ class TestRunPropertySuite:
         assert parsed["seed"] == 3
         assert parsed["all_passed"] is True
 
-    def test_annulus_sampler(self):
-        report = run_property_suite(
-            SuiteConfig(cases=30, seed=5, zero_sampler="annulus")
-        )
-        assert report.all_passed
-
-    def test_grid_sampler_all_zeros_at_origin(self):
-        # Degenerate lattice {0}: every instance is a centered monomial,
-        # so the suite reduces to the free case and must pass.
-        report = run_property_suite(
-            SuiteConfig(
-                cases=25, seed=9, zero_sampler="grid", grid_points=(0j,)
-            )
-        )
-        assert report.all_passed
-
-    def test_failing_cases_dump_and_replay(self):
+    def test_failing_cases_dump_and_replay(self, monkeypatch):
         # An impossible tolerance forces failures; each dump must be a
         # self-contained instance whose replay reproduces the observed
         # value exactly.
-        cfg = SuiteConfig(cases=8, seed=13, residual_tol=0.0)
+        monkeypatch.setattr(verify, "RESIDUAL_TOL", 0.0)
+        cfg = SuiteConfig(cases=8, seed=13)
         report = run_property_suite(cfg)
         prop = report.property_by_name("residual")
         assert prop.failures == 8
@@ -187,26 +180,28 @@ class TestRunPropertySuite:
             assert metrics["residual_rel"] == dump["observed"]
             assert metrics["residual_rel"] > 0.0
 
-    def test_dumps_carry_full_artifacts(self):
-        cfg = SuiteConfig(cases=3, seed=13, residual_tol=0.0)
+    def test_dumps_carry_full_artifacts(self, monkeypatch):
+        monkeypatch.setattr(verify, "RESIDUAL_TOL", 0.0)
+        cfg = SuiteConfig(cases=3, seed=13)
         report = run_property_suite(cfg)
         dump = report.property_by_name("residual").failing[0]["instance"]
         for key in ("n", "k", "zeros", "xi", "P", "Q", "Q_roots"):
             assert key in dump
 
-    def test_dump_built_for_failing_cases_only(self):
-        # residual_tol = 0 fails "residual" and "convolution_identity" on
+    def test_dump_built_for_failing_cases_only(self, monkeypatch):
+        # RESIDUAL_TOL = 0 fails "residual" and "convolution_identity" on
         # every case; both entries of a case carry the same dump, equal
         # to the instance and artifacts of case_metrics, and no passing
         # property keeps one.
-        cfg = SuiteConfig(cases=4, seed=13, residual_tol=0.0)
+        monkeypatch.setattr(verify, "RESIDUAL_TOL", 0.0)
+        cfg = SuiteConfig(cases=4, seed=13)
         report = run_property_suite(cfg)
         rng = np.random.Generator(np.random.PCG64(cfg.seed))
         cache = {}
         want = []
         for _ in range(cfg.cases):
             inst = sample_case(rng, cfg)
-            metrics = case_metrics(inst, cache, cfg.containment_tol)
+            metrics = case_metrics(inst, cache)
             want.append({**jsonable(inst), **metrics["artifacts"]})
         residual = report.property_by_name("residual").failing
         convolution = report.property_by_name("convolution_identity").failing
@@ -232,6 +227,31 @@ class TestCaseMetrics:
         assert abs(metrics["containment_margin"]) <= 1e-8
         assert metrics["remark_excess"] <= -1.0
         assert not metrics["factorize_impossible"]
+
+    @pytest.mark.parametrize("shape", ["monomial", "annulus"])
+    def test_every_property_within_its_constant(self, shape):
+        # P = z^n about a seeded xi (the free case shifted), and zeros
+        # uniform in area in the annulus 1/2 <= |z| <= 1, the unit
+        # disk's edge; n in 2..12 and k in 1..5 as the suite samples.
+        rng = np.random.default_rng(5)
+        for _ in range(30):
+            n, k = int(rng.integers(2, 13)), int(rng.integers(1, 6))
+            if shape == "monomial":
+                zeros = np.zeros(n, complex)
+            else:
+                radii = np.sqrt(0.25 + 0.75 * rng.random(n))
+                zeros = radii * np.exp(2j * np.pi * rng.random(n))
+            xi = complex(2.0 * unit_disk(rng, 1)[0])
+            zeros = tuple(map(complex, zeros))
+            m = case_metrics(CaseInstance(n, k, zeros, xi))
+            assert m["residual_rel"] <= verify.RESIDUAL_TOL
+            assert m["path_equivalence_rel"] <= verify.EQUIVALENCE_TOL
+            assert m["convolution_rel"] <= verify.RESIDUAL_TOL
+            assert m["containment_margin"] >= -verify.CONTAINMENT_TOL
+            assert m["remark_excess"] <= verify.REMARK_SLACK
+            assert m["s_radius_excess"] <= verify.S_RADIUS_SLACK
+            if not m["factorize_impossible"]:
+                assert m["factorize_error"] <= verify.FACTORIZE_TOL
 
     def test_artifacts_are_pair_lists(self):
         # The contract of the suite judge in bench/workloads.py: every
