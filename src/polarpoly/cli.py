@@ -25,9 +25,7 @@ from .errors import DomainError
 from .polar import (
     PolarProblem,
     grace_factorize,
-    q_zeros,
     s_poly,
-    s_zeros,
     solve_polar,
 )
 from .polynomial import (
@@ -41,8 +39,7 @@ from .polynomial import (
 from .regions import (
     CONTAINMENT_TOL,
     Region,
-    enclosing_disk,
-    localization_check,
+    localize,
     polar_zero_bound,
 )
 from .roots import find_roots, max_modulus
@@ -271,28 +268,18 @@ def _cmd_roots(args, parser):
 def _cmd_localize(args, parser):
     P = _require_poly(args, parser)
     n, k, xi = P.degree, args.k, args.xi
-    # The problem refuses P (DegreeZero, NotMonic), then sizes it or S
-    # cannot represent (DegreeTooLarge), before any zero is sought.
-    problem = PolarProblem.centered(P, xi, k)
-    S = s_poly(n, k)
-    s_roots = s_zeros(n, k)
-    Q = solve_polar(problem)
-    q_roots = q_zeros(P, xi, Q, s_roots)
+    loc = localize(P, xi, k, args.P_roots, args.K, tol=args.tol)
+    q_roots, s_roots, report = loc.q_roots, loc.s_roots, loc.report
     root_sets = {"Q": q_roots, "S": s_roots}
-    region = args.K
-    if region is None:
-        if not args.P_roots:
-            root_sets["P"] = find_roots(P)
-        zeros = args.P_roots or root_sets["P"].roots
-        region = enclosing_disk([z - xi for z in zeros])
-    report = localization_check(q_roots, xi, region, s_roots, tol=args.tol)
+    if loc.p_roots is not None:
+        root_sets["P"] = loc.p_roots
     payload = {
         "n": n,
         "k": k,
         "xi": xi,
-        "Q": Q,
-        "S": S,
-        "K": region.to_dict(),
+        "Q": loc.Q,
+        "S": s_poly(n, k),
+        "K": loc.region.to_dict(),
         "Q_roots": q_roots.roots,
         "S_roots": s_roots.roots,
         **{
@@ -320,7 +307,7 @@ def _cmd_localize(args, parser):
     scene = None
     if args.svg:
         series = [("Q zero", q_roots.roots), ("S zero", s_roots.roots)]
-        scene = (series, [region])
+        scene = (series, [loc.region])
     return payload, rows, scene, 0
 
 

@@ -7,6 +7,10 @@ function ``region_contains``, for a point or elementwise for an array,
 so callers can apply their own tolerance.  The open/closed flag is
 carried as metadata and reported, but membership at margin zero is
 accepted either way: floating point cannot witness a strict boundary.
+
+``localize`` is the one chain from (P, xi, k) to a checked
+containment: the command line's ``localize``, the property harness and
+the golden examples all call it.
 """
 
 from __future__ import annotations
@@ -23,8 +27,9 @@ from .errors import (
     NonFiniteError,
     SZeroAtOriginError,
 )
-from .polynomial import from_number, from_pair, jsonable
-from .roots import RootSet
+from .polar import PolarProblem, q_zeros, s_zeros, solve_polar
+from .polynomial import Polynomial, from_number, from_pair, jsonable
+from .roots import RootSet, find_roots
 
 _WELZL_EPS = 1.0 + 1e-14
 
@@ -291,6 +296,48 @@ def localization_check(
         max_violation=float(np.maximum(0.0, -chosen.min()) + 0.0),
         tol=tol,
     )
+
+
+@dataclass(frozen=True)
+class Localization:
+    """What ``localize`` computed; ``p_roots`` is None unless the zeros
+    of P were found for the default K."""
+
+    problem: PolarProblem
+    Q: Polynomial
+    q_roots: RootSet
+    s_roots: RootSet
+    p_roots: RootSet | None
+    region: Region
+    report: LocalizationReport
+
+
+def localize(
+    P: Polynomial, xi: complex, k: int, zeros=None,
+    region: Region | None = None, s_roots: RootSet | None = None,
+    tol: float = CONTAINMENT_TOL,
+) -> Localization:
+    """Solve for Q about xi and certify every zero of Q in xi - K Z(S).
+
+    The steps run in a fixed order, so a refusal is the first that
+    applies: the problem checks P and the scale, then come the zeros of
+    S (unless ``s_roots`` gives them), Q and its zeros.  K is ``region``
+    or else the enclosing disk of ``zeros`` shifted by -xi, where
+    ``zeros`` defaults to the zeros of P that ``find_roots`` gives.
+    """
+    problem = PolarProblem.centered(P, xi, k)
+    if s_roots is None:
+        s_roots = s_zeros(P.degree, k)
+    Q = solve_polar(problem)
+    q_roots = q_zeros(P, xi, Q, s_roots)
+    p_roots = None
+    if region is None:
+        if zeros is None:
+            p_roots = find_roots(P)
+            zeros = p_roots.roots
+        region = enclosing_disk([z - xi for z in zeros])
+    report = localization_check(q_roots, xi, region, s_roots, tol=tol)
+    return Localization(problem, Q, q_roots, s_roots, p_roots, region, report)
 
 
 def polar_zero_bound(xi: complex, k: int) -> float:

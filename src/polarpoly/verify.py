@@ -19,15 +19,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import FactorizationImpossible
+from .errors import FactorizationImpossible, NonFiniteError
 from .polar import (
     PolarProblem,
     apply_tr,
     grace_convolve,
     grace_factorize,
-    q_zeros,
     s_poly,
-    s_zeros,
     solve_polar,
 )
 from .polynomial import (
@@ -42,12 +40,7 @@ from .polynomial import (
     sup_norm,
     taylor_shift,
 )
-from .regions import (
-    CONTAINMENT_TOL,
-    enclosing_disk,
-    localization_check,
-    polar_zero_bound,
-)
+from .regions import CONTAINMENT_TOL, localize, polar_zero_bound
 from .roots import RootSet, find_roots, max_modulus
 
 GENERATOR_NAME = "numpy-pcg64"
@@ -211,14 +204,22 @@ def case_metrics(
     s_cache: dict[tuple[int, int], RootSet] | None = None,
     containment_tol: float = CONTAINMENT_TOL,
 ) -> dict:
-    """All per-instance property metrics, shared by suite and replay."""
+    """All per-instance property metrics, shared by suite and replay.
+
+    A factorization whose shifted pair leaves the double range reads
+    ``factorize_error`` inf.
+    """
     n, k, xi = inst.n, inst.k, inst.xi
     P = inst.P
-    problem = PolarProblem.centered(P, xi, k)
-    Q = solve_polar(problem)
+    s_cache = {} if s_cache is None else s_cache
+    loc = localize(
+        P, xi, k, inst.zeros, s_roots=s_cache.get((n, k)), tol=containment_tol
+    )
+    s_cache[(n, k)] = s_roots = loc.s_roots
+    Q, q_roots = loc.Q, loc.q_roots
 
     scale = float(rising_row(n, k)[n]) * sup_norm(P)
-    residual_rel = residual_norm(P, problem.R, Q) / scale
+    residual_rel = residual_norm(P, loc.problem.R, Q) / scale
 
     # The Grace-convolution path to Q shares no code with solve_polar:
     # Q(xi + w) is P(xi + w) convolved with S.
@@ -228,17 +229,8 @@ def case_metrics(
     convolution_rel = max_coeff_diff(qs, rhs) / sup_norm(qs)
     path_rel = max_coeff_diff(Q, taylor_shift(rhs, -xi)) / sup_norm(Q)
 
-    s_cache = {} if s_cache is None else s_cache
-    s_roots = s_cache.get((n, k))
-    if s_roots is None:
-        s_roots = s_cache[(n, k)] = s_zeros(n, k)
-    q_roots = q_zeros(P, xi, Q, s_roots)
-
-    region = enclosing_disk([z - xi for z in inst.zeros])
-    report = localization_check(
-        q_roots, xi, region, s_roots, tol=containment_tol
-    )
-    containment_margin = _nan_or(min, [w.margin for w in report.witnesses])
+    witnesses = loc.report.witnesses
+    containment_margin = _nan_or(min, [w.margin for w in witnesses])
 
     remark_excess = max_modulus(q_roots) - polar_zero_bound(xi, k)
     s_radius_excess = max_modulus(s_roots) - (k + 1)
@@ -251,6 +243,9 @@ def case_metrics(
     except FactorizationImpossible:
         factorize_error = None
         factorize_impossible = True
+    except NonFiniteError:
+        factorize_error = math.inf
+        factorize_impossible = False
 
     return {
         "residual_rel": residual_rel,
@@ -350,14 +345,10 @@ def reproduce_paper_examples() -> SuiteReport:
     for n in range(1, 9):
         for k in range(1, 6):
             mono = Polynomial([0j] * n + [1.0])
-            q = solve_polar(PolarProblem.centered(mono, 0.0, k))
+            loc = localize(mono, 0.0, k, [0j] * n)
+            q = loc.Q
             off = float(np.abs(q.coeffs[:-1]).max(initial=abs(q.leading - 1)))
-            q_roots = find_roots(q)
-            region = enclosing_disk([0j])
-            report = localization_check(
-                q_roots, 0.0, region, s_zeros(n, k)
-            )
-            ok = off <= FREE_CASE_TOL and report.contained
+            ok = off <= FREE_CASE_TOL and loc.report.contained
             free.record(
                 ok, off, {"n": n, "k": k, "case": "free_case_identity"}
             )

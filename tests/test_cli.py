@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from polarpoly import cli
+from polarpoly import cli, regions
 from polarpoly.cli import main, parse_complex
 from polarpoly.polynomial import jsonable, poly_from_roots
 from polarpoly.regions import enclosing_disk
@@ -274,8 +274,10 @@ class TestSPolyRootsBound:
     def test_localize_q_near_the_top_of_the_double_range(self, capsys):
         # Q at n = 700, k = 20, xi = 1.9 fits (exact max |Q| 6.3e295), so
         # localize answers.  It answers wrongly, with zeros of Q that read
-        # converged: the dense zero search on a Q this ill conditioned is
-        # the high-k defect that the antiderivative form of Q mends.
+        # converged: the fault is in Q's coefficients, not in the zero
+        # search, since with the exact Q of this P the case reads
+        # contained=true.  That is the high-k defect that an exact
+        # solve for Q mends.
         rng = np.random.default_rng(0)
         zeros = np.sqrt(rng.random(700)) * np.exp(2j * np.pi * rng.random(700))
         argv = ["localize", "--P-roots", json.dumps(jsonable(zeros))]
@@ -287,13 +289,14 @@ class TestSPolyRootsBound:
     def test_localize_nan_zero_of_p(self, monkeypatch, capsys):
         # A NaN zero of P leaves no default K: enclosing_disk refuses it
         # rather than return a disk that depends on the zeros' order.
-        find = cli.find_roots
+        # localize finds the zeros of P through regions.find_roots.
+        find = regions.find_roots
 
         def nan_last(p):
             rs = find(p)
             return replace(rs, roots=rs.roots[:-1] + (complex(math.nan),))
 
-        monkeypatch.setattr(cli, "find_roots", nan_last)
+        monkeypatch.setattr(regions, "find_roots", nan_last)
         p = "[[-0.25,0],[0,0],[1,0]]"
         assert main(["localize", "--P", p, "--xi", "0", "--k", "1"]) == 1
         assert json.loads(capsys.readouterr().out)["error"] == "NonFinite"

@@ -12,11 +12,12 @@ from polarpoly.errors import (
 )
 from polarpoly.polar import PolarProblem, s_poly, solve_polar
 from polarpoly.polynomial import Polynomial, poly_from_roots, taylor_shift
-from polarpoly import regions
+from polarpoly import cli, regions, verify
 from polarpoly.regions import (
     Region,
     enclosing_disk,
     localization_check,
+    localize,
     polar_zero_bound,
     region_contains,
 )
@@ -586,6 +587,37 @@ class TestWitnessReadOut:
         assert not report.contained
         assert math.isnan(report.max_violation)
         assert all(math.isnan(w.margin) for w in report.witnesses)
+
+
+class TestLocalize:
+    P = poly_from_roots([0.5, -0.25 + 0.25j, 0.1 - 0.3j])
+    XI = 0.5 + 0j
+
+    def test_default_region_is_the_disk_of_the_found_zeros(self):
+        loc = localize(self.P, self.XI, 2)
+        shifted = [z - self.XI for z in loc.p_roots.roots]
+        assert loc.region == enclosing_disk(shifted)
+        assert loc.report.contained
+
+    def test_given_zeros_or_region_find_no_zeros_of_p(self):
+        zeros = [0.5, -0.25 + 0.25j, 0.1 - 0.3j]
+        loc = localize(self.P, self.XI, 2, zeros)
+        assert loc.p_roots is None
+        assert loc.region == enclosing_disk([z - self.XI for z in zeros])
+        region = Region(kind="disk", radius=2.0)
+        loc = localize(self.P, self.XI, 2, region=region)
+        assert (loc.p_roots, loc.region) == (None, region)
+
+    def test_given_zeros_of_s_are_reused(self):
+        s_roots = localize(self.P, self.XI, 2).s_roots
+        assert localize(self.P, self.XI, 2, s_roots=s_roots).s_roots is s_roots
+
+    def test_the_command_line_and_the_harness_chain_no_step_themselves(self):
+        # Every chain from (P, xi, k) to a checked containment goes
+        # through localize, so a change to one step lands on both sides.
+        for module in (cli, verify):
+            for name in ("q_zeros", "enclosing_disk", "localization_check"):
+                assert not hasattr(module, name), (module.__name__, name)
 
 
 class TestPolarZeroBound:

@@ -37,6 +37,12 @@ def test_polar_loads_only_the_math_it_runs(loaded):
     assert not modules & {"json", "numpy.typing"}
 
 
+def test_regions_loads_the_steps_localize_chains(loaded):
+    modules = set(loaded("import polarpoly.regions; " + MODULES))
+    assert {"polarpoly.polar", "polarpoly.roots"} <= modules
+    assert "polarpoly.verify" not in modules
+
+
 def test_cli_leaves_out_what_only_some_commands_run(loaded):
     modules = set(loaded("import polarpoly.cli; " + MODULES))
     assert not modules & {"polarpoly.verify", "polarpoly.svgplot", "csv"}

@@ -1,3 +1,4 @@
+import cmath
 import dataclasses
 import json
 import math
@@ -11,7 +12,8 @@ from polarpoly.polynomial import (
     poly_from_roots,
     sup_norm,
 )
-from polarpoly import verify
+from polarpoly import regions, verify
+from polarpoly.cli import main
 from polarpoly.errors import NonFiniteError
 from polarpoly.polar import GraceFactorization, PolarProblem, solve_polar
 from polarpoly.regions import LocalizationReport, Witness
@@ -295,7 +297,7 @@ class TestCaseMetrics:
             )
             return LocalizationReport(False, witnesses, math.nan, tol)
 
-        monkeypatch.setattr(verify, "localization_check", check)
+        monkeypatch.setattr(regions, "localization_check", check)
         inst = CaseInstance(n=2, k=1, zeros=(0.5 + 0j, -0.5 + 0j), xi=0j)
         assert math.isnan(case_metrics(inst)["containment_margin"])
 
@@ -317,6 +319,52 @@ class TestCaseMetrics:
             "2 degenerate instances reported FactorizationImpossible "
             "(counted as conforming)"
         ]
+
+    def test_factorization_beyond_the_double_range(self, monkeypatch):
+        # P(xi + w) leaves the double range at n = 1000 about xi =
+        # 0.5+0.5i, so grace_factorize raises NonFiniteError; the case
+        # reads factorize_error inf, replays the same, and the suite
+        # records it as a failure instead of ending.
+        n = 1000
+        zeros = tuple(cmath.exp(2j * math.pi * (j + 0.3) / n)
+                      for j in range(n))
+        inst = CaseInstance(n=n, k=1, zeros=zeros, xi=0.5 + 0.5j)
+        metrics = case_metrics(inst)
+        assert metrics["factorize_error"] == math.inf
+        assert not metrics["factorize_impossible"]
+        assert math.isnan(metrics["path_equivalence_rel"])
+        assert math.isnan(metrics["convolution_rel"])
+        replayed = replay_case(jsonable(inst))
+        assert json.dumps(jsonable(replayed)) == json.dumps(jsonable(metrics))
+
+        monkeypatch.setattr(verify, "sample_case", lambda rng, cfg: inst)
+        report = run_property_suite(SuiteConfig(cases=1))
+        roundtrip = report.property_by_name("factorize_roundtrip")
+        assert (roundtrip.failures, roundtrip.worst) == (1, math.inf)
+
+    @pytest.mark.parametrize(
+        ("n", "k", "xi"),
+        [(9, 3, 0.5 - 0.25j), (60, 2, 1.5 + 0.5j), (120, 5, -1.25 + 1j)],
+    )
+    def test_artifacts_are_what_localize_prints(self, capsys, n, k, xi):
+        # The containment check judges the zeros that localize prints:
+        # the harness's Q, zeros of Q and smallest margin equal the
+        # command's bit for bit.  n = 60 and 120 take q_zeros' model
+        # path, n = 9 find_roots.
+        rng = np.random.default_rng(n)
+        zeros = tuple(map(complex, unit_disk(rng, n)))
+        metrics = case_metrics(CaseInstance(n, k, zeros, xi))
+        argv = [
+            "localize", "--P-roots", json.dumps(jsonable(zeros)),
+            f"--xi={xi.real!r}{xi.imag:+}i", "--k", str(k),
+        ]
+        assert main(argv) == 0
+        printed = json.loads(capsys.readouterr().out)
+        artifacts = json.loads(json.dumps(metrics["artifacts"]))
+        assert artifacts["Q"] == printed["Q"]
+        assert artifacts["Q_roots"] == printed["Q_roots"]
+        margins = [w["margin"] for w in printed["witnesses"]]
+        assert metrics["containment_margin"] == min(margins)
 
     def test_nan_factor_error_propagates(self, monkeypatch):
         def factorize(P, Q, xi):
