@@ -42,7 +42,7 @@ from .regions import (
     localize,
     polar_zero_bound,
 )
-from .roots import find_roots, max_modulus
+from .roots import SETTLE_TOL, find_roots, max_modulus
 
 
 def parse_complex(text: str) -> complex:
@@ -87,27 +87,25 @@ _roots_arg = _json_arg(lambda data: from_pairs(data, "root"), "root list")
 _region_arg = _json_arg(Region.from_dict, "region")
 
 
-def _tolerance(text: str) -> float:
-    value = float(text)
-    if not (math.isfinite(value) and value >= 0.0):
-        raise argparse.ArgumentTypeError(
-            "must be a finite non-negative number"
-        )
-    return value
+def _number_arg(parse, low, rule: str):
+    # argparse type for a number flag: ``parse``, then a finite value of
+    # at least ``low``; text that does not parse and a value out of
+    # range are both usage errors that state ``rule``.
+    def convert(text: str):
+        try:
+            value = parse(text)
+        except ValueError:
+            value = math.nan
+        if not low <= value < math.inf:
+            raise argparse.ArgumentTypeError(rule)
+        return value
+
+    return convert
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError("must be a positive integer")
-    return value
-
-
-def _seed(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError("must be a non-negative integer")
-    return value
+_tolerance = _number_arg(float, 0.0, "must be a finite non-negative number")
+_positive_int = _number_arg(int, 1, "must be a positive integer")
+_seed = _number_arg(int, 0, "must be a non-negative integer")
 
 
 def _index_rows(values) -> list[list]:
@@ -181,7 +179,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     roots = subs.add_parser("roots", help="all zeros of a polynomial")
     _add_poly_flags(roots)
-    roots.add_argument("--tol", type=_tolerance, default=1e-12)
+    roots.add_argument("--tol", type=_tolerance, default=SETTLE_TOL)
     _add_output_flags(roots, svg=True)
     roots.set_defaults(func=_cmd_roots)
 

@@ -49,7 +49,7 @@ from .polynomial import (
     sup_norm,
     taylor_shift,
 )
-from .roots import _EIG_MAX, _EPS, RootSet, _Evaluator, _zeros, find_roots
+from .roots import _EIG_MAX, _NOISE, RootSet, _Evaluator, _zeros, find_roots
 
 # Relative threshold below which a binomial coefficient counts as zero
 # when extracting a convolution factor.
@@ -235,7 +235,7 @@ def _s_form(n: int, k: int):
     # The coefficients of t, divided by the largest of them, top.
     top = math.comb(big_n, min(k - 1, big_n // 2))
     log_top = math.log(top)
-    floor = 4.0 * _EPS * big_n
+    floor = _NOISE * big_n
     evaluate_t = _Evaluator(
         np.array([math.comb(big_n, j) / top for j in range(k)])
     )

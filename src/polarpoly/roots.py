@@ -65,11 +65,20 @@ from .polynomial import Polynomial
 # Fixed angular twist keeping initial guesses off symmetry axes.
 _ANGLE_TWIST = 0.4241438680420134
 
-# Defaults of find_roots and of _zeros, which s_zeros runs with them.
-_DEFAULT_TOL = 1e-12
-_DEFAULT_MAX_ITER = 200
+# The settle tolerance on |p/p'|: the default of find_roots, of _zeros,
+# which s_zeros and q_zeros run with it, and of `roots --tol`.
+SETTLE_TOL = 1e-12
+
+# The largest max_residual of a converged root set, also verify's
+# residual and convolution tolerance.
+RESIDUAL_TOL = 1e-9
+
+# The most simultaneous sweeps one search runs.
+_MAX_SWEEPS = 200
 
 _EPS = float(np.finfo(np.float64).eps)
+# The noise floor of an evaluation is _NOISE times its size sum.
+_NOISE = 4.0 * _EPS
 _SPLITTER = 134217729.0  # 2^27 + 1, Veltkamp-Dekker's for doubles
 
 # Up to this many coefficients _Evaluator's blocks are single coefficients.
@@ -78,9 +87,6 @@ _ONE_BLOCK = 16
 # Up to this degree the starts are the companion eigenvalues; beyond,
 # their O(n^3) cost exceeded the sweeps they save, measured on Q.
 _EIG_MAX = 40
-
-# The largest max_residual of a converged root set (verify's residual_tol).
-_RESIDUAL_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -92,7 +98,7 @@ class RootSet:
     imaginary part, NaN zeros last.  ``max_residual`` is the normwise
     residual max_j |p(root_j)| / sum_i |coeff_i| |root_j|^i, a few eps at best.
     ``converged`` holds where every zero settled within the sweeps and
-    ``max_residual`` is at most ``_RESIDUAL_TOL`` (1e-9).
+    ``max_residual`` is at most ``RESIDUAL_TOL`` (1e-9).
     """
 
     roots: tuple[complex, ...]
@@ -232,7 +238,7 @@ class _Evaluator:
         # p' = sum_j B_j' y^j + b x^(b-1) sum_j j B_j y^(j-1).
         d = state[1] if b == 1 else state[1] + b * pw[:, b - 1] * state[2]
         d = np.where(far, (self.n * p - x * d) * x, d)
-        return p, d, 4.0 * _EPS * state[-1].real
+        return p, d, _NOISE * state[-1].real
 
     def compensated(self, z: np.ndarray):
         # p as accurate as in twice the working precision: about eps |p|
@@ -341,12 +347,7 @@ def _newton_polish(evaluate, z, pv, dv, noise):
     return z, pv, dv, noise
 
 
-def _aberth(
-    z: np.ndarray,
-    evaluate,
-    tol: float = _DEFAULT_TOL,
-    max_iter: int = _DEFAULT_MAX_ITER,
-):
+def _aberth(z: np.ndarray, evaluate, tol: float):
     """Simultaneous Aberth-Ehrlich sweeps from the start vector ``z``.
 
     ``evaluate(v)`` returns p(v), p'(v) and the noise floor of p at v,
@@ -357,7 +358,7 @@ def _aberth(
     evaluates and moves the active roots only; settled roots freeze but
     keep repelling the others.  Returns (z, p, p', noise), the final
     iterates with the values of the sweep each settled in (roots still
-    active after ``max_iter`` sweeps are evaluated once at the end),
+    active after ``_MAX_SWEEPS`` sweeps are evaluated once at the end),
     and whether every root settled.  Only ``_zeros`` runs it, and then
     polishes with ``_newton_polish`` on the same evaluator.
     """
@@ -365,7 +366,7 @@ def _aberth(
     pz, dz, nz = np.empty_like(z), np.empty_like(z), np.empty(len(z))
     active = np.arange(len(z))
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for _ in range(max_iter):
+        for _ in range(_MAX_SWEEPS):
             za = z[active]
             pv, dv, noise = evaluate(za)
             pz[active], dz[active], nz[active] = pv, dv, noise
@@ -416,15 +417,13 @@ def _root_set(z, p, noise, converged: bool) -> RootSet:
     arg[arg <= -math.pi] = math.pi
     keys = np.signbit(y), ~np.signbit(x), y, x, arg, np.hypot(x, y)
     with np.errstate(invalid="ignore", divide="ignore"):
-        residual = float((4.0 * _EPS * np.abs(p) / noise).max(initial=0.0))
+        residual = float((_NOISE * np.abs(p) / noise).max(initial=0.0))
     roots = tuple(z[np.lexsort((*keys, np.isnan(z)))].tolist())
-    converged = converged and residual <= _RESIDUAL_TOL
+    converged = converged and residual <= RESIDUAL_TOL
     return RootSet(roots=roots, max_residual=residual, converged=converged)
 
 
-def find_roots(
-    p: Polynomial, tol: float = _DEFAULT_TOL, max_iter: int = _DEFAULT_MAX_ITER
-) -> RootSet:
+def find_roots(p: Polynomial, tol: float = SETTLE_TOL) -> RootSet:
     """Compute all zeros of ``p``.
 
     The sweeps start from the companion eigenvalues up to degree
@@ -439,9 +438,7 @@ def find_roots(
     tol : float
         A root settles once its Newton correction |p/p'| has modulus
         at most ``tol`` (or its residual reaches the evaluation noise
-        floor).
-    max_iter : int
-        Maximum number of simultaneous sweeps.
+        floor) within ``_MAX_SWEEPS`` simultaneous sweeps.
 
     Returns
     -------
@@ -461,11 +458,11 @@ def find_roots(
         return RootSet(roots=(0j,) * n, max_residual=0.0, converged=True)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         starts = _starts(a)
-    rs = _zeros(_Evaluator(a), starts, tol, max_iter)
+    rs = _zeros(_Evaluator(a), starts, tol)
     return replace(rs, roots=(0j,) * m + rs.roots)
 
 
-def _zeros(evaluate, starts, tol=_DEFAULT_TOL, max_iter=_DEFAULT_MAX_ITER):
+def _zeros(evaluate, starts, tol=SETTLE_TOL):
     # The one search: the sweeps from the vector ``starts`` and the
     # polish, both on ``evaluate``.  Where it offers a compensated value
     # (the dense _Evaluator does, the form of S does not), one more
@@ -473,7 +470,7 @@ def _zeros(evaluate, starts, tol=_DEFAULT_TOL, max_iter=_DEFAULT_MAX_ITER):
     # (heavy cancellation), with p' and the noise floor of the plain
     # evaluator.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        start, converged = _aberth(starts, evaluate, tol, max_iter)
+        start, converged = _aberth(starts, evaluate, tol)
         z, pv, dv, noise = _newton_polish(evaluate, *start)
         poor = noise > 2e-11 * (1.0 + np.abs(z)) * np.abs(dv)
         if hasattr(evaluate, "compensated") and poor.any():

@@ -41,17 +41,17 @@ from .polynomial import (
     taylor_shift,
 )
 from .regions import CONTAINMENT_TOL, localize, polar_zero_bound
-from .roots import RootSet, find_roots, max_modulus
+from .roots import RESIDUAL_TOL, RootSet, find_roots, max_modulus
 
 GENERATOR_NAME = "numpy-pcg64"
 
-# Property tolerances; the sixth, CONTAINMENT_TOL, lives in regions.
-RESIDUAL_TOL = 1e-9
+# Property tolerances; RESIDUAL_TOL and CONTAINMENT_TOL are imported.
 EQUIVALENCE_TOL = 1e-10
 REMARK_SLACK = 1e-8
 S_RADIUS_SLACK = 1e-9
 FACTORIZE_TOL = 1e-10
 FREE_CASE_TOL = 1e-12
+LOOSENESS_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -337,7 +337,7 @@ def reproduce_paper_examples() -> SuiteReport:
     convolution factor, witnessed at index 1.
     """
     free = PropertyResult("free_case_identity", FREE_CASE_TOL, "max")
-    loose = PropertyResult("bound_looseness", 1e-6, "max")
+    loose = PropertyResult("bound_looseness", LOOSENESS_TOL, "max")
     counter = PropertyResult(
         "factorization_counterexample", FREE_CASE_TOL, "max"
     )
@@ -360,8 +360,8 @@ def reproduce_paper_examples() -> SuiteReport:
         q = solve_polar(PolarProblem.centered(mono, 0.0, k))
         observed = max_modulus(find_roots(q))
         ok = (
-            abs(bound - (k + 1)) <= 1e-12
-            and observed <= 1e-6
+            abs(bound - (k + 1)) <= FREE_CASE_TOL
+            and observed <= LOOSENESS_TOL
             and bound > previous
         )
         loose.record(ok, observed, {"k": k, "case": "bound_looseness"})

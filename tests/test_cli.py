@@ -112,6 +112,30 @@ class TestNonFiniteInput:
         assert out.stdout == ""
         assert f"argument {flag}:" in out.stderr
 
+    @pytest.mark.parametrize(
+        ("argv", "rule"),
+        [
+            (["spoly", "--n", "x", "--k", "1"], "must be a positive integer"),
+            (
+                ["roots", "--P", "[[1,0],[1,0]]", "--tol", "abc"],
+                "must be a finite non-negative number",
+            ),
+            (["verify", "--seed", "x"], "must be a non-negative integer"),
+            (
+                ["localize", "--P", "[[1,0],[1,0]]", "--xi", "0",
+                 "--k", "1.5"],
+                "must be a positive integer",
+            ),
+        ],
+    )
+    def test_unparsable_number_states_the_rule(self, capsys, argv, rule):
+        # Text that does not parse gets the same message as a value out
+        # of range, not one that names the private validator.
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1].endswith(f": {rule}")
+
 
 class TestSolve:
     def test_centered_solve_worked_example(self, run_cli):

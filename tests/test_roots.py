@@ -1,5 +1,6 @@
 import ast
 import cmath
+import inspect
 import math
 from fractions import Fraction
 from pathlib import Path
@@ -278,10 +279,11 @@ class TestDeterminismAndFlags:
         assert a.max_residual == b.max_residual
         assert a.converged == b.converged
 
-    def test_not_converged_is_reported(self):
+    def test_not_converged_is_reported(self, monkeypatch):
         # Above the companion crossover: from its eigenvalues S(8, 2)
         # settles in one sweep, so it would not be cut off.
-        rs = find_roots(s_poly(roots._EIG_MAX + 8, 2), max_iter=1)
+        monkeypatch.setattr(roots, "_MAX_SWEEPS", 1)
+        rs = find_roots(s_poly(roots._EIG_MAX + 8, 2))
         assert not rs.converged
 
     def test_residual_is_scaled(self):
@@ -295,17 +297,17 @@ class TestDeterminismAndFlags:
         q = poly_from_roots(np.exp(2j * np.pi * rng.random(9)))
         p = Polynomial(np.convolve([1e-60, 0, 0, 1], q.coeffs))
         rs = find_roots(p)
-        assert rs.max_residual > roots._RESIDUAL_TOL
+        assert rs.max_residual > roots.RESIDUAL_TOL
         assert not rs.converged
 
     def test_converged_needs_the_residual_bound(self):
-        assert roots._RESIDUAL_TOL == 1e-9
+        assert roots.RESIDUAL_TOL == 1e-9
         z = np.array([0.5 + 0j])
         noise = np.array([4 * EPS])
         seen = set()
         for value in np.geomspace(1e-10, 1e-8, 41).tolist() + [1e-9, 0.0]:
             rs = _root_set(z, np.array([value]), noise, True)
-            assert rs.converged == (rs.max_residual <= 1e-9)
+            assert rs.converged == (rs.max_residual <= roots.RESIDUAL_TOL)
             assert not _root_set(z, np.array([value]), noise, False).converged
             seen.add(rs.converged)
         assert seen == {True, False}
@@ -607,11 +609,15 @@ class TestSharedPipeline:
                 assert got.shape == want.shape == batch.shape
                 assert got.tobytes() == want.tobytes()
 
-    @pytest.mark.parametrize("max_iter", [200, 2])
-    def test_aberth_returns_the_values_at_its_iterates(self, max_iter):
+    @pytest.mark.parametrize("sweeps", [200, 2])
+    def test_aberth_returns_the_values_at_its_iterates(
+        self, monkeypatch, sweeps
+    ):
         # p, p' and the noise floor handed to the polish are those of a
         # fresh call at the returned iterates, to the last bit, also
-        # for roots cut off by max_iter, and for the form of s_zeros.
+        # for roots cut off by the sweep cap, and for the form of
+        # s_zeros.
+        monkeypatch.setattr(roots, "_MAX_SWEEPS", sweeps)
         rng = np.random.default_rng(3)
         a = [1.0, 1j] @ rng.normal(size=(2, 13))
         q = centered_q(64, 64, 0.6)
@@ -623,13 +629,15 @@ class TestSharedPipeline:
         ]
         with np.errstate(all="ignore"):
             for evaluate, start in cases:
-                (z, *values), done = _aberth(start, evaluate, 1e-12, max_iter)
-                assert done == (max_iter == 200)
+                (z, *values), done = _aberth(start, evaluate, 1e-12)
+                assert done == (sweeps == 200)
                 for got, want in zip(values, evaluate(z)):
                     assert got.tobytes() == want.tobytes()
 
-    @pytest.mark.parametrize("max_iter", [200, 3])
-    def test_one_pass_aberth_matches_the_two_pass_sums(self, max_iter):
+    @pytest.mark.parametrize("sweeps", [200, 3])
+    def test_one_pass_aberth_matches_the_two_pass_sums(
+        self, monkeypatch, sweeps
+    ):
         # Setting every zero difference to infinity before the one sum
         # gives the bits of the sum that left out the root itself and
         # summed again only the rows that came out non-finite: on
@@ -645,11 +653,12 @@ class TestSharedPipeline:
             cases.append((poly_from_roots(cluster).coeffs, _hull_starts(a)))
             twice = np.repeat(_hull_starts(a)[: (n + 1) // 2], 2)[:n]
             cases.append((a, twice))
+        monkeypatch.setattr(roots, "_MAX_SWEEPS", sweeps)
         with np.errstate(all="ignore"):
             for a, start in cases:
                 evaluate = _Evaluator(a)
-                got, done = _aberth(start, evaluate, 1e-12, max_iter)
-                want, want_done = two_pass_aberth(start, evaluate, 1e-12, max_iter)
+                got, done = _aberth(start, evaluate, 1e-12)
+                want, want_done = two_pass_aberth(start, evaluate, 1e-12, sweeps)
                 assert done == want_done
                 for g, w in zip(got, want):
                     assert g.tobytes() == w.tobytes()
@@ -660,7 +669,7 @@ class TestSharedPipeline:
         evaluate = _Evaluator(np.array([1.0, 0.0, 1.0], complex))
         start = np.array([0.0, 2.0 + 0.5j])
         with np.errstate(all="ignore"):
-            (z, *_), done = _aberth(start, evaluate)
+            (z, *_), done = _aberth(start, evaluate, roots.SETTLE_TOL)
         assert done
         assert sorted(z.tolist(), key=lambda v: v.imag) == pytest.approx(
             [-1j, 1j], abs=1e-12
@@ -830,6 +839,31 @@ class TestSharedPipeline:
                     for field in ("id", "attr", "name", "asname")
                 }
                 assert not names & pieces, f"{path.name}:{node.lineno}"
+
+    def test_each_search_setting_is_defined_once(self):
+        # The sweep cap is a module constant, not a parameter; the
+        # settle tolerance, the residual bound and the noise-floor
+        # factor are written once, in roots.py, and read from there.
+        from polarpoly import cli, verify
+
+        for fn in (find_roots, roots._zeros, _aberth):
+            assert "max_iter" not in inspect.signature(fn).parameters
+        assert verify.RESIDUAL_TOL is roots.RESIDUAL_TOL
+        args = cli.build_parser().parse_args(["roots", "--P", "[[1,0],[1,0]]"])
+        assert args.tol is roots.SETTLE_TOL
+        noise = []
+        for path in sorted(Path(roots.__file__).parent.glob("*.py")):
+            text = path.read_text()
+            lines = text.splitlines()
+            for node in ast.walk(ast.parse(text)):
+                if isinstance(node, ast.BinOp) and isinstance(
+                    node.op, ast.Mult
+                ):
+                    sides = {ast.unparse(node.left), ast.unparse(node.right)}
+                    if sides == {"4.0", "_EPS"}:
+                        line = lines[node.lineno - 1].strip()
+                        noise.append((path.name, line))
+        assert noise == [("roots.py", "_NOISE = 4.0 * _EPS")]
 
 
 class TestTopDegree:
