@@ -37,6 +37,7 @@ from .errors import (
     NotMonicError,
 )
 from .polynomial import (
+    BINOMIAL_MAX,
     Polynomial,
     binomial_coeffs,
     binomial_row,
@@ -76,21 +77,6 @@ def _check_factor(name: str, poly: Polynomial) -> None:
         raise NotMonicError(f"{name} must be monic", leading=poly.leading)
 
 
-def _check_scale(n: int, k: int) -> None:
-    # The operator's diagonal (j+1)_k, j = 0..n, is the row from which
-    # the solver forms the antiderivative; it peaks at (n+1)_k, the
-    # scale of the right-hand side.
-    try:
-        rising_row(n, k)
-    except OverflowError:
-        raise DegreeTooLargeError(
-            f"the operator for n = {n}, k = {k} needs (n+1)_k, which "
-            "exceeds the double range",
-            n=n,
-            k=k,
-        ) from None
-
-
 @dataclass(frozen=True)
 class PolarProblem:
     """The data (P, R) of the equation d^k/dz^k(R*Q) = (n+1)_k * P.
@@ -105,7 +91,7 @@ class PolarProblem:
     def __post_init__(self):
         _check_factor("P", self.P)
         _check_factor("R", self.R)
-        _check_scale(self.n, self.k)
+        rising_row(self.n, self.k)
 
     @classmethod
     def centered(cls, P: Polynomial, xi: complex, k: int) -> "PolarProblem":
@@ -114,7 +100,7 @@ class PolarProblem:
         if k < 1:
             raise ValueError("k must be a positive integer")
         _check_factor("P", P)
-        _check_scale(P.degree, k)
+        rising_row(P.degree, k)
         return cls(P, poly_from_roots([complex(xi)] * k))
 
     @property
@@ -189,27 +175,20 @@ def solve_polar_shifted(P, xi, k):
     return solve_polar(PolarProblem.centered(P, xi, k))
 
 
-def _check_binomial_row(what: str, size: str, value: int, **details):
-    # ``what`` needs the whole binomial row of ``value`` (named ``size``
-    # in the message), which fits a double up to 1029, where its middle
-    # C(1029, 514) is 1.4e308.
-    try:
-        binomial_row(value)
-    except OverflowError:
-        raise DegreeTooLargeError(
-            f"{what} needs binomial coefficients of {size} = {value}, "
-            f"which exceed the double range from {size} = 1030 on",
-            **details,
-        ) from None
-
-
 def _check_s_degree(n: int, k: int) -> None:
     # S is the part of (1+w)^(n+k) of degree >= k, divided by w^k, and
     # s_zeros evaluates it through the whole binomial row of n+k, so
     # s_poly and s_zeros accept n+k as long as that row fits a double.
     if n < 1 or k < 1:
         raise ValueError("n and k must be positive integers")
-    _check_binomial_row(f"S({n}, {k})", "n + k", n + k, n=n, k=k)
+    if n + k > BINOMIAL_MAX:
+        raise DegreeTooLargeError(
+            f"S({n}, {k}) needs binomial coefficients of n + k = {n + k}, "
+            "which exceed the double range from n + k = "
+            f"{BINOMIAL_MAX + 1} on",
+            n=n,
+            k=k,
+        )
 
 
 def s_poly(n: int, k: int) -> Polynomial:
@@ -217,9 +196,9 @@ def s_poly(n: int, k: int) -> Polynomial:
 
     Its constant term C(n+k, k) never vanishes, and its zeros control
     the zeros of every centered polar polynomial via the convolution
-    identity.  Raises DegreeTooLargeError from n + k = 1030 on, where
-    the binomial coefficients of n + k exceed the double range (for
-    k <= n, the middle coefficients of S itself).
+    identity.  Raises DegreeTooLargeError beyond n + k =
+    ``BINOMIAL_MAX``, where the binomial coefficients of n + k exceed
+    the double range (for k <= n, the middle coefficients of S itself).
     """
     _check_s_degree(n, k)
     return Polynomial(binomial_row(n + k)[k:])
@@ -408,12 +387,11 @@ def grace_convolve(p: Polynomial, q: Polynomial) -> Polynomial:
 
     The working size is n = max(deg p, deg q); output coefficient j is
     C(n, j) * alpha_j * beta_j.  The polynomial (1+w)^n is the identity
-    element for this product.  Raises DegreeTooLargeError from n = 1030
-    on, where C(n, j) exceeds the double range; a coefficient beyond the
-    double range comes out infinite.
+    element for this product.  Raises DegreeTooLargeError beyond n =
+    ``BINOMIAL_MAX``, where ``binomial_row(n)`` does; a coefficient
+    beyond the double range comes out infinite.
     """
     n = max(p.degree, q.degree)
-    _check_binomial_row("the Grace convolution", "n", n, n=n)
     with np.errstate(over="ignore", invalid="ignore"):
         return from_binomial(binomial_coeffs(p, n) * binomial_coeffs(q, n))
 
@@ -439,7 +417,7 @@ def grace_factorize(
     if P.degree != Q.degree:
         raise ValueError("P and Q must have the same degree")
     n = P.degree
-    _check_binomial_row("the Grace convolution", "n", n, n=n)
+    binomial_row(n)  # refuses n beyond BINOMIAL_MAX before the shifts
     xi = complex(xi)
     ps = taylor_shift(P, xi)
     qs = taylor_shift(Q, xi)

@@ -13,9 +13,9 @@ when their coefficients are equal as numbers, so ``-0.0`` and ``0.0``
 compare, and hash, alike.
 
 Combinatorial scalars (binomial coefficients, rising factorials) are
-computed in exact integer arithmetic and converted to floating point at
-the point of use, which keeps them cancellation-free for sizes up to
-n + k of about 60.
+computed in exact integer arithmetic and rounded once, in cached
+read-only rows; a row beyond the double range is refused with
+DegreeTooLargeError, and so is every function that needs it.
 
 In JSON a complex number is an ``[re, im]`` pair of finite numbers.
 The codec at the end of this module is the one home of that form: its
@@ -35,10 +35,16 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from .errors import DegreeTooLargeError
+
 if TYPE_CHECKING:
     from numpy.typing import ArrayLike
 
 MONIC_TOL = 1e-12
+
+# The largest n whose binomial coefficients C(n, j) all fit a double:
+# C(1029, 514) is 1.4e308, and C(1030, 515) exceeds the double range.
+BINOMIAL_MAX = 1029
 
 
 class Polynomial:
@@ -95,7 +101,9 @@ def poly_mul(p: Polynomial, q: Polynomial) -> Polynomial:
 
 
 def derivative_k(p: Polynomial, k: int) -> Polynomial:
-    """k-fold formal derivative; zero polynomial once k exceeds the degree."""
+    """k-fold formal derivative; zero polynomial once k exceeds the
+    degree.  DegreeTooLargeError where its factors (j+1)_k do not fit a
+    double (``rising_row``), as (251)_150 = 1e376 for (z^400)^(150)."""
     if k < 0:
         raise ValueError("derivative order must be nonnegative")
     if k > p.degree:
@@ -124,7 +132,11 @@ def taylor_shift(p: Polynomial, xi: complex) -> Polynomial:
 @functools.lru_cache(maxsize=64)
 def binomial_row(n: int) -> np.ndarray:
     """Read-only C(n, j), j = 0..n, each rounded once from the exact
-    integer; OverflowError from n = 1030 on."""
+    integer; DegreeTooLargeError beyond n = ``BINOMIAL_MAX``."""
+    if n > BINOMIAL_MAX:
+        raise DegreeTooLargeError(
+            f"C({n}, j) exceeds the double range for n > {BINOMIAL_MAX}", n=n
+        )
     row = np.array([float(math.comb(n, j)) for j in range(n + 1)])
     row.setflags(write=False)
     return row
@@ -157,14 +169,21 @@ def from_binomial(gamma: np.ndarray) -> Polynomial:
 @functools.lru_cache(maxsize=64)
 def rising_row(n: int, k: int) -> np.ndarray:
     """Read-only (j+1)_k = perm(j + k, k), j = 0..n, each rounded once
-    from the exact integer; OverflowError where one exceeds the double
-    range, first of all for k >= 171, where k! alone exceeds it."""
-    if k > 170:
-        raise OverflowError("int too large to convert to float")
-    exact = (math.perm(j + k, k) for j in range(n + 1))
-    row = np.fromiter(map(float, exact), np.float64, n + 1)
-    row.setflags(write=False)
-    return row
+    from the exact integer; DegreeTooLargeError where its top (n+1)_k
+    exceeds the double range, at once for k >= 171, where k! alone
+    does (forming k! takes seconds from k = 10^6 on)."""
+    if k <= 170:
+        exact = (math.perm(j + k, k) for j in range(n + 1))
+        try:
+            row = np.fromiter(map(float, exact), np.float64, n + 1)
+        except OverflowError:  # an entry beyond the double range
+            pass
+        else:
+            row.setflags(write=False)
+            return row
+    raise DegreeTooLargeError(
+        f"(n+1)_k for n = {n}, k = {k} exceeds the double range", n=n, k=k
+    )
 
 
 def poly_from_roots(roots: ArrayLike) -> Polynomial:

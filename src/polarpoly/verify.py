@@ -176,6 +176,8 @@ def residual_norm(P: Polynomial, R: Polynomial, Q: Polynomial) -> float:
     shares no code with it.  Reads inf where the image leaves the double
     range, as it can for R*Q near the top of the range, or NaN where it
     and (n+1)_k * P are both infinite at one power (``max_coeff_diff``).
+    Raises DegreeTooLargeError where the factors (j+1)_k of the image do
+    not fit a double (``rising_row``), as from deg R = 171 on.
     """
     n = P.degree
     lhs = apply_tr(R, Q)

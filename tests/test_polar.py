@@ -27,6 +27,7 @@ from polarpoly.polynomial import (
     Polynomial,
     binomial_coeffs,
     derivative_k,
+    from_binomial,
     max_coeff_diff,
     poly_from_roots,
     poly_mul,
@@ -158,6 +159,39 @@ class TestApplyTr:
         q = solve_polar(PolarProblem(p, r))
         assert verify.residual_norm(p, r, q) <= 1e-15
         assert calls == [(r, q)]
+
+
+# Public entry points whose combinatorial row leaves the double range,
+# each with the details that name the row: (j+1)_k, j = 0..n, or C(n, j).
+# R = z^171 needs 171! alone; (z^400)^(150) needs (251)_150 = 1e376.
+_R171 = Polynomial([0] * 171 + [1])
+ROW_REFUSALS = {
+    "residual_norm": (
+        lambda: residual_norm(Polynomial([0, 1]), _R171, Polynomial([0, 1])),
+        {"n": 1, "k": 171},
+    ),
+    "apply_tr": (
+        lambda: apply_tr(_R171, Polynomial([0, 1])), {"n": 1, "k": 171}
+    ),
+    "derivative_k": (
+        lambda: derivative_k(Polynomial([0] * 400 + [1]), 150),
+        {"n": 250, "k": 150},
+    ),
+    "binomial_coeffs": (
+        lambda: binomial_coeffs(Polynomial([0, 1]), 1100), {"n": 1100}
+    ),
+    "from_binomial": (lambda: from_binomial(np.zeros(1031)), {"n": 1030}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ROW_REFUSALS))
+def test_row_beyond_the_double_range_is_refused(name):
+    # A DomainError code, never a bare OverflowError from the row.
+    call, details = ROW_REFUSALS[name]
+    with pytest.raises(DegreeTooLargeError) as err:
+        call()
+    assert err.value.code == "DegreeTooLarge"
+    assert err.value.details == details
 
 
 class TestSolvePolar:

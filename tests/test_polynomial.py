@@ -413,8 +413,9 @@ class TestScalars:
         if n < 1200:
             if n:
                 PolarProblem.centered(Polynomial([0] * n + [1]), 0.5, k)
-            with pytest.raises(OverflowError):
+            with pytest.raises(DegreeTooLargeError) as err:
                 rising_row(n + 1, k)
+            assert err.value.details == {"n": n + 1, "k": k}
             with pytest.raises(DegreeTooLargeError):
                 PolarProblem.centered(Polynomial([0] * (n + 1) + [1]), 0.5, k)
 
@@ -423,8 +424,9 @@ class TestScalars:
         # (j+1)_k >= k! exceeds the doubles from k = 171 on; forming
         # k! alone takes seconds from k = 10^6 on.
         start = time.perf_counter()
-        with pytest.raises(OverflowError):
+        with pytest.raises(DegreeTooLargeError) as err:
             rising_row(0, k)
+        assert err.value.details == {"n": 0, "k": k}
         with pytest.raises(DegreeTooLargeError):
             PolarProblem.centered(Polynomial([0, 1]), 0, k)
         assert time.perf_counter() - start < 1.0
