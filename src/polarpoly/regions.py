@@ -83,15 +83,9 @@ class Region:
                 raise ValueError("radius must be finite and nonnegative")
 
     def to_dict(self) -> dict:
-        out = {
-            "kind": self.kind,
-            "center": jsonable(self.center),
-            "closed": self.closed,
-        }
-        if self.kind == "half_plane":
-            out["normal"] = jsonable(self.normal)
-        else:
-            out["radius"] = self.radius
+        """The JSON form, without the field that the kind leaves unused."""
+        out = jsonable(self)
+        del out["radius" if self.kind == "half_plane" else "normal"]
         return out
 
     @classmethod

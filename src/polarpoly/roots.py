@@ -115,7 +115,8 @@ def _starts(a: np.ndarray) -> np.ndarray:
     # stops short near the ends of the double range.  They are exact for
     # a matrix off by about eps times its norm, which moves a double zero
     # by about sqrt(eps) max |u|: a smaller start is noise, which the
-    # absolute settle test may accept, so the polygon's starts are taken.
+    # absolute settle test may accept, so the polygon's starts are taken,
+    # as they are where a start scaled back leaves the double range.
     n = len(a) - 1
     if n <= _EIG_MAX:
         lo, hi = (max(abs(v.real), abs(v.imag)) for v in (a[0], a[-1]))
@@ -130,7 +131,9 @@ def _starts(a: np.ndarray) -> np.ndarray:
             return _hull_starts(a)
         size = np.abs(u)
         if size.min() > math.sqrt(_EPS) * size.max():
-            return np.ldexp(u.real, e) + 1j * np.ldexp(u.imag, e)
+            z = np.ldexp(u.real, e) + 1j * np.ldexp(u.imag, e)
+            if np.isfinite(z).all():
+                return z
     return _hull_starts(a)
 
 

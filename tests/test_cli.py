@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 from dataclasses import replace
@@ -21,6 +22,7 @@ from polarpoly.regions import enclosing_disk
 from oracles import s_zeros_k1, sort_roots
 
 DATA = Path(__file__).resolve().parent / "data"
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 class TestComplexFlagSyntax:
@@ -829,3 +831,21 @@ def test_report_bytes_unchanged(capsys, argv, golden):
     #               main(argv)'
     assert main(argv) == (1 if golden.startswith("error_") else 0)
     assert capsys.readouterr().out.encode() == (DATA / golden).read_bytes()
+
+
+def readme_cli_commands():
+    """The command lines of README's ``## CLI`` code block, as argv."""
+    block = README.read_text().split("\n## CLI\n", 1)[1].split("```", 2)[1]
+    return [shlex.split(line) for line in block.splitlines() if line]
+
+
+@pytest.mark.parametrize(
+    "argv", readme_cli_commands(), ids=lambda argv: argv[1]
+)
+def test_readme_cli_examples_run(tmp_path, monkeypatch, capsys, argv):
+    # Every example README shows exits 0 and prints one JSON object;
+    # `roots --svg zeros.svg` writes into the temporary directory.
+    assert argv[0] == "polarpoly"
+    monkeypatch.chdir(tmp_path)
+    assert main(argv[1:]) == 0
+    assert isinstance(json.loads(capsys.readouterr().out), dict)

@@ -1065,7 +1065,8 @@ class TestGraceFactorize:
         with pytest.raises(NonFiniteError):
             grace_factorize(Polynomial(p), Polynomial(q), xi)
 
-    def test_never_returns_non_reproducing_factor(self):
+    def test_exact_match_error_is_the_reconstruction_residual(self):
+        # The error is returned unjudged; at n < 10 it stays within 1e-10.
         rng = np.random.default_rng(37)
         for _ in range(60):
             n = int(rng.integers(1, 10))
@@ -1085,7 +1086,9 @@ class TestGraceFactorize:
                 continue
             ps, qs = taylor_shift(p, xi), taylor_shift(q, xi)
             rebuilt = grace_convolve(ps, fact.s_r)
-            assert max_coeff_diff(rebuilt, qs) <= 1e-10 * sup_norm(qs)
+            error = max_coeff_diff(rebuilt, qs) / sup_norm(qs)
+            assert fact.exact_match_error == error
+            assert error <= 1e-10
 
 
 def operator_column(r, j):

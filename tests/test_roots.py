@@ -1070,17 +1070,27 @@ class TestCompanionStarts:
         assert find_roots(Polynomial(a)) == want
         assert calls == [5]
 
-    @pytest.mark.parametrize("tiny", [1e-320, 1e-310])
-    def test_zero_beyond_the_double_range(self, monkeypatch, tiny):
+    @pytest.mark.parametrize(
+        "coeffs, size",
+        [
+            ([1, 2, 3, 1e-320], 320),
+            ([1, 2, 3, 1e-310], 310),
+            ([1, 1e-310], 310),
+            ([1e300, 1e-10], 310),
+        ],
+        ids=["1e-320", "1e-310", "degree_1_1e-310", "degree_1_1e300"],
+    )
+    def test_zero_beyond_the_double_range(self, monkeypatch, coeffs, size):
         # 1 + 2z + 3z^2 + tiny z^3 has a zero near -3/tiny, 3e320 and
-        # 3e310; the companion path hands it to the polygon, whose
-        # start radius for it is beyond the double range.
+        # 3e310, and the degree-1 cases have theirs at -1e310; the
+        # companion path hands it to the polygon, whose start radius for
+        # it is beyond the double range.  At degree 1 the eigenvalue is
+        # finite and only its scaling back by 2^e overflows.
         calls = self.spy_polygon(monkeypatch)
         with pytest.raises(NonFiniteError) as info:
-            find_roots(Polynomial([1, 2, 3, tiny]))
-        assert calls == [4]
+            find_roots(Polynomial(coeffs))
+        assert calls == [len(coeffs)]
         assert info.value.code == "NonFinite"
-        size = round(math.log10(3.0) - math.log10(tiny))
         assert f"modulus near 1e{size}," in str(info.value)
 
     def test_lapack_failure_takes_the_polygon(self, monkeypatch):

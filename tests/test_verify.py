@@ -15,7 +15,12 @@ from polarpoly.polynomial import (
 from polarpoly import regions, verify
 from polarpoly.cli import main
 from polarpoly.errors import NonFiniteError
-from polarpoly.polar import GraceFactorization, PolarProblem, solve_polar
+from polarpoly.polar import (
+    GraceFactorization,
+    PolarProblem,
+    grace_factorize,
+    solve_polar,
+)
 from polarpoly.regions import LocalizationReport, Witness
 from polarpoly.verify import (
     CaseInstance,
@@ -319,6 +324,22 @@ class TestCaseMetrics:
             "2 degenerate instances reported FactorizationImpossible "
             "(counted as conforming)"
         ]
+
+    def test_numerical_miss_is_returned_not_refused(self):
+        # Draw 3 of the harness at n in [32, 64], seed 1: n = 56, k = 2,
+        # xi = 1.7878-0.2315i.  A factor exists, and it reproduces
+        # Q(xi+w) only to about 1e-8; that is a reconstruction error to
+        # report, not an impossibility.
+        cfg = SuiteConfig(cases=200, seed=1, n_range=(32, 64))
+        rng = np.random.Generator(np.random.PCG64(cfg.seed))
+        inst = [sample_case(rng, cfg) for _ in range(4)][3]
+        assert (inst.n, inst.k) == (56, 2)
+        q = solve_polar(PolarProblem.centered(inst.P, inst.xi, inst.k))
+        fact = grace_factorize(inst.P, q, inst.xi)
+        assert fact.exact_match_error > 1e-10
+        metrics = case_metrics(inst)
+        assert not metrics["factorize_impossible"]
+        assert metrics["factorize_error"] >= fact.exact_match_error
 
     def test_factorization_beyond_the_double_range(self, monkeypatch):
         # P(xi + w) leaves the double range at n = 1000 about xi =
