@@ -342,7 +342,9 @@ def s_zeros(n: int, k: int) -> RootSet:
     """
     _check_s_degree(n, k)
     log_t, evaluate = _s_form(n, k)
-    return _zeros(evaluate, _s_starts(n, k, log_t))
+    starts = _s_starts(n, k, log_t)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        return _zeros(evaluate, starts)
 
 
 def q_zeros(

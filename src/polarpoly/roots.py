@@ -199,9 +199,9 @@ class _Evaluator:
         # Coefficient i of every block, for the compensated step.
         self.columns = blocks[:, :, 0].transpose(0, 2, 1)[..., None]
         if b == 1:  # The addends of __call__'s Horner state.
-            self.terms = np.stack(
-                [blocks[..., 0, 0], np.zeros((2, m)), self.sizes[..., 0]], 2
-            )[..., None]
+            self.terms = np.zeros((2, m, 3, 1), np.complex128)
+            self.terms[:, :, 0, 0] = flat
+            self.terms[:, :, 2] = self.sizes
 
     def __call__(self, z: np.ndarray):
         b, m = self.b, self.m
@@ -336,17 +336,18 @@ def _newton_polish(evaluate, z, pv, dv, noise):
     # noise floor; a further step would only re-sample the rounding of
     # p (module docstring).  It is kept only where it lowers the
     # normwise residual |p|/noise, so never from p' = 0, and is not
-    # evaluated where it rounds back to z, where it would be refused.
-    # ``evaluate`` gives those three at new points, in any per-point
-    # scale that varies smoothly with z; returns z and the three at z.
-    z, pv, dv, noise = (np.array(v) for v in (z, pv, dv, noise))
-    cand = np.where(dv == 0, z, z - pv / np.where(dv == 0, 1.0, dv))
+    # evaluated where it rounds back to z.  ``evaluate`` gives the three
+    # at new points, in a per-point scale smooth in z; returns z and the
+    # three at z, written into the four arrays, which its callers own.
+    flat = dv == 0
+    cand = np.where(flat, z, z - pv / np.where(flat, 1.0, dv))
     live = np.flatnonzero(cand != z)
     if live.size:
         pc, dc, nc = evaluate(cand[live])
         kept = np.abs(pc) / nc < np.abs(pv[live]) / noise[live]
-        for out, new in zip((z, pv, dv, noise), (cand[live], pc, dc, nc)):
-            out[live[kept]] = new[kept]
+        at = live[kept]
+        z[at] = cand[at]
+        pv[at], dv[at], noise[at] = pc[kept], dc[kept], nc[kept]
     return z, pv, dv, noise
 
 
@@ -362,49 +363,45 @@ def _aberth(z: np.ndarray, evaluate, tol: float):
     keep repelling the others.  Returns (z, p, p', noise), the final
     iterates with the values of the sweep each settled in (roots still
     active after ``_MAX_SWEEPS`` sweeps are evaluated once at the end),
-    and whether every root settled.  Only ``_zeros`` runs it, and then
-    polishes with ``_newton_polish`` on the same evaluator.
+    and whether every root settled.  Only ``_zeros`` runs it, under its
+    caller's ``np.errstate``, and then polishes with ``_newton_polish``
+    on the same evaluator.
     """
     z = np.array(z, dtype=np.complex128)
-    pz, dz, nz = np.empty_like(z), np.empty_like(z), np.empty(len(z))
-    active = np.arange(len(z))
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for _ in range(_MAX_SWEEPS):
-            za = z[active]
-            pv, dv, noise = evaluate(za)
-            pz[active], dz[active], nz[active] = pv, dv, noise
+    za, active = z, np.arange(len(z))
+    pz, dz, nz = pv, dv, noise = evaluate(z)
+    for _ in range(_MAX_SWEEPS):
+        at_root = pv == 0
+        flat = dv == 0
+        w = pv / np.where(flat, 1.0, dv)
+        # Deterministic nudge out of a stationary point of p.
+        stuck = flat & ~at_root
+        if stuck.any():
+            w = np.where(stuck, 0.1 * (1.0 + np.abs(za)), w)
 
-            at_root = pv == 0
-            dv_safe = np.where(dv == 0, 1.0, dv)
-            w = pv / dv_safe
-            # Deterministic nudge out of a stationary point of p.
-            stuck = (dv == 0) & ~at_root
-            if stuck.any():
-                w = np.where(stuck, 0.1 * (1.0 + np.abs(za)), w)
-
-            # A root settles on a small Newton correction |p/p'| or on
-            # reaching the evaluation noise floor; not on a small Aberth
-            # correction, which is tiny whenever two iterates sit close
-            # together, however far both are from a zero.  Only the
-            # roots that move get an Aberth sum.
-            move = ~((np.abs(w) <= tol) | (np.abs(pv) <= noise))
-            rows, zm, wm = active[move], za[move], w[move]
-            if rows.size:
-                # A zero difference is the root itself or an iterate
-                # that coincides with it.  Coincident iterates exert no
-                # repulsion on each other; they then merge into a
-                # cluster, which the diagnostics accept.
-                diff = zm[:, None] - z[None, :]
-                diff[diff == 0] = np.inf
-                s = np.divide(1.0, diff, out=diff).sum(axis=1)
-                denom = 1.0 - wm * s
-                denom = np.where(denom == 0, 1.0, denom)
-                z[rows] = zm - np.where(at_root[move], 0.0, wm / denom)
-            active = rows
-            if not active.size:
-                break
-        if active.size:
-            pz[active], dz[active], nz[active] = evaluate(z[active])
+        # A root settles on a small Newton correction |p/p'| or on
+        # reaching the evaluation noise floor; not on a small Aberth
+        # correction, which is tiny whenever two iterates sit close
+        # together, however far both are from a zero.  Only the roots
+        # that move get an Aberth sum.
+        move = ~((np.abs(w) <= tol) | (np.abs(pv) <= noise))
+        active = active[move]
+        if not active.size:
+            break
+        # A zero difference is the root itself or an iterate that
+        # coincides with it.  Coincident iterates exert no repulsion on
+        # each other; they then merge into a cluster, which the
+        # diagnostics accept.
+        zm, wm = za[move], w[move]
+        diff = zm[:, None] - z[None, :]
+        diff[diff == 0] = np.inf
+        s = np.divide(1.0, diff, out=diff).sum(axis=1)
+        denom = 1.0 - wm * s
+        denom = np.where(denom == 0, 1.0, denom)
+        z[active] = zm - np.where(at_root[move], 0.0, wm / denom)
+        za = z[active]  # for the next sweep or, after the last, the polish
+        pv, dv, noise = evaluate(za)
+        pz[active], dz[active], nz[active] = pv, dv, noise
     return (z, pz, dz, nz), not active.size
 
 
@@ -413,14 +410,16 @@ def _root_set(z, p, noise, converged: bool) -> RootSet:
     # on the order they come in (np.hypot is Python's abs bit for bit,
     # np.abs is not; the sign bits tell signed zeros apart), with the
     # normwise residual max 4 eps |p| / noise over the values p and noise
-    # floors the polish ended with (zeros found exactly may be left out).
+    # floors the polish ended with (zeros found exactly may be left out),
+    # inf where the noise floor underflowed to 0 (not 0/0).
     z = np.asarray(z, complex)
     x, y = z.real, z.imag
     arg = np.arctan2(y, x)
     arg[arg <= -math.pi] = math.pi
     keys = np.signbit(y), ~np.signbit(x), y, x, arg, np.hypot(x, y)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        residual = float((_NOISE * np.abs(p) / noise).max(initial=0.0))
+    ratio = _NOISE * np.abs(p) / noise
+    ratio[np.asarray(noise) == 0] = np.inf
+    residual = float(ratio.max(initial=0.0))
     roots = tuple(z[np.lexsort((*keys, np.isnan(z)))].tolist())
     converged = converged and residual <= RESIDUAL_TOL
     return RootSet(roots=roots, max_residual=residual, converged=converged)
@@ -460,9 +459,8 @@ def find_roots(p: Polynomial, tol: float = SETTLE_TOL) -> RootSet:
     if m == n:
         return RootSet(roots=(0j,) * n, max_residual=0.0, converged=True)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        starts = _starts(a)
-    rs = _zeros(_Evaluator(a), starts, tol)
-    return replace(rs, roots=(0j,) * m + rs.roots)
+        rs = _zeros(_Evaluator(a), _starts(a), tol)
+    return replace(rs, roots=(0j,) * m + rs.roots) if m else rs
 
 
 def _zeros(evaluate, starts, tol=SETTLE_TOL):
@@ -471,17 +469,17 @@ def _zeros(evaluate, starts, tol=SETTLE_TOL):
     # (the dense _Evaluator does, the form of S does not), one more
     # step where the attainable plain accuracy noise/|p'| is poor
     # (heavy cancellation), with p' and the noise floor of the plain
-    # evaluator.
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        start, converged = _aberth(starts, evaluate, tol)
-        z, pv, dv, noise = _newton_polish(evaluate, *start)
-        poor = noise > 2e-11 * (1.0 + np.abs(z)) * np.abs(dv)
-        if hasattr(evaluate, "compensated") and poor.any():
-            zp = z[poor]
-            z[poor], pv[poor], _, noise[poor] = _newton_polish(
-                lambda v: (evaluate.compensated(v), *evaluate(v)[1:]),
-                zp, evaluate.compensated(zp), dv[poor], noise[poor]
-            )
+    # evaluator.  Every caller runs it under one ``np.errstate`` that
+    # ignores overflow, 0/0 and division by zero.
+    start, converged = _aberth(starts, evaluate, tol)
+    z, pv, dv, noise = _newton_polish(evaluate, *start)
+    poor = noise > 2e-11 * (1.0 + np.abs(z)) * np.abs(dv)
+    if hasattr(evaluate, "compensated") and poor.any():
+        zp = z[poor]
+        z[poor], pv[poor], _, noise[poor] = _newton_polish(
+            lambda v: (evaluate.compensated(v), *evaluate(v)[1:]),
+            zp, evaluate.compensated(zp), dv[poor], noise[poor]
+        )
     return _root_set(z, pv, noise, converged)
 
 
@@ -489,10 +487,10 @@ def max_modulus(rs: RootSet) -> float:
     """Largest root modulus; NaN if any root is NaN."""
     if not rs.roots:
         raise EmptyRootSetError("root set is empty")
-    # np.max keeps a NaN wherever it stands, where max drops one that is
-    # not first.  A modulus is never -0.0, so no signed-zero tie can
-    # pick a different value than max would.
-    return float(np.max([abs(r) for r in rs.roots]))
+    # np.hypot is Python's abs bit for bit (see _root_set), and np.max
+    # keeps a NaN wherever it stands.
+    z = np.array(rs.roots)
+    return float(np.hypot(z.real, z.imag).max())
 
 
 def vieta_residuals(p: Polynomial, rs: RootSet) -> tuple[float, float]:

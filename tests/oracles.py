@@ -663,7 +663,7 @@ def ray_start_s_zeros(n, k):
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for _ in range(4):
             radius = np.exp(log_t(radius * ray - 1.0)[0].real / big_n)
-    return _zeros(evaluate, radius * ray - 1.0)
+        return _zeros(evaluate, radius * ray - 1.0)
 
 
 def two_boundary_disk(points):

@@ -849,3 +849,13 @@ def test_readme_cli_examples_run(tmp_path, monkeypatch, capsys, argv):
     monkeypatch.chdir(tmp_path)
     assert main(argv[1:]) == 0
     assert isinstance(json.loads(capsys.readouterr().out), dict)
+
+
+def test_underflowed_noise_floor_reads_an_unbounded_residual(capsys):
+    # At the zero of 1e-320 + z the noise floor underflows to 0 with the
+    # value under it: max_residual reads inf, not NaN, and converged
+    # false.
+    assert main(["roots", "--P", "[[1e-320,0],[1,0]]"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["max_residual"] == math.inf
+    assert report["converged"] is False

@@ -824,6 +824,14 @@ class TestSharedPipeline:
         assert rs.max_residual == 2 * EPS
         assert rs.converged
         assert _root_set(z[:1], [], [], False).max_residual == 0.0
+        # A noise floor that underflowed to 0, with the value under it
+        # (p = 1.9e-320 or 0, as at the zero of 1e-320 + z), leaves the
+        # residual unbounded: inf, not the NaN of 0/0.
+        with np.errstate(invalid="ignore", divide="ignore"):
+            rs = _root_set(z[1:], np.array([1.9e-320, 0.0, EPS]),
+                           np.array([0.0, 0.0, 4 * EPS]), True)
+        assert rs.max_residual == math.inf
+        assert not rs.converged
 
     def test_no_other_module_runs_the_sweeps_or_the_polish(self):
         # One search: only roots._zeros runs _aberth and _newton_polish,
