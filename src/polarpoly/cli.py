@@ -42,7 +42,7 @@ from .regions import (
     localize,
     polar_zero_bound,
 )
-from .roots import SETTLE_TOL, find_roots, max_modulus
+from .roots import find_roots, max_modulus
 
 
 def parse_complex(text: str) -> complex:
@@ -179,7 +179,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     roots = subs.add_parser("roots", help="all zeros of a polynomial")
     _add_poly_flags(roots)
-    roots.add_argument("--tol", type=_tolerance, default=SETTLE_TOL)
     _add_output_flags(roots, svg=True)
     roots.set_defaults(func=_cmd_roots)
 
@@ -257,7 +256,7 @@ def _cmd_spoly(args, parser):
 
 def _cmd_roots(args, parser):
     P = _require_poly(args, parser)
-    rs = find_roots(P, tol=args.tol)
+    rs = find_roots(P)
     rows = (["index", "re", "im"], _index_rows(rs.roots))
     scene = ([("zero", rs.roots)], ()) if args.svg else None
     return rs, rows, scene, 0

@@ -24,8 +24,9 @@ in [sqrt N, 2 sqrt N) (Higham, Accuracy and Stability of Numerical
 Algorithms, 2nd ed., 5.1), so the step count grows like sqrt N.
 
 A root counts as settled when its Newton correction |p/p'| drops below
-``tol`` or when the polynomial value at the iterate is already below
-the floating point noise floor of its evaluation, in which case no
+``SETTLE_TOL`` |z|, for zeros of any size (``find_roots`` splits off
+those at 0), or when the polynomial value at the iterate is already
+below the floating point noise floor of its evaluation, where no
 further double-precision progress is possible.  The Aberth correction
 is not a settle test: it is tiny whenever two iterates sit close
 together, also when both approach the same zero and another is missed.
@@ -65,8 +66,7 @@ from .polynomial import Polynomial
 # Fixed angular twist keeping initial guesses off symmetry axes.
 _ANGLE_TWIST = 0.4241438680420134
 
-# The settle tolerance on |p/p'|: the default of find_roots, of _zeros,
-# which s_zeros and q_zeros run with it, and of `roots --tol`.
+# The settle tolerance on |p/p'| / |z|, relative; no command sets it.
 SETTLE_TOL = 1e-12
 
 # The largest max_residual of a converged root set, also verify's
@@ -114,9 +114,9 @@ def _starts(a: np.ndarray) -> np.ndarray:
     # (|a_0| / |a_n|)^(1/n): the scaling is exact, and LAPACK's balancing
     # stops short near the ends of the double range.  They are exact for
     # a matrix off by about eps times its norm, which moves a double zero
-    # by about sqrt(eps) max |u|: a smaller start is noise, which the
-    # absolute settle test may accept, so the polygon's starts are taken,
-    # as they are where a start scaled back leaves the double range.
+    # by about sqrt(eps) max |u|: a smaller start is noise, so the
+    # polygon's starts are taken, as they are where a start scaled back
+    # leaves the double range.
     n = len(a) - 1
     if n <= _EIG_MAX:
         lo, hi = (max(abs(v.real), abs(v.imag)) for v in (a[0], a[-1]))
@@ -351,7 +351,7 @@ def _newton_polish(evaluate, z, pv, dv, noise):
     return z, pv, dv, noise
 
 
-def _aberth(z: np.ndarray, evaluate, tol: float):
+def _aberth(z: np.ndarray, evaluate):
     """Simultaneous Aberth-Ehrlich sweeps from the start vector ``z``.
 
     ``evaluate(v)`` returns p(v), p'(v) and the noise floor of p at v,
@@ -359,13 +359,14 @@ def _aberth(z: np.ndarray, evaluate, tol: float):
     Newton ratio p/p' and the comparison of |p| with the noise floor
     are used.  ``_Evaluator`` is that evaluator for dense coefficients;
     ``polar.s_zeros`` hands ``_zeros`` its own, built on it.  Each sweep
-    evaluates and moves the active roots only; settled roots freeze but
-    keep repelling the others.  Returns (z, p, p', noise), the final
-    iterates with the values of the sweep each settled in (roots still
-    active after ``_MAX_SWEEPS`` sweeps are evaluated once at the end),
-    and whether every root settled.  Only ``_zeros`` runs it, under its
-    caller's ``np.errstate``, and then polishes with ``_newton_polish``
-    on the same evaluator.
+    moves the roots not yet settled (|p/p'| <= ``SETTLE_TOL`` |z| or |p|
+    at the noise floor); settled roots freeze but keep repelling the
+    others.  Returns (z, p, p', noise), the final iterates with the
+    values of the sweep each settled in (roots still active after
+    ``_MAX_SWEEPS`` sweeps are evaluated once at the end), and whether
+    every root settled.  Only ``_zeros`` runs it, under its caller's
+    ``np.errstate``, and then polishes with ``_newton_polish`` on the
+    same evaluator.
     """
     z = np.array(z, dtype=np.complex128)
     za, active = z, np.arange(len(z))
@@ -379,12 +380,13 @@ def _aberth(z: np.ndarray, evaluate, tol: float):
         if stuck.any():
             w = np.where(stuck, 0.1 * (1.0 + np.abs(za)), w)
 
-        # A root settles on a small Newton correction |p/p'| or on
-        # reaching the evaluation noise floor; not on a small Aberth
-        # correction, which is tiny whenever two iterates sit close
+        # A root settles on a Newton correction |p/p'| small against |z|
+        # or on reaching the evaluation noise floor; not on a small
+        # Aberth correction, which is tiny whenever two iterates sit close
         # together, however far both are from a zero.  Only the roots
         # that move get an Aberth sum.
-        move = ~((np.abs(w) <= tol) | (np.abs(pv) <= noise))
+        small = np.abs(w) <= SETTLE_TOL * np.abs(za)
+        move = ~(small | (np.abs(pv) <= noise))
         active = active[move]
         if not active.size:
             break
@@ -425,7 +427,7 @@ def _root_set(z, p, noise, converged: bool) -> RootSet:
     return RootSet(roots=roots, max_residual=residual, converged=converged)
 
 
-def find_roots(p: Polynomial, tol: float = SETTLE_TOL) -> RootSet:
+def find_roots(p: Polynomial) -> RootSet:
     """Compute all zeros of ``p``.
 
     The sweeps start from the companion eigenvalues up to degree
@@ -436,11 +438,10 @@ def find_roots(p: Polynomial, tol: float = SETTLE_TOL) -> RootSet:
     ----------
     p : Polynomial
         Polynomial of degree >= 1 with finite coefficients;
-        NonFiniteError otherwise.
-    tol : float
-        A root settles once its Newton correction |p/p'| has modulus
-        at most ``tol`` (or its residual reaches the evaluation noise
-        floor) within ``_MAX_SWEEPS`` simultaneous sweeps.
+        NonFiniteError otherwise.  A zero settles once its Newton
+        correction |p/p'| is at most ``SETTLE_TOL`` times its modulus,
+        or its residual reaches the evaluation noise floor, within
+        ``_MAX_SWEEPS`` simultaneous sweeps.
 
     Returns
     -------
@@ -459,11 +460,11 @@ def find_roots(p: Polynomial, tol: float = SETTLE_TOL) -> RootSet:
     if m == n:
         return RootSet(roots=(0j,) * n, max_residual=0.0, converged=True)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        rs = _zeros(_Evaluator(a), _starts(a), tol)
+        rs = _zeros(_Evaluator(a), _starts(a))
     return replace(rs, roots=(0j,) * m + rs.roots) if m else rs
 
 
-def _zeros(evaluate, starts, tol=SETTLE_TOL):
+def _zeros(evaluate, starts):
     # The one search: the sweeps from the vector ``starts`` and the
     # polish, both on ``evaluate``.  Where it offers a compensated value
     # (the dense _Evaluator does, the form of S does not), one more
@@ -471,7 +472,7 @@ def _zeros(evaluate, starts, tol=SETTLE_TOL):
     # (heavy cancellation), with p' and the noise floor of the plain
     # evaluator.  Every caller runs it under one ``np.errstate`` that
     # ignores overflow, 0/0 and division by zero.
-    start, converged = _aberth(starts, evaluate, tol)
+    start, converged = _aberth(starts, evaluate)
     z, pv, dv, noise = _newton_polish(evaluate, *start)
     poor = noise > 2e-11 * (1.0 + np.abs(z)) * np.abs(dv)
     if hasattr(evaluate, "compensated") and poor.any():

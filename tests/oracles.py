@@ -724,12 +724,13 @@ def two_boundary_disk(points):
     return center, max(radius, float(np.abs(np.array(pts) - center).max()))
 
 
-def two_pass_aberth(z, evaluate, tol=1e-12, max_iter=200):
+def two_pass_aberth(z, evaluate, max_iter=200):
     """``roots._aberth`` as it was before its Aberth sum took one pass:
     each moving root's sum 1/(z_i - z_j) leaves out the root itself,
     and only the rows whose sum comes out non-finite (an iterate that
     coincides with another) are summed again without every zero
-    difference.  Returns what ``_aberth`` returns."""
+    difference.  Its settle test is ``_aberth``'s, relative to |z|.
+    Returns what ``_aberth`` returns."""
     z = np.array(z, dtype=np.complex128)
     pz, dz, nz = np.empty_like(z), np.empty_like(z), np.empty(len(z))
     active = np.arange(len(z))
@@ -743,7 +744,8 @@ def two_pass_aberth(z, evaluate, tol=1e-12, max_iter=200):
             stuck = (dv == 0) & ~at_root
             if stuck.any():
                 w = np.where(stuck, 0.1 * (1.0 + np.abs(za)), w)
-            move = ~((np.abs(w) <= tol) | (np.abs(pv) <= noise))
+            small = np.abs(w) <= 1e-12 * np.abs(za)
+            move = ~(small | (np.abs(pv) <= noise))
             rows, zm, wm = active[move], za[move], w[move]
             if rows.size:
                 diff = zm[:, None] - z[None, :]

@@ -97,7 +97,13 @@ class TestNonFiniteInput:
                     "--tol", "nan",
                 ],
             ),
-            ("--tol", ["roots", "--P", P, "--tol", "-1e-12"]),
+            (
+                "--tol",
+                [
+                    "localize", "--P", P, "--xi", "0", "--k", "1",
+                    "--tol", "-1e-12",
+                ],
+            ),
             (
                 "--K",
                 [
@@ -119,7 +125,8 @@ class TestNonFiniteInput:
         [
             (["spoly", "--n", "x", "--k", "1"], "must be a positive integer"),
             (
-                ["roots", "--P", "[[1,0],[1,0]]", "--tol", "abc"],
+                ["localize", "--P", "[[1,0],[1,0]]", "--xi", "0",
+                 "--k", "1", "--tol", "abc"],
                 "must be a finite non-negative number",
             ),
             (["verify", "--seed", "x"], "must be a non-negative integer"),
@@ -137,6 +144,16 @@ class TestNonFiniteInput:
             main(argv)
         assert exc.value.code == 2
         assert capsys.readouterr().err.splitlines()[-1].endswith(f": {rule}")
+
+    def test_roots_takes_no_tol(self, capsys):
+        # The settle test is relative to each zero, so `roots` has no
+        # tolerance to set; `localize --tol` is the containment one.
+        with pytest.raises(SystemExit) as exc:
+            main(["roots", "--P", "[[1,0],[1,0]]", "--tol", "1e-12"])
+        assert exc.value.code == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert "unrecognized arguments: --tol 1e-12" in out.err
 
 
 class TestSolve:
@@ -852,10 +869,26 @@ def test_readme_cli_examples_run(tmp_path, monkeypatch, capsys, argv):
 
 
 def test_underflowed_noise_floor_reads_an_unbounded_residual(capsys):
-    # At the zero of 1e-320 + z the noise floor underflows to 0 with the
-    # value under it: max_residual reads inf, not NaN, and converged
-    # false.
-    assert main(["roots", "--P", "[[1e-320,0],[1,0]]"]) == 0
-    report = json.loads(capsys.readouterr().out)
-    assert report["max_residual"] == math.inf
-    assert report["converged"] is False
+    # At the zero of 1e-320 + z, and at the zeros +-(2.013 - 2.013i)e-155
+    # of a fuzz input with subnormal coefficients, the noise floor
+    # underflows to 0 with the value under it: max_residual reads inf,
+    # not NaN, and converged false.  The relative settle test finds the
+    # zeros themselves, to within the settle tolerance where the polish
+    # step is refused: it needs a noise floor above 0.
+    cases = [
+        ("[[1e-320,0],[1,0]]", [-1e-320], 1e-14),
+        (
+            "[[-0.0, 8.1044139193137e-310], [-0.0, 9.317492833657087e-233],"
+            " [1.0, 0.0]]",
+            [s * cmath.sqrt(-8.1044139193137e-310j) for s in (1, -1)],
+            1e-12,
+        ),
+    ]
+    for P, want, rtol in cases:
+        assert main(["roots", "--P", P]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["max_residual"] == math.inf
+        assert report["converged"] is False
+        got = [complex(re, im) for re, im in report["roots"]]
+        for w in want:
+            assert min(abs(g - w) for g in got) <= rtol * abs(w)

@@ -290,15 +290,47 @@ class TestDeterminismAndFlags:
         rs = find_roots(Polynomial([3, 3, 1]))
         assert 0.0 <= rs.max_residual <= 1e-14
 
-    def test_settled_set_with_a_large_residual_is_not_converged(self):
-        # (z^3 + 1e-60) q(z): the settle test accepts the three tiny
-        # zeros off by 4.3%, and only the residual shows it.
+    def test_tiny_zeros_settle_to_their_own_scale(self):
+        # (z^3 + 1e-60) q(z): the settle test is relative to |z|, so the
+        # three zeros of modulus 1e-20 are found to full precision.
         rng = np.random.default_rng(0)
         q = poly_from_roots(np.exp(2j * np.pi * rng.random(9)))
         p = Polynomial(np.convolve([1e-60, 0, 0, 1], q.coeffs))
         rs = find_roots(p)
-        assert rs.max_residual > roots.RESIDUAL_TOL
-        assert not rs.converged
+        assert rs.converged
+        tiny = np.array(rs.roots[:3])
+        want = 1e-20 * np.exp(1j * np.pi * (2 * np.arange(3) + 1) / 3)
+        err = np.abs(tiny[:, None] - want[None, :]).min(axis=0) / 1e-20
+        assert err.max() <= 1e-14
+
+    @pytest.mark.parametrize(
+        ("e", "d"), [(100, 15), (100, 17), (100, 24), (200, 24), (200, 40)]
+    )
+    def test_large_zeros_settle(self, monkeypatch, e, d):
+        # 1 + 10^-e z^d: zeros of modulus 10^(e/d) up to 1e5, which an
+        # absolute test |p/p'| <= 1e-12 cannot settle; the relative one
+        # settles them in a few sweeps.
+        sweeps = []
+        aberth = roots._aberth
+
+        def counted_aberth(start, evaluate):
+            def counted(z):
+                sweeps.append(len(z))
+                return evaluate(z)
+
+            return aberth(start, counted)
+
+        monkeypatch.setattr(roots, "_aberth", counted_aberth)
+        a = np.zeros(d + 1)
+        a[0], a[-1] = 1.0, 10.0**-e
+        rs = find_roots(Polynomial(a))
+        assert rs.converged
+        assert len(sweeps) <= 10 < roots._MAX_SWEEPS
+        size = 10.0 ** (e / d)
+        want = size * np.exp(1j * np.pi * (2 * np.arange(d) + 1) / d)
+        got = np.array(rs.roots)
+        err = np.abs(got[:, None] - want[None, :]).min(axis=0) / size
+        assert err.max() <= 1e-14
 
     def test_converged_needs_the_residual_bound(self):
         assert roots.RESIDUAL_TOL == 1e-9
@@ -629,7 +661,7 @@ class TestSharedPipeline:
         ]
         with np.errstate(all="ignore"):
             for evaluate, start in cases:
-                (z, *values), done = _aberth(start, evaluate, 1e-12)
+                (z, *values), done = _aberth(start, evaluate)
                 assert done == (sweeps == 200)
                 for got, want in zip(values, evaluate(z)):
                     assert got.tobytes() == want.tobytes()
@@ -657,8 +689,8 @@ class TestSharedPipeline:
         with np.errstate(all="ignore"):
             for a, start in cases:
                 evaluate = _Evaluator(a)
-                got, done = _aberth(start, evaluate, 1e-12)
-                want, want_done = two_pass_aberth(start, evaluate, 1e-12, sweeps)
+                got, done = _aberth(start, evaluate)
+                want, want_done = two_pass_aberth(start, evaluate, sweeps)
                 assert done == want_done
                 for g, w in zip(got, want):
                     assert g.tobytes() == w.tobytes()
@@ -669,7 +701,7 @@ class TestSharedPipeline:
         evaluate = _Evaluator(np.array([1.0, 0.0, 1.0], complex))
         start = np.array([0.0, 2.0 + 0.5j])
         with np.errstate(all="ignore"):
-            (z, *_), done = _aberth(start, evaluate, roots.SETTLE_TOL)
+            (z, *_), done = _aberth(start, evaluate)
         assert done
         assert sorted(z.tolist(), key=lambda v: v.imag) == pytest.approx(
             [-1j, 1j], abs=1e-12
@@ -849,16 +881,22 @@ class TestSharedPipeline:
                 assert not names & pieces, f"{path.name}:{node.lineno}"
 
     def test_each_search_setting_is_defined_once(self):
-        # The sweep cap is a module constant, not a parameter; the
-        # settle tolerance, the residual bound and the noise-floor
-        # factor are written once, in roots.py, and read from there.
+        # The search takes no setting: the sweep cap and the settle
+        # tolerance are module constants, not parameters or flags; the
+        # residual bound and the noise-floor factor are written once, in
+        # roots.py, and read from there.
         from polarpoly import cli, verify
 
-        for fn in (find_roots, roots._zeros, _aberth):
-            assert "max_iter" not in inspect.signature(fn).parameters
+        signatures = [
+            (find_roots, ["p"]),
+            (roots._zeros, ["evaluate", "starts"]),
+            (_aberth, ["z", "evaluate"]),
+        ]
+        for fn, params in signatures:
+            assert list(inspect.signature(fn).parameters) == params
         assert verify.RESIDUAL_TOL is roots.RESIDUAL_TOL
         args = cli.build_parser().parse_args(["roots", "--P", "[[1,0],[1,0]]"])
-        assert args.tol is roots.SETTLE_TOL
+        assert not hasattr(args, "tol")
         noise = []
         for path in sorted(Path(roots.__file__).parent.glob("*.py")):
             text = path.read_text()
@@ -1051,9 +1089,8 @@ class TestCompanionStarts:
         assert np.abs((z / np.abs(z)) ** n + 1).max() <= 1e-12
 
     def test_tiny_zeros_are_not_settled_at_their_starts(self):
-        # z^3 + 1e-60 from the polygon's starts: the absolute settle
-        # test |p/p'| <= 1e-12 accepted them where they lay, 2.4% off
-        # in modulus, with max_residual 6.3e-2 and converged=True.
+        # z^3 + 1e-60: zeros of modulus 1e-20 settle on a test relative
+        # to |z|, not where a start lay.
         rs = find_roots(Polynomial([1e-60, 0.0, 0.0, 1.0]))
         assert rs.converged
         assert rs.max_residual <= 1e-15
@@ -1115,8 +1152,7 @@ class TestCompanionStarts:
     def test_tiny_cluster_takes_the_polygon(self, monkeypatch):
         # Two zeros 1e-16 from 0 next to ten on the unit circle: the
         # companion eigenvalues there are rounding noise, of modulus
-        # about 1e-14, where the absolute settle test accepts them
-        # (max_residual 1).  The polygon's starts give 9.2e-6.
+        # about 4e-14, so the polygon's starts are taken.
         rng = np.random.default_rng(2)
         p = poly_from_roots([1e-16, -1e-16, *np.exp(2j * np.pi * rng.random(10))])
         want = polygon_pipeline(p)
