@@ -50,7 +50,7 @@ from .polynomial import (
     sup_norm,
     taylor_shift,
 )
-from .roots import _EIG_MAX, _NOISE, RootSet, _Evaluator, _zeros, find_roots
+from .roots import _EIG_MAX, _NOISE, RootSet, _dense_zeros, _Evaluator, _zeros
 
 # Relative threshold below which a binomial coefficient counts as zero
 # when extracting a convolution factor.
@@ -357,19 +357,20 @@ def q_zeros(
     The zeros of Q lie in xi - K Z(S) for every disk K that holds the
     zeros of P shifted by -xi; for P = (z - c)^n they are exactly
     xi - (c - xi) s_j over the zeros s_j of S.  Beyond degree
-    ``_EIG_MAX`` the one search ``roots._zeros`` runs on Q from that
-    one-point model, with c = -P_(n-1)/n the centroid of the zeros of
-    P, where |c - xi| exceeds their geometric spread |P(c)|^(1/n) about
-    c (compared in logarithms, so that no n-th power overflows).
-    Everywhere else, and where Q(0) = 0 or a coefficient of Q is not
-    finite, this is ``find_roots(Q)``.  Only the starts differ: the
+    ``_EIG_MAX`` the search starts from that one-point model, with c =
+    -P_(n-1)/n the centroid of the zeros of P, where |c - xi| exceeds
+    their geometric spread |P(c)|^(1/n) about c (compared in
+    logarithms, so that no n-th power overflows).  Q enters by the door
+    of ``find_roots``, ``roots._dense_zeros``, which starts as it does
+    without a model or where Q(0) = 0: only the starts differ, and the
     sweeps, the settle test and the polish decide every zero.  Raises
     ValueError unless P, Q and ``s_roots`` share the degree.
     """
     n = Q.degree
     if P.degree != n or len(s_roots) != n:
         raise ValueError("P, Q and the zeros of S must share the degree")
-    if n > _EIG_MAX and Q.coeffs[0] != 0 and np.isfinite(Q.coeffs).all():
+    model = None
+    if n > _EIG_MAX:
         c = -P.coeffs[n - 1] / n
         d = c - xi
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -378,8 +379,7 @@ def q_zeros(
             log_spread = np.log(abs(value)) / n + max(np.log(abs(c)), 0.0)
             if np.log(abs(d)) > log_spread:
                 model = xi - d * np.array(s_roots.roots)
-                return _zeros(_Evaluator(Q.coeffs), model)
-    return find_roots(Q)
+    return _dense_zeros(Q.coeffs, model)
 
 
 def grace_convolve(p: Polynomial, q: Polynomial) -> Polynomial:

@@ -8,14 +8,16 @@ build.  The last bits follow numpy's SIMD paths and, up to
 clusters; the residual and Vieta diagnostics are the arbiters of
 quality in that case.
 
-Vanishing low coefficients give exact zeros at 0.  Up to degree
-``_EIG_MAX`` the starts are the eigenvalues of the companion matrix
-(LAPACK zgeev, which balances it first), exact zeros of a nearby
+Vanishing low coefficients give exact zeros at 0, and coefficients
+whose binary exponents leave +-``_WINDOW`` are centred by an exact power
+of two, which keeps the noise floor out of the subnormal range.  Up to
+degree ``_EIG_MAX`` the starts are the eigenvalues of the companion
+matrix (LAPACK zgeev, which balances it first), exact zeros of a nearby
 polynomial (Edelman and Murakami 1995): one call costs about one sweep
 and saves most of the sweeps from cruder starts.  It costs O(n^3)
-against O(n^2) a sweep, so beyond ``_EIG_MAX``, and where ``_starts``
-finds the eigenvalues unusable, the starts come from the Newton polygon
-of the coefficients (Bini 1996; MPSolve).
+against O(n^2) a sweep, so beyond ``_EIG_MAX``, where LAPACK fails and
+where a start leaves the double range, the starts come from the Newton
+polygon of the coefficients (Bini 1996; MPSolve).
 
 One evaluator, ``_Evaluator``, gives p, p' and the noise floor of the
 evaluation by one Horner loop in y = x^b over blocks of b coefficients:
@@ -24,8 +26,8 @@ in [sqrt N, 2 sqrt N) (Higham, Accuracy and Stability of Numerical
 Algorithms, 2nd ed., 5.1), so the step count grows like sqrt N.
 
 A root counts as settled when its Newton correction |p/p'| drops below
-``SETTLE_TOL`` |z|, for zeros of any size (``find_roots`` splits off
-those at 0), or when the polynomial value at the iterate is already
+``SETTLE_TOL`` |z|, for zeros of any size (``_dense_zeros`` splits
+off those at 0), or when the polynomial value at the iterate is already
 below the floating point noise floor of its evaluation, where no
 further double-precision progress is possible.  The Aberth correction
 is not a settle test: it is tiny whenever two iterates sit close
@@ -45,12 +47,12 @@ in x^b.
 One search, ``_zeros``, finds the zeros of P, Q and S: the sweeps
 (``_aberth``) from a start vector, the polish (``_newton_polish``) and,
 where the evaluator offers a ``compensated`` value, the compensated
-step.  ``find_roots`` hands it ``_Evaluator`` and ``_starts``,
-``polar.q_zeros`` the evaluator of Q and the starts where the
-localization theorem puts its zeros, and ``polar.s_zeros`` the sparse
-form of S with its own evaluator and starts.  The iteration hands the
-polish p, p' and the noise floor of the sweep each root settled in, so
-no iterate is evaluated twice.
+step.  ``_dense_zeros``, the one door of dense coefficients, hands it
+``_Evaluator`` and ``_starts`` or Q's model starts (``find_roots``,
+``polar.q_zeros``), ``polar.s_zeros`` the sparse form of S with its own
+evaluator and starts.  The iteration hands the polish p, p' and the
+noise floor of the sweep each root settled in, so no iterate is
+evaluated twice.
 """
 
 from __future__ import annotations
@@ -88,6 +90,8 @@ _ONE_BLOCK = 16
 # their O(n^3) cost exceeded the sweeps they save, measured on Q.
 _EIG_MAX = 40
 
+_WINDOW = 500  # Coefficient exponents beyond +-_WINDOW are centred.
+
 
 @dataclass(frozen=True)
 class RootSet:
@@ -112,11 +116,10 @@ class RootSet:
 def _starts(a: np.ndarray) -> np.ndarray:
     # The companion eigenvalues of a(2^e u), times 2^e, with 2^e near
     # (|a_0| / |a_n|)^(1/n): the scaling is exact, and LAPACK's balancing
-    # stops short near the ends of the double range.  They are exact for
-    # a matrix off by about eps times its norm, which moves a double zero
-    # by about sqrt(eps) max |u|: a smaller start is noise, so the
-    # polygon's starts are taken, as they are where a start scaled back
-    # leaves the double range.
+    # stops short near the ends of the double range.  The polygon's
+    # starts are taken where LAPACK fails or a start scaled back leaves
+    # the double range; rounding noise, as near a tiny cluster, is a
+    # start like any other, which the relative settle test moves on.
     n = len(a) - 1
     if n <= _EIG_MAX:
         lo, hi = (max(abs(v.real), abs(v.imag)) for v in (a[0], a[-1]))
@@ -129,11 +132,9 @@ def _starts(a: np.ndarray) -> np.ndarray:
             u = np.linalg.eigvals(companion)
         except np.linalg.LinAlgError:
             return _hull_starts(a)
-        size = np.abs(u)
-        if size.min() > math.sqrt(_EPS) * size.max():
-            z = np.ldexp(u.real, e) + 1j * np.ldexp(u.imag, e)
-            if np.isfinite(z).all():
-                return z
+        z = np.ldexp(u.real, e) + 1j * np.ldexp(u.imag, e)
+        if np.isfinite(z).all():
+            return z
     return _hull_starts(a)
 
 
@@ -428,39 +429,44 @@ def _root_set(z, p, noise, converged: bool) -> RootSet:
 
 
 def find_roots(p: Polynomial) -> RootSet:
-    """Compute all zeros of ``p``.
+    """All zeros of ``p``, of degree >= 1 (DegreeZeroError otherwise)
+    with finite coefficients (NonFiniteError otherwise).
 
     The sweeps start from the companion eigenvalues up to degree
-    ``_EIG_MAX`` and from the Newton polygon beyond; the sweeps, the
-    settle test and the polish decide every returned zero.
-
-    Parameters
-    ----------
-    p : Polynomial
-        Polynomial of degree >= 1 with finite coefficients;
-        NonFiniteError otherwise.  A zero settles once its Newton
-        correction |p/p'| is at most ``SETTLE_TOL`` times its modulus,
-        or its residual reaches the evaluation noise floor, within
-        ``_MAX_SWEEPS`` simultaneous sweeps.
-
-    Returns
-    -------
-    RootSet
-        Zeros with multiplicity in ``RootSet``'s order, with the
-        normwise residual and ``converged`` as ``RootSet`` states them.
+    ``_EIG_MAX`` and from the Newton polygon beyond, on the coefficients
+    centred by a power of two where they near the ends of the double
+    range (module docstring).  A zero settles once its Newton correction
+    |p/p'| is at most ``SETTLE_TOL`` times its modulus, or its residual
+    reaches the evaluation noise floor, within ``_MAX_SWEEPS``
+    simultaneous sweeps; the polish decides every returned zero.
+    Returns the zeros with multiplicity in ``RootSet``'s order, with the
+    normwise residual and ``converged`` as ``RootSet`` states them.
     """
-    if not np.isfinite(p.coeffs).all():
-        raise NonFiniteError("coefficients must be finite")
-    n = p.degree
-    if n < 1:
+    if p.degree < 1:
         raise DegreeZeroError("cannot find roots of a constant polynomial")
-    # a_0 = ... = a_(m-1) = 0: z = 0 is an exact zero of multiplicity m.
-    m = int(np.flatnonzero(p.coeffs)[0])
-    a = p.coeffs[m:]
+    return _dense_zeros(p.coeffs)
+
+
+def _dense_zeros(a: np.ndarray, starts=None) -> RootSet:
+    # The search on a, a[-1] != 0, times the 2^f that centres the binary
+    # exponents of its parts, exactly: short of overflow and, scaling
+    # down, of the subnormal range (exponent -1021); from ``starts``
+    # where a_0 != 0.  z = 0 is a zero of order m: a_0..a_(m-1) = 0.
+    parts = a.view(np.float64)
+    size = np.abs(parts)
+    if not math.isfinite(top := size.max()):
+        raise NonFiniteError("coefficients must be finite")
+    n, m = len(a) - 1, int(np.flatnonzero(a)[0])
     if m == n:
         return RootSet(roots=(0j,) * n, max_residual=0.0, converged=True)
+    lo, hi = (math.frexp(v)[1] for v in (size[size > 0].min(), top))
+    if lo < -_WINDOW or hi > _WINDOW:
+        f = min(-(lo + hi) // 2, 2 * _WINDOW - hi)
+        parts = np.ldexp(parts, max(f, min(0, -1021 - lo)))
+    a = parts.view(np.complex128)[m:]
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        rs = _zeros(_Evaluator(a), _starts(a))
+        starts = _starts(a) if m or starts is None else starts
+        rs = _zeros(_Evaluator(a), starts)
     return replace(rs, roots=(0j,) * m + rs.roots) if m else rs
 
 

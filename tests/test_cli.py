@@ -868,27 +868,41 @@ def test_readme_cli_examples_run(tmp_path, monkeypatch, capsys, argv):
     assert isinstance(json.loads(capsys.readouterr().out), dict)
 
 
-def test_underflowed_noise_floor_reads_an_unbounded_residual(capsys):
+def test_subnormal_coefficients_settle_at_a_finite_residual(capsys):
     # At the zero of 1e-320 + z, and at the zeros +-(2.013 - 2.013i)e-155
-    # of a fuzz input with subnormal coefficients, the noise floor
-    # underflows to 0 with the value under it: max_residual reads inf,
-    # not NaN, and converged false.  The relative settle test finds the
-    # zeros themselves, to within the settle tolerance where the polish
-    # step is refused: it needs a noise floor above 0.
+    # of a fuzz input with subnormal coefficients, the noise floor on
+    # the coefficients as given underflows to 0 with the value under
+    # it, and max_residual would read inf.  The search runs on the
+    # coefficients centred by a power of two, where neither underflows:
+    # both converge, with residuals 0.0 and 6.1e-18.
     cases = [
-        ("[[1e-320,0],[1,0]]", [-1e-320], 1e-14),
+        ("[[1e-320,0],[1,0]]", [-1e-320]),
         (
             "[[-0.0, 8.1044139193137e-310], [-0.0, 9.317492833657087e-233],"
             " [1.0, 0.0]]",
             [s * cmath.sqrt(-8.1044139193137e-310j) for s in (1, -1)],
-            1e-12,
         ),
     ]
-    for P, want, rtol in cases:
+    for P, want in cases:
         assert main(["roots", "--P", P]) == 0
         report = json.loads(capsys.readouterr().out)
-        assert report["max_residual"] == math.inf
-        assert report["converged"] is False
+        assert report["converged"] is True
+        assert report["max_residual"] <= 1e-15
         got = [complex(re, im) for re, im in report["roots"]]
         for w in want:
-            assert min(abs(g - w) for g in got) <= rtol * abs(w)
+            assert min(abs(g - w) for g in got) <= 1e-14 * abs(w)
+
+
+def test_subnormal_leading_coefficient_converges(capsys):
+    # 1 + 1e-310 z^2, zeros near +-1e155 i: on the coefficients as
+    # given the reversed evaluation at x = 1/z meets the subnormal
+    # range.  A real part of 5.95e138 against a modulus of 1e155 is
+    # rounding.
+    assert main(["roots", "--P", "[[1,0],[0,0],[1e-310,0]]"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["converged"] is True
+    assert report["max_residual"] <= 1e-15
+    size = 1.0 / math.sqrt(1e-310)  # of the subnormal double 1e-310
+    for re, im in report["roots"]:
+        assert abs(abs(complex(re, im)) / size - 1) <= 1e-14
+        assert abs(re) <= 1e-15 * abs(im)

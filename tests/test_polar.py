@@ -826,8 +826,9 @@ class TestQZeros:
         n, k, xi = 128, 3, 1.5
         zeros = unit_disk(np.random.default_rng(0), n)
         P, Q, S = centered_case(n, k, xi, zeros)
-        # find_roots builds Q's evaluator in roots.py, q_zeros on the
-        # model path in polar.py; only calls on Q's coefficients count.
+        # find_roots and q_zeros both build Q's evaluator in roots.py,
+        # polar.py only that of P for the model; only calls on Q's
+        # coefficients count.
         calls = []
 
         class Counting(_Evaluator):
@@ -841,7 +842,6 @@ class TestQZeros:
                 return super().__call__(z)
 
         monkeypatch.setattr(roots, "_Evaluator", Counting)
-        monkeypatch.setattr(polar, "_Evaluator", Counting)
         dense = find_roots(Q)
         dense_calls = len(calls)
         calls.clear()

@@ -34,6 +34,8 @@ from polarpoly.roots import (
     _newton_polish,
     _powers,
     _root_set,
+    _starts,
+    _zeros,
     find_roots,
     max_modulus,
     vieta_residuals,
@@ -303,13 +305,53 @@ class TestDeterminismAndFlags:
         err = np.abs(tiny[:, None] - want[None, :]).min(axis=0) / 1e-20
         assert err.max() <= 1e-14
 
+    @pytest.mark.parametrize("n", [3, 12, 40])
+    def test_a_power_of_two_moves_no_bit(self, n):
+        # find_roots centres coefficients that leave the window by an
+        # exact power of two, so p times 2^k, inside the double range,
+        # gives the same bits: up to _EIG_MAX the starts do not depend
+        # on the scale either.
+        rng = np.random.default_rng(n)
+        a = [1.0, 1j] @ rng.normal(size=(2, n + 1))
+        want = find_roots(Polynomial(a))
+        for k in (-1000, -700, 600, 900):
+            scaled = np.ldexp(a.real, k) + 1j * np.ldexp(a.imag, k)
+            assert find_roots(Polynomial(scaled)) == want
+
+    def test_no_exact_scale_leaves_the_coefficients(self):
+        # 5e-324 + z + 1e308 z^2 spans more than one power of two can
+        # centre without losing the subnormal coefficient or overflowing
+        # the evaluation: the search runs on the coefficients as given
+        # and says that it did not converge.
+        rs = find_roots(Polynomial([5e-324, 1.0, 1e308]))
+        assert rs.roots[0] == -5e-324
+        assert not rs.converged
+
+    @pytest.mark.parametrize("scale", [1e-8, 1e-10])
+    def test_cluster_reaching_the_subnormal_range(self, scale):
+        # 39 zeros of modulus below ``scale``: the low coefficients of P
+        # reach the subnormal range, where on the coefficients as given
+        # the noise floor underflows and the sweeps end in NaN zeros.
+        # The zeros are judged by their residual, not by the given
+        # zeros: at 1e-10 the double P lost bits to the subnormal range.
+        rng = np.random.default_rng(0)
+        r, t = np.sqrt(rng.random(39)), rng.random(39)
+        rs = find_roots(poly_from_roots(scale * r * np.exp(2j * np.pi * t)))
+        assert not np.isnan(rs.roots).any()
+        assert rs.converged
+        assert rs.max_residual <= 1e-15
+
     @pytest.mark.parametrize(
-        ("e", "d"), [(100, 15), (100, 17), (100, 24), (200, 24), (200, 40)]
+        ("e", "d"),
+        [(100, 15), (100, 17), (100, 24), (200, 24), (200, 40), (300, 3),
+         (300, 8)],
     )
     def test_large_zeros_settle(self, monkeypatch, e, d):
-        # 1 + 10^-e z^d: zeros of modulus 10^(e/d) up to 1e5, which an
+        # 1 + 10^-e z^d: zeros of modulus 10^(e/d) up to 1e100, which an
         # absolute test |p/p'| <= 1e-12 cannot settle; the relative one
-        # settles them in a few sweeps.
+        # settles them in a few sweeps.  At e = 300 the coefficient
+        # 1e-300 and the terms at x = 1/z reach the subnormal range
+        # unless the coefficients are centred by a power of two.
         sweeps = []
         aberth = roots._aberth
 
@@ -774,14 +816,22 @@ class TestSharedPipeline:
         # reads NaN, no root settles on it, and the result says that it
         # did not converge.  An infinite floor, which every |p| is
         # below, would settle three equal zeros at modulus 0.72 here
-        # (true moduli 0.48 to 0.75) and report converged=True.
-        a = [
+        # (true moduli 0.48 to 0.75) and report converged=True.  The
+        # search is run on the coefficients as given: find_roots centres
+        # them by a power of two first, and there the floor is finite.
+        a = np.array([
             -5.3e307 + 7.2e306j,
             3.9e307 - 6.3e307j,
             -1.3e307 - 3.4e307j,
             1.6e308 - 1.4e308j,
-        ]
-        assert not find_roots(Polynomial(a)).converged
+        ])
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            assert not _zeros(_Evaluator(a), _starts(a)).converged
+        rs = find_roots(Polynomial(a))
+        assert rs.converged
+        assert rs.max_residual <= 1e-15
+        sizes = np.abs(rs.roots)
+        assert 0.47 < sizes.min() and sizes.max() < 0.76
 
     @pytest.mark.parametrize(
         "degree", [0, 1, 2, 5, 15, 16, 17, 31, 32, 33, 256, 512]
@@ -1149,16 +1199,21 @@ class TestCompanionStarts:
         assert find_roots(p) == want
         assert calls == [13]
 
-    def test_tiny_cluster_takes_the_polygon(self, monkeypatch):
+    def test_tiny_cluster_takes_the_eigenvalues(self, monkeypatch):
         # Two zeros 1e-16 from 0 next to ten on the unit circle: the
         # companion eigenvalues there are rounding noise, of modulus
-        # about 4e-14, so the polygon's starts are taken.
+        # about 4e-14, and still the starts.  The relative settle test
+        # does not accept them, and the sweeps find both zeros.
         rng = np.random.default_rng(2)
         p = poly_from_roots([1e-16, -1e-16, *np.exp(2j * np.pi * rng.random(10))])
-        want = polygon_pipeline(p)
         calls = self.spy_polygon(monkeypatch)
-        assert find_roots(p) == want
-        assert calls == [13]
+        rs = find_roots(p)
+        assert calls == []
+        assert rs.converged
+        assert rs.max_residual <= 1e-15
+        tiny = np.array(rs.roots[:2])
+        for w in (1e-16, -1e-16):
+            assert np.abs(tiny - w).min() <= 1e-12 * 1e-16
 
     @pytest.mark.parametrize("offset", [0, 1])
     def test_either_side_of_the_crossover(self, monkeypatch, offset):
