@@ -207,24 +207,32 @@ class _Evaluator:
     def __call__(self, z: np.ndarray):
         b, m = self.b, self.m
         far = np.abs(z) > 1.0
-        x = np.where(far, 1.0 / z, z)
         if b == 1:
-            y = x
+            x = y = np.where(far, 1.0 / z, z)
             terms = np.where(far, self.terms[1], self.terms[0])
+            back = slice(None)
         else:
             # Every block's value, derivative and size against the
             # powers x^0 .. x^(b-1), each side's rows over that side's
-            # points only.  einsum, not a BLAS product, so that a
-            # point's summation order does not depend on the others.
+            # points only, which the stable sort on far puts in one run
+            # each (near, then far) and the end puts back.  einsum, not
+            # a BLAS product, so that a point's summation order does
+            # not depend on the others.
+            order = np.argsort(far, kind="stable")
+            back = np.empty_like(order)
+            back[order] = np.arange(len(z))
+            far, x = far[order], z[order]
+            cut = len(z) - np.count_nonzero(far)
+            x[cut:] = 1.0 / x[cut:]
             pw = _powers(x, b)
             y = pw[:, b]
             terms = np.zeros((m, 4, len(z)), np.complex128)
-            for side, points in enumerate((~far, far)):
-                if points.any():
-                    pws = pw[points, :b]
+            for side, run in enumerate((slice(0, cut), slice(cut, None))):
+                pws = pw[run, :b]
+                if len(pws):
                     sums = np.einsum("pi,ji->jp", pws, self.rows[side])
-                    terms[:, :2, points] = sums.reshape(m, 2, -1)
-                    terms[:, 3, points] = np.einsum(
+                    terms[:, :2, run] = sums.reshape(m, 2, -1)
+                    terms[:, 3, run] = np.einsum(
                         "pi,ji->jp", np.abs(pws), self.sizes[side]
                     )
         # One Horner state in y: the value rows (beyond one block also
@@ -242,7 +250,7 @@ class _Evaluator:
         # p' = sum_j B_j' y^j + b x^(b-1) sum_j j B_j y^(j-1).
         d = state[1] if b == 1 else state[1] + b * pw[:, b - 1] * state[2]
         d = np.where(far, (self.n * p - x * d) * x, d)
-        return p, d, _NOISE * state[-1].real
+        return p[back], d[back], _NOISE * state[-1].real[back]
 
     def compensated(self, z: np.ndarray):
         # p as accurate as in twice the working precision: about eps |p|
