@@ -288,6 +288,8 @@ def _cmd_localize(args, parser):
         "bound_radius": polar_zero_bound(xi, k),
         "max_zero_modulus": max_modulus(q_roots),
     }
+    # The n witness rows of 7 values, which only --format csv prints.
+    witnesses = report.witnesses if args.format == "csv" else ()
     rows = (
         [
             "zero_re", "zero_im", "beta_re", "beta_im",
@@ -298,7 +300,7 @@ def _cmd_localize(args, parser):
                 w.zero.real, w.zero.imag, w.beta.real, w.beta.imag,
                 w.quotient.real, w.quotient.imag, w.margin,
             ]
-            for w in report.witnesses
+            for w in witnesses
         ],
     )
     scene = None

@@ -18,8 +18,8 @@ fixed polynomial S(w) = sum_j C(n+k, j+k) w^j.  That identity is what
 turns zero localization of Q into zero localization of S; the solver
 does not use it, so it stays an independent check of the solver.
 ``q_zeros`` puts the localization to work: beyond degree 40 it starts
-the search for the zeros of Q at xi - (c - xi) Z(S), the zeros of Q
-for P = (z - c)^n, with c the centroid of the zeros of P.
+the search for the zeros of Q on Z(S) placed at Q's centroid c and
+sized so that prod(c - start_j) = Q(c), the zeros for P = (z - p)^n.
 """
 
 from __future__ import annotations
@@ -347,39 +347,42 @@ def s_zeros(n: int, k: int) -> RootSet:
         return _zeros(evaluate, starts)
 
 
-def q_zeros(
-    P: Polynomial, xi: complex, Q: Polynomial, s_roots: RootSet
-) -> RootSet:
-    """The zeros of Q = ``solve_polar(PolarProblem.centered(P, xi, k))``
-    for the monic P, given the zeros ``s_roots`` of S(n, k), with the
-    contract of ``find_roots``.
+def q_zeros(xi: complex, Q: Polynomial, s_roots: RootSet) -> RootSet:
+    """The zeros of the monic Q = ``solve_polar(PolarProblem.centered(P,
+    xi, k))``, given the zeros ``s_roots`` of S(n, k), with the contract
+    of ``find_roots``.
 
     The zeros of Q lie in xi - K Z(S) for every disk K that holds the
-    zeros of P shifted by -xi; for P = (z - c)^n they are exactly
-    xi - (c - xi) s_j over the zeros s_j of S.  Beyond degree
-    ``_EIG_MAX`` the search starts from that one-point model, with c =
-    -P_(n-1)/n the centroid of the zeros of P, where |c - xi| exceeds
-    their geometric spread |P(c)|^(1/n) about c (compared in
-    logarithms, so that no n-th power overflows).  Q enters by the door
-    of ``find_roots``, ``roots._dense_zeros``, which starts as it does
-    without a model or where Q(0) = 0: only the starts differ, and the
-    sweeps, the settle test and the polish decide every zero.  Raises
-    ValueError unless P, Q and ``s_roots`` share the degree.
+    zeros of P shifted by -xi; for P = (z - p)^n they are exactly
+    xi - (p - xi) s_j over the zeros s_j of S.  With p the centroid of
+    P's zeros their centroid is that of Q's, c = -Q_(n-1)/n, for every
+    P.  Beyond degree ``_EIG_MAX`` the search starts from
+    c + mu (s_j - s), s the mean of the s_j, with mu the n-th root of
+    Q(c) / prod(s - s_j) nearest the model's (c - xi) / s, formed in
+    logarithms so that no n-th power overflows: then prod(c - start_j)
+    = Q(c).  Q enters by the door of ``find_roots``,
+    ``roots._dense_zeros``, which starts as it does where these starts
+    are not finite (as where Q(c) = 0) or Q(0) = 0: only the starts
+    differ, and the sweeps, the settle test and the polish decide every
+    zero.  Raises ValueError unless Q and ``s_roots`` share the degree.
     """
     n = Q.degree
-    if P.degree != n or len(s_roots) != n:
-        raise ValueError("P, Q and the zeros of S must share the degree")
-    model = None
+    if len(s_roots) != n:
+        raise ValueError("Q and the zeros of S must share the degree")
+    starts = None
     if n > _EIG_MAX:
-        c = -P.coeffs[n - 1] / n
-        d = c - xi
+        a, s = Q.coeffs, np.array(s_roots.roots)
+        c, mean = -a[n - 1] / n, s.mean()
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            # The evaluator gives P(c), or c^-n P(c) beyond |c| = 1.
-            value = _Evaluator(P.coeffs)(np.array([c]))[0][0]
-            log_spread = np.log(abs(value)) / n + max(np.log(abs(c)), 0.0)
-            if np.log(abs(d)) > log_spread:
-                model = xi - d * np.array(s_roots.roots)
-    return _dense_zeros(Q.coeffs, model)
+            # The evaluator gives Q(c), or c^-n Q(c) beyond |c| = 1.
+            value = _Evaluator(a)(np.array([c]))[0][0]
+            mu = np.exp((np.log(value) - np.log(mean - s).sum()) / n)
+            mu *= c if abs(c) > 1.0 else 1.0
+            turn = np.round(n * np.angle((c - xi) / mean / mu) / (2 * np.pi))
+            starts = c + mu * np.exp(2j * np.pi * turn / n) * (s - mean)
+        if not np.isfinite(starts).all():
+            starts = None
+    return _dense_zeros(Q.coeffs, starts)
 
 
 def grace_convolve(p: Polynomial, q: Polynomial) -> Polynomial:

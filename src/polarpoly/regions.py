@@ -323,7 +323,7 @@ def localize(
     if s_roots is None:
         s_roots = s_zeros(P.degree, k)
     Q = solve_polar(problem)
-    q_roots = q_zeros(P, xi, Q, s_roots)
+    q_roots = q_zeros(xi, Q, s_roots)
     p_roots = None
     if region is None:
         if zeros is None:

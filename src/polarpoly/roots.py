@@ -48,11 +48,11 @@ One search, ``_zeros``, finds the zeros of P, Q and S: the sweeps
 (``_aberth``) from a start vector, the polish (``_newton_polish``) and,
 where the evaluator offers a ``compensated`` value, the compensated
 step.  ``_dense_zeros``, the one door of dense coefficients, hands it
-``_Evaluator`` and ``_starts`` or Q's model starts (``find_roots``,
-``polar.q_zeros``), ``polar.s_zeros`` the sparse form of S with its own
-evaluator and starts.  The iteration hands the polish p, p' and the
-noise floor of the sweep each root settled in, so no iterate is
-evaluated twice.
+``_Evaluator`` and ``_starts`` (``find_roots``) or the starts that
+``polar.q_zeros`` builds from Z(S); ``polar.s_zeros`` hands it the
+sparse form of S with its own evaluator and starts.  The iteration
+hands the polish p, p' and the noise floor of the sweep each root
+settled in, so no iterate is evaluated twice.
 """
 
 from __future__ import annotations
@@ -219,8 +219,7 @@ class _Evaluator:
             # a BLAS product, so that a point's summation order does
             # not depend on the others.
             order = np.argsort(far, kind="stable")
-            back = np.empty_like(order)
-            back[order] = np.arange(len(z))
+            back = np.argsort(order)
             far, x = far[order], z[order]
             cut = len(z) - np.count_nonzero(far)
             x[cut:] = 1.0 / x[cut:]

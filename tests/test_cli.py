@@ -763,9 +763,9 @@ ZEROS40 = (
     "[0.004,-0.907],[0.618,0.681],[-0.928,-0.086],[0.752,-0.571]]"
 )
 
-# The same spiral with 64 zeros: about xi = 1.5+0.3i, far outside the
-# spread of the zeros, localize starts the sweeps for Q's zeros from
-# xi - (c - xi) Z(S), c the centroid of the zeros.
+# The same spiral with 64 zeros: about xi = 1.5+0.3i localize starts
+# the sweeps for Q's zeros from Z(S) placed at Q's centroid c and sized
+# by Q(c), as beyond degree 40 at every xi.
 ZEROS64 = (
     "[[0.084,0.0],[-0.107,0.098],[0.016,-0.187],[0.135,0.176],"
     "[-0.248,-0.044],[0.235,-0.149],[-0.079,0.292],[-0.15,-0.289],"

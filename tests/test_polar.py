@@ -748,14 +748,15 @@ def centered_case(n, k, xi, zeros):
 
 
 # The large grid of (n, k) for q_zeros, each at |xi| = 0.3, 1.0, 1.5
-# and 1.9: the model starts are taken at the last three.
+# and 1.9: the starts from Z(S) are taken at all four.
 Q_GRID = [(64, 50), (128, 30), (256, 16), (256, 20), (512, 5), (1024, 5)]
 
 
 class TestQZeros:
     """q_zeros against find_roots(Q): the same sweeps, polish and
-    result, started beyond degree 40 from the theorem's one-point model
-    xi - (c - xi) Z(S)."""
+    result, started beyond degree 40 from Z(S) placed at Q's centroid c
+    and sized so that prod(c - start_j) = Q(c), the theorem's zeros of
+    Q for P = (z - p)^n."""
 
     def test_equality_case_settles_in_two_sweeps(self, monkeypatch):
         # P = (z - c)^n: the zeros of Q are exactly xi - (c - xi) s_j
@@ -774,7 +775,7 @@ class TestQZeros:
             return aberth(start, counted, *args)
 
         monkeypatch.setattr(roots, "_aberth", counted_aberth)
-        rs = q_zeros(P, xi, Q, S)
+        rs = q_zeros(xi, Q, S)
         assert rs.converged
         assert len(sweeps) <= 2
         want = xi - (c - xi) * np.array(S.roots)
@@ -785,16 +786,37 @@ class TestQZeros:
         ("n", "xi", "zeros"),
         [
             (40, 1.5 + 0.3j, "disk"),  # at _EIG_MAX
-            (64, 0.1 - 0.05j, "disk"),  # xi within the spread of P's zeros
-            (64, 0.0, "origin"),  # d = 0: P = z^n about xi = 0
+            (64, 0.0, "origin"),  # Q(c) = 0: P = z^n about xi = 0
         ],
-        ids=["eig_max", "inside_spread", "d_zero"],
+        ids=["eig_max", "d_zero"],
     )
     def test_find_roots_where_the_model_is_not_taken(self, n, xi, zeros):
         rng = np.random.default_rng(n)
         z = unit_disk(rng, n) if zeros == "disk" else np.zeros(n)
         P, Q, S = centered_case(n, 3, xi, z)
-        assert q_zeros(P, xi, Q, S) == find_roots(Q)
+        assert q_zeros(xi, Q, S) == find_roots(Q)
+
+    def test_model_taken_inside_the_spread(self, monkeypatch):
+        # xi within the cloud of P's zeros, where the one-point model
+        # xi - (p - xi) Z(S) has the wrong size: the starts sized by
+        # Q(c) are taken, not the polygon's, the search converges, and
+        # the containment verdict is that of find_roots(Q).
+        n, k, xi = 64, 3, 0.1 - 0.05j
+        zeros = unit_disk(np.random.default_rng(n), n)
+        P, Q, S = centered_case(n, k, xi, zeros)
+        dense = find_roots(Q)
+        polygon = []
+        hull = roots._hull_starts
+        monkeypatch.setattr(
+            roots, "_hull_starts", lambda a: polygon.append(a) or hull(a)
+        )
+        rs = q_zeros(xi, Q, S)
+        assert not polygon and rs.converged
+        region = enclosing_disk(zeros - xi)
+        assert (
+            localization_check(rs, xi, region, S).contained
+            == localization_check(dense, xi, region, S).contained
+        )
 
     def test_find_roots_where_q_has_a_zero_at_0(self):
         # Beyond _EIG_MAX with the model in reach, but Q(0) = 0: the
@@ -804,7 +826,7 @@ class TestQZeros:
         zeros = unit_disk(np.random.default_rng(n), n)
         P, Q, S = centered_case(n, k, xi, zeros)
         at_zero = Polynomial(np.concatenate([[0], Q.coeffs[1:]]))
-        rs = q_zeros(P, xi, at_zero, S)
+        rs = q_zeros(xi, at_zero, S)
         assert rs == find_roots(at_zero)
         assert rs.roots[0] == 0
 
@@ -816,19 +838,20 @@ class TestQZeros:
             a = Q.coeffs.copy()
             a[5] = bad
             with pytest.raises(NonFiniteError):
-                q_zeros(P, xi, Polynomial(a), S)
+                q_zeros(xi, Polynomial(a), S)
 
     def test_half_the_evaluations_and_the_same_verdicts(self, monkeypatch):
-        # A guard on the work the model starts save, counted rather than
-        # timed: evaluator calls of the sweeps and the polish (21 from
-        # the polygon, 8 from the model here).  Every zero lies within
-        # 4 noise/|p'|, the attainable accuracy, of find_roots' zero.
+        # A guard on the work the starts from Z(S) save, counted rather
+        # than timed: evaluator calls of the sweeps and the polish (19
+        # from the polygon, 6 from Z(S) here, Q(c) included).  Every
+        # zero lies within 4 noise/|p'|, the attainable accuracy, of
+        # find_roots' zero.
         n, k, xi = 128, 3, 1.5
         zeros = unit_disk(np.random.default_rng(0), n)
         P, Q, S = centered_case(n, k, xi, zeros)
-        # find_roots and q_zeros both build Q's evaluator in roots.py,
-        # polar.py only that of P for the model; only calls on Q's
-        # coefficients count.
+        # find_roots and q_zeros both build Q's search evaluator in
+        # roots.py, and q_zeros evaluates Q(c) for its starts in
+        # polar.py; every call on Q's coefficients counts.
         calls = []
 
         class Counting(_Evaluator):
@@ -842,10 +865,11 @@ class TestQZeros:
                 return super().__call__(z)
 
         monkeypatch.setattr(roots, "_Evaluator", Counting)
+        monkeypatch.setattr(polar, "_Evaluator", Counting)
         dense = find_roots(Q)
         dense_calls = len(calls)
         calls.clear()
-        rs = q_zeros(P, xi, Q, S)
+        rs = q_zeros(xi, Q, S)
         assert 0 < 2 * len(calls) <= dense_calls
         assert rs.converged == dense.converged
         region = enclosing_disk(zeros - xi)
@@ -861,7 +885,7 @@ class TestQZeros:
     def test_degrees_must_agree(self):
         P, Q, _ = centered_case(4, 2, 0.5, [0.1, 0.2j, -0.3, 0.4])
         with pytest.raises(ValueError):
-            q_zeros(P, 0.5, Q, s_zeros(3, 2))
+            q_zeros(0.5, Q, s_zeros(3, 2))
 
     @pytest.mark.slow
     @pytest.mark.parametrize("size", [0.3, 1.0, 1.5, 1.9])
@@ -872,7 +896,7 @@ class TestQZeros:
         # leaves a zero unsettled after 200 sweeps and q_zeros does not.
         zeros = unit_disk(np.random.default_rng(0), n)
         P, Q, S = centered_case(n, k, size, zeros)
-        dense, rs = find_roots(Q), q_zeros(P, size, Q, S)
+        dense, rs = find_roots(Q), q_zeros(size, Q, S)
         assert rs.converged or not dense.converged
         region = enclosing_disk(zeros - size)
         assert (
@@ -897,7 +921,7 @@ class TestQZeros:
             P, Q, S = centered_case(n, k, xi, zeros)
             worst = [
                 max(abs(z - newton_zero(Q.coeffs, z, 50)) for z in rs.roots)
-                for rs in (find_roots(Q), q_zeros(P, xi, Q, S))
+                for rs in (find_roots(Q), q_zeros(xi, Q, S))
             ]
             ratios.append(worst[1] / worst[0])
         assert 0.8 <= math.exp(np.mean(np.log(ratios))) <= 1.25
@@ -922,8 +946,8 @@ class TestPolishAccuracy:
     @pytest.mark.parametrize("n", [8, 32, 128, 256])
     def test_zeros_of_p_and_q_within_their_noise(self, n):
         # find_roots on P and on Q, and q_zeros on Q (k = 3, xi = 1.5 +
-        # 0.3i, where the theorem's model starts are taken beyond
-        # degree 40), against 60-digit limits: within 16 noise/|p'|,
+        # 0.3i, where the starts from Z(S) are taken beyond degree
+        # 40), against 60-digit limits: within 16 noise/|p'|,
         # the evaluator's attainable accuracy at the zero.  Checked
         # where that first-order estimate holds, 256 noise/|p'| below
         # the gap to the nearest other zero: at degree 256 rounding the
@@ -935,7 +959,7 @@ class TestPolishAccuracy:
             for coeffs, rs in (
                 (P.coeffs, find_roots(P)),
                 (Q.coeffs, find_roots(Q)),
-                (Q.coeffs, q_zeros(P, 1.5 + 0.3j, Q, S)),
+                (Q.coeffs, q_zeros(1.5 + 0.3j, Q, S)),
             ):
                 z = np.array(rs.roots)
                 _, dp, noise = _Evaluator(coeffs)(z)

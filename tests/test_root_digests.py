@@ -25,10 +25,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from polarpoly import polar, roots
 from polarpoly.errors import DomainError
 from polarpoly.polar import PolarProblem, q_zeros, s_zeros, solve_polar
 from polarpoly.polynomial import BINOMIAL_MAX, Polynomial, poly_from_roots
-from polarpoly.roots import find_roots
+from polarpoly.roots import _Evaluator, find_roots
 from polarpoly.verify import SuiteConfig, sample_case
 
 DIGESTS = Path(__file__).resolve().parent / "data" / "root_digests.json"
@@ -75,7 +76,7 @@ def q_zeros_inputs():
 def search_q(inputs):
     P, xi, k = inputs
     Q = solve_polar(PolarProblem.centered(P, xi, k))
-    return q_zeros(P, xi, Q, s_zeros(P.degree, k))
+    return q_zeros(xi, Q, s_zeros(P.degree, k))
 
 
 FAMILIES = {
@@ -123,10 +124,39 @@ def test_search_bits_unchanged(name):
 
 def test_corpus_covers_the_size_switches():
     # The blocked evaluator (beyond 16 coefficients), the polygon starts
-    # (beyond degree 40) and the model starts of q_zeros all run.
+    # (beyond degree 40) and the starts of q_zeros from Z(S) all run.
     degrees = [P.degree for _, P in find_roots_inputs()]
     assert {1, 16, 17, 40, 64, 256} <= set(degrees)
     localize = [P.degree for label, (P, _, _) in q_zeros_inputs()
                 if label.startswith("localize")]
     assert len(localize) == 20 and max(localize) > 40
     assert all(n + k <= BINOMIAL_MAX for n, k in S_PAIRS)
+
+
+def test_starts_from_z_s_save_a_third_of_the_points(monkeypatch):
+    # A guard on the work q_zeros' starts save beyond degree 40, counted
+    # rather than timed: over the localize draws with n > 40, the points
+    # evaluated on Q (sweeps, polish and q_zeros' Q(c)) are at most 0.65
+    # times those of find_roots(Q), the polygon's starts (11,873 against
+    # 19,690 when this guard was set).
+    cases = []
+    for label, (P, xi, k) in q_zeros_inputs():
+        if label.startswith("localize") and P.degree > 40:
+            Q = solve_polar(PolarProblem.centered(P, xi, k))
+            cases.append((xi, Q, s_zeros(P.degree, k)))
+    points = []
+
+    class Counting(_Evaluator):
+        def __call__(self, z):
+            points.append(len(z))
+            return super().__call__(z)
+
+    monkeypatch.setattr(roots, "_Evaluator", Counting)
+    monkeypatch.setattr(polar, "_Evaluator", Counting)
+    totals = []
+    for search in (lambda c: q_zeros(*c), lambda c: find_roots(c[1])):
+        points.clear()
+        assert all(search(case).converged for case in cases)
+        totals.append(sum(points))
+    assert len(cases) == 13
+    assert totals[0] <= 0.65 * totals[1], totals

@@ -370,8 +370,8 @@ class TestCaseMetrics:
     def test_artifacts_are_what_localize_prints(self, capsys, n, k, xi):
         # The containment check judges the zeros that localize prints:
         # the harness's Q, zeros of Q and smallest margin equal the
-        # command's bit for bit.  n = 60 and 120 take q_zeros' model
-        # path, n = 9 find_roots.
+        # command's bit for bit.  n = 60 and 120 take q_zeros' starts
+        # from Z(S), n = 9 find_roots.
         rng = np.random.default_rng(n)
         zeros = tuple(map(complex, unit_disk(rng, n)))
         metrics = case_metrics(CaseInstance(n, k, zeros, xi))
